@@ -69,9 +69,10 @@ class CMHost(Protocol):
     # --- Identity and configuration ------------------------------------
     node_id: int
     config: "DaemonConfig"
-    #: The backend seam (clock/timers/transport); CM policy code never
-    #: schedules on it directly (KHZ008) — it reads the clock via
-    #: :attr:`now` and sleeps via :meth:`sleep`.
+    #: The backend seam (clock/timers/transport/cost model); CM policy
+    #: code never schedules on it directly (KHZ008) — it reads the
+    #: clock via :attr:`now` and sleeps via :meth:`sleep`; modelled
+    #: storage cost is spent for it by the page-residency methods.
     runtime: "Runtime"
     #: Race-detector probe (``NULL_PROBE`` when detection is off);
     #: call sites guard on ``probe.enabled``.
@@ -114,7 +115,7 @@ class CMHost(Protocol):
 
     def store_local_page(self, desc: "RegionDescriptor", page_addr: int,
                          data: bytes, dirty: bool) -> ProtocolGen:
-        """Cache page bytes locally, charging simulated I/O time."""
+        """Cache page bytes locally, charging modelled I/O cost."""
         ...
 
     def drop_local_page(self, page_addr: int) -> None:
@@ -136,6 +137,7 @@ class CMHost(Protocol):
         ...
 
     def sleep(self, seconds: float) -> Future:
+        """A future resolving after ``seconds`` on the runtime clock."""
         ...
 
     # --- Failure handling ------------------------------------------------

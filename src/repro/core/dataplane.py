@@ -324,7 +324,7 @@ class DataPlane:
         desc = mapping[0]
         is_home = kernel.node_id in desc.home_nodes
         if is_home and (desc.rid == SYSTEM_RID or kernel.journal is not None):
-            return False   # write-through path charges disk time
+            return False   # write-through path charges modelled disk cost
         page_size = desc.page_size
         storage = kernel.storage
         memory = storage.memory
@@ -440,7 +440,7 @@ class DataPlane:
 
     def local_page_bytes(self, desc: RegionDescriptor,
                          page_addr: int) -> ProtocolGen:
-        """Bytes of a locally stored page, charging simulated disk time.
+        """Bytes of a locally stored page, charging modelled disk cost.
 
         At a home node, an allocated-but-never-written page zero-fills
         on demand (backing store is materialised lazily).
@@ -449,7 +449,7 @@ class DataPlane:
         kernel = self.kernel
         page, cost = kernel.storage.load(page_addr)
         if cost > 0:
-            yield kernel.sleep(cost)
+            yield from kernel.charge_io(cost)
         if page is not None:
             return page.data
         if kernel.node_id in desc.home_nodes:
@@ -468,7 +468,7 @@ class DataPlane:
 
     def store_local_page(self, desc: RegionDescriptor, page_addr: int,
                          data: bytes, dirty: bool) -> ProtocolGen:
-        """Cache page bytes locally, charging victimization I/O time.
+        """Cache page bytes locally, charging victimization I/O cost.
 
         Address-map pages are written through to disk at their home:
         the paper (3.5) requires the metadata needed to access a region
@@ -487,10 +487,9 @@ class DataPlane:
         else:
             cost = kernel.storage.store(page)
         if cost > 0:
-            yield kernel.sleep(cost)
-        entry = kernel.page_directory.ensure(
-            page_addr, desc.rid, homed=kernel.node_id in desc.home_nodes
-        )
+            yield from kernel.charge_io(cost)
+        entry = kernel.page_directory.ensure(page_addr, desc.rid,
+                                             homed=is_home)
         entry.record_sharer(kernel.node_id)
 
     def drop_local_page(self, page_addr: int) -> None:

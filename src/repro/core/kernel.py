@@ -445,8 +445,17 @@ class NodeKernel:
 
         outcome.add_callback(on_done)
 
+    def charge_io(self, seconds: float) -> ProtocolGen:
+        """Spend ``seconds`` of modelled storage cost on the runtime's
+        cost model: a virtual clock advances by it, a wall clock has
+        already paid (:meth:`Runtime.charge`)."""
+        charged = self.runtime.charge(seconds,
+                                      label=f"n{self.node_id}:sleep")
+        if charged is not None:
+            yield charged
+
     def sleep(self, seconds: float) -> Future:
-        """A future resolving after ``seconds`` of virtual time."""
+        """A future resolving after ``seconds`` on the runtime clock."""
         future = Future(label=f"sleep:{seconds}")
         if seconds <= 0:
             future.set_result(None)

@@ -107,6 +107,15 @@ class AsyncioRuntime(Runtime):
         handle = self.loop.call_soon(self._guarded(callback, label))
         return AioTimerHandle(handle, self.now, label)
 
+    def charge(self, seconds: float, label: str = "") -> None:
+        """Modelled cost is not wall time: nothing to wait for.
+
+        The file write (or RAM copy) the node just performed already
+        took what it takes on this clock; a timer for the model's
+        price on top would bill the operation twice.
+        """
+        return None
+
     # --- Driving the loop ----------------------------------------------
 
     def run_future(self, future: Future, timeout: Optional[float] = None

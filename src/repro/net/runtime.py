@@ -1,11 +1,17 @@
-"""The runtime seam: clock + timers + transport behind one interface.
+"""The runtime seam: clock + timers + transport + cost model behind
+one interface.
 
 The paper claims (Section 5) that only Khazana's messaging layer is
 system-dependent.  This module makes that claim structural: everything
 a :class:`~repro.core.kernel.NodeKernel` (and therefore the protocol
 engine and every consistency manager) needs from "the system" is the
 narrow :class:`Runtime` surface below — a monotonic clock, one-shot
-timers, and a :class:`~repro.net.transport.Transport`.
+timers, a :class:`~repro.net.transport.Transport`, and the cost model:
+who pays for work the program only *models* (the 1998 disk of
+:mod:`repro.storage.disk`).  On a virtual clock modelled cost is the
+only cost there is, so the backend spends it; on a wall clock the work
+the node actually did already took its time, and spending the model on
+top would bill the operation twice.
 
 Two backends implement it:
 
@@ -15,9 +21,10 @@ Two backends implement it:
   indirection state of its own, so simulated runs — including the
   schedule explorer and the race detector, which keep driving the raw
   scheduler — stay bit-for-bit identical to the pre-seam behaviour.
+  Modelled cost advances virtual time.
 - :class:`~repro.net.aio.AsyncioRuntime` drives the same protocol
   code over wall-clock asyncio timers and the real-socket
-  :class:`~repro.net.tcp.TcpTransport`.
+  :class:`~repro.net.tcp.TcpTransport`.  Modelled cost is not spent.
 
 Everything above this seam is backend-agnostic; lint rule KHZ011
 (``repro.analysis.lint``) enforces that no other module reaches for
@@ -27,9 +34,10 @@ Everything above this seam is backend-agnostic; lint rule KHZ011
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Protocol, runtime_checkable
+from typing import Callable, List, Optional, Protocol, runtime_checkable
 
 from repro.net.clock import EventScheduler
+from repro.net.tasks import Future
 from repro.net.transport import Transport
 
 
@@ -55,7 +63,7 @@ class TimerHandle(Protocol):
 
 
 class Runtime(abc.ABC):
-    """Clock, one-shot timers, and the transport, for one backend.
+    """Clock, one-shot timers, transport and cost model, for one backend.
 
     The timer surface is deliberately identical to
     :class:`~repro.net.clock.EventScheduler` (``now`` / ``call_at`` /
@@ -87,6 +95,18 @@ class Runtime(abc.ABC):
     def call_soon(self, callback: Callable[[], None],
                   label: str = "") -> TimerHandle:
         """Run ``callback`` as soon as the backend next dispatches."""
+
+    @abc.abstractmethod
+    def charge(self, seconds: float, label: str = "") -> Optional[Future]:
+        """Spend ``seconds`` (> 0) of *modelled* cost on this backend.
+
+        The storage hierarchy prices every disk access with a model
+        (:func:`repro.storage.disk.access_cost`); whether that price is
+        also *time* depends on the clock.  Returns a future the caller
+        must wait on before going on, or ``None`` when this backend's
+        clock has nothing to add — the caller then continues without
+        suspending.
+        """
 
     @property
     def timers(self) -> object:
@@ -135,6 +155,17 @@ class SimRuntime(Runtime):
     def call_soon(self, callback: Callable[[], None],
                   label: str = "") -> TimerHandle:
         return self.scheduler.call_soon(callback, label=label)
+
+    def charge(self, seconds: float, label: str = "") -> Future:
+        """Advance virtual time: a future resolving ``seconds`` from now.
+
+        Exactly one ``call_later`` event, under the caller's label —
+        the schedule explorer keys recorded decisions on it.
+        """
+        future = Future(label=f"sleep:{seconds}")
+        self.scheduler.call_later(seconds, lambda: future.set_result(None),
+                                  label=label)
+        return future
 
     @property
     def timers(self) -> EventScheduler:

@@ -10,8 +10,12 @@ Two implementations are provided:
   page under a spill directory, used by the persistence examples and
   tests to demonstrate that Khazana state survives daemon restarts.
 
-Both report simulated access costs so the daemon can charge virtual
-time for disk hits.
+Both price every access with the same model (:func:`access_cost`, a
+late-90s disk).  The price is a property of the model, not time spent:
+:class:`~repro.storage.hierarchy.StorageHierarchy` returns and accounts
+it, and the node's :class:`~repro.net.runtime.Runtime` decides whether
+to spend it — the simulator advances virtual time by it, the asyncio
+backend does not (the file write it just did was the cost).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ DISK_BYTES_PER_SECOND = 10_000_000
 
 
 def access_cost(size_bytes: int) -> float:
-    """Virtual seconds to read or write one page from/to disk."""
+    """Modelled seconds to read or write one page from/to disk."""
     return DISK_SEEK_SECONDS + size_bytes / DISK_BYTES_PER_SECOND
 
 

@@ -41,6 +41,9 @@ class StorageStats:
     misses: int = 0
     victimized_to_disk: int = 0
     evicted_from_disk: int = 0
+    #: Modelled I/O cost handed to callers: ``load``, ``store`` and
+    #: ``write_through`` each add exactly what they return, so this is
+    #: what a runtime that spends the model (``Runtime.charge``) spent.
     simulated_io_seconds: float = 0.0
 
     def hit_rate(self) -> float:
@@ -153,6 +156,7 @@ class StorageHierarchy:
         self.disk.remove(page.address)
         cost = self._make_room_in_memory(page.size, exclude=page.address)
         self.memory.put(page)
+        self.stats.simulated_io_seconds += cost
         return cost
 
     def write_through(self, page: StoredPage) -> float:
@@ -163,7 +167,7 @@ class StorageHierarchy:
         room_cost = self._make_room_on_disk(persisted.size, exclude=page.address)
         self.disk.put(persisted)
         io = access_cost(persisted.size)
-        self.stats.simulated_io_seconds += io
+        self.stats.simulated_io_seconds += room_cost + io
         return cost + room_cost + io
 
     # --- Removal ---------------------------------------------------------------
@@ -236,10 +240,8 @@ class StorageHierarchy:
                 continue
             cost += self._make_room_on_disk(victim.size, exclude=exclude)
             self.disk.put(victim)
-            io = access_cost(victim.size)
-            self.stats.simulated_io_seconds += io
             self.stats.victimized_to_disk += 1
-            cost += io
+            cost += access_cost(victim.size)
         if not self.memory.has_room_for(size):
             raise StorageExhausted("RAM full and victimization stalled")
         return cost

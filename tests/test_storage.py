@@ -261,3 +261,31 @@ class TestHierarchy:
         h.load(0xBAD000)
         assert h.stats.hit_rate() == 0.5
         assert h.stats.ram_hit_rate() == 0.5
+
+    def test_returned_cost_is_the_accounted_cost(self):
+        """Σ cost handed to the caller == Δ ``simulated_io_seconds``,
+        through every cost-bearing path: disk hit, the victimization a
+        store causes, write-through, and disk eviction.  A runtime
+        that spends the model spends exactly what the stats say."""
+        h = self.make(mem_pages=2, disk_pages=3)
+        returned = 0.0
+        for i in range(5):                    # RAM 2 + disk 3: both full
+            returned += h.store(page(i * PAGE))
+        assert h.stats.victimized_to_disk == 3
+        # Disk hit on a full hierarchy: the reader is priced the read;
+        # the victim its promotion pushes down is neither returned nor
+        # accounted.
+        _, cost = h.load(0)
+        assert cost == access_cost(PAGE)
+        assert h.stats.victimized_to_disk == 4
+        returned += cost
+        returned += h.store(page(5 * PAGE))   # victim goes down, disk evicts
+        returned += h.write_through(page(6 * PAGE))   # and again, plus put
+        assert h.stats.evicted_from_disk >= 2
+        _, cost = h.load(6 * PAGE)            # RAM hit: free
+        returned += cost
+        _, cost = h.load(0xBAD000)            # miss: free
+        returned += cost
+        assert returned == pytest.approx(h.stats.simulated_io_seconds,
+                                         rel=1e-12)
+        assert returned > 0
