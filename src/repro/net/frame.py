@@ -13,6 +13,10 @@ where the body is either
   codec cannot express.  The tag bytes are disjoint, so the decoder
   dispatches on the body's first byte.
 
+Anything else — an empty body, an unknown tag, a body its decoder
+cannot finish — is a :class:`FrameError`, the one exception a
+transport has to expect from :func:`decode_body`.
+
 Pickle is acceptable here because frames only ever arrive from peer
 daemons of the same deployment on localhost/trusted links — the same
 trust domain as the shared address space itself.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.net import codec
 from repro.net.message import Message, MessageType, set_size_codec
@@ -43,6 +47,10 @@ PICKLE_TAG = 0x50
 #: Upper bound on one frame body; a prefix above this is treated as a
 #: corrupt stream rather than an allocation request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+
+class FrameError(ValueError):
+    """Bytes off the wire that are not one well-formed frame."""
 
 
 def _picklable(value: Any) -> Any:
@@ -84,11 +92,20 @@ def encode_frame(message: Message) -> bytes:
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
-def decode_body(body: bytes) -> Message:
-    """Inverse of the body part of :func:`encode_frame`."""
+def decode_body(body: Union[bytes, memoryview]) -> Message:
+    """Inverse of the body part of :func:`encode_frame`.
+
+    ``body`` is bytes off a socket (the transport passes a view of its
+    receive buffer), so whatever it holds the outcome is a
+    :class:`Message` or a :class:`FrameError` — never the
+    ``struct.error``/``IndexError``/``UnicodeDecodeError`` the decoder
+    happened to trip over.
+    """
     if not body:
-        raise ValueError("empty frame body")
-    if body[0] == PICKLE_TAG:
+        raise FrameError("empty frame body")
+    try:
+        if body[0] != PICKLE_TAG:
+            return codec.decode(body)
         msg_type, src, dst, payload, request_id, reply_to, msg_id = (
             pickle.loads(body[1:])
         )
@@ -101,7 +118,11 @@ def decode_body(body: bytes) -> Message:
             reply_to=reply_to,
             msg_id=msg_id,
         )
-    return codec.decode(body)
+    except Exception as exc:  # khz: allow-broad-except(converted, not swallowed: whatever a decoder trips over on socket bytes re-raises as the one typed FrameError)
+        raise FrameError(
+            f"undecodable frame body (tag {body[0]:#x}, {len(body)} bytes): "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def frame_size(message: Message) -> int:

@@ -142,6 +142,11 @@ class NetworkStats:
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
+    #: Frames refused because their peer's send buffer was over its
+    #: bound (real transports only; the sim has no slow peers).
+    messages_shed: int = 0
+    #: Inbound frames that failed to parse (real transports only).
+    frames_rejected: int = 0
     bytes_sent: int = 0
     by_type: Dict[str, int] = field(default_factory=dict)
     bytes_by_type: Dict[str, int] = field(default_factory=dict)
@@ -159,6 +164,8 @@ class NetworkStats:
             messages_sent=self.messages_sent,
             messages_delivered=self.messages_delivered,
             messages_dropped=self.messages_dropped,
+            messages_shed=self.messages_shed,
+            frames_rejected=self.frames_rejected,
             bytes_sent=self.bytes_sent,
         )
         clone.by_type = dict(self.by_type)
@@ -171,6 +178,8 @@ class NetworkStats:
             messages_sent=self.messages_sent - earlier.messages_sent,
             messages_delivered=self.messages_delivered - earlier.messages_delivered,
             messages_dropped=self.messages_dropped - earlier.messages_dropped,
+            messages_shed=self.messages_shed - earlier.messages_shed,
+            frames_rejected=self.frames_rejected - earlier.frames_rejected,
             bytes_sent=self.bytes_sent - earlier.bytes_sent,
         )
         for key, value in self.by_type.items():

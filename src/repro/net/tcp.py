@@ -1,17 +1,25 @@
-"""Real-socket transport: length-prefixed frames over asyncio streams.
+"""Real-socket transport: length-prefixed frames on asyncio protocols.
 
 The second implementation of the :class:`~repro.net.transport.Transport`
 seam (the first is the simulator).  Semantics deliberately mirror the
 datagram model every protocol is written against:
 
-- ``send`` never blocks and never raises: frames queue on a lazy
-  per-destination :class:`ServiceConnection` and a dead or unreachable
-  peer silently drops them (counted in ``stats.messages_dropped``),
+- ``send`` never blocks and never raises: once the lazy
+  per-destination :class:`ServiceConnection` is up, a frame is written
+  to its socket in the sender's own stack, and a dead or unreachable
+  peer silently drops frames (counted in ``stats.messages_dropped``),
   exactly as the simulator drops traffic to a crashed node.  The RPC
   layer's retransmission machinery provides reliability on top, same
   as over the sim.
+- a slow peer cannot make the sender hold unbounded memory: past
+  :data:`WRITE_HIGH_WATER` buffered bytes, frames for that peer are
+  shed (``stats.messages_shed``) until its socket drains.
 - delivery order per (src, dst) pair follows the stream, matching the
   jitter-free simulator link.
+
+Inbound, each accepted socket is a :class:`FrameReceiver`: the kernel
+``recv_into``s one persistent buffer and frames are parsed and
+dispatched where they land, inside the loop's read callback.
 
 Each daemon process (or each in-process daemon, in the transport
 bench) owns one ``TcpTransport`` listening on its address-book entry;
@@ -28,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from typing import Callable, Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Set, Tuple, cast
 
 from repro.net import frame
 from repro.net.message import Message
@@ -40,17 +48,36 @@ logger = logging.getLogger(__name__)
 #: Give a peer this many wall seconds to accept before dropping.
 CONNECT_TIMEOUT = 2.0
 
+#: Most bytes one peer may have buffered on our side (the asyncio write
+#: buffer once connected, the pre-connect queue before) before frames
+#: for it are shed.  One largest legal frame, so no frame trips the
+#: mark by itself and the bound tightens with ``MAX_FRAME_BYTES``.
+WRITE_HIGH_WATER = frame.LENGTH_PREFIX.size + frame.MAX_FRAME_BYTES
+
+#: Receive buffer a connection starts with; it grows to the largest
+#: frame that connection has carried.
+INITIAL_RECV_BYTES = 64 * 1024
+
 Address = Tuple[str, int]
 
 
-class ServiceConnection:
-    """Lazy outbound stream to one peer, with datagram drop semantics.
+def _abort(wire: asyncio.Transport) -> None:
+    try:
+        wire.abort()
+    except RuntimeError:
+        pass   # loop already closed during interpreter teardown
 
-    A single pump task drains the frame queue through one connection;
-    connect or write failure drops everything queued (the peer is
-    treated as dead, like a crashed sim node) and the next ``enqueue``
-    starts a fresh connection attempt.  ``close`` detaches cleanly:
-    frames enqueued afterwards drop silently.
+
+class ServiceConnection(asyncio.Protocol):
+    """One outbound connection to one peer, with datagram drop semantics.
+
+    Frames offered while the connect is in flight queue here and are
+    flushed, in order, the moment it completes; from then on
+    ``enqueue`` is a direct socket write.  Connect failure or a lost
+    connection drops what is queued (the peer is treated as dead, like
+    a crashed sim node) and closes this object — the transport's next
+    ``send`` to that peer builds a fresh one.  Frames enqueued after
+    ``close`` drop silently.
     """
 
     def __init__(self, transport: "TcpTransport", dst: int) -> None:
@@ -58,71 +85,168 @@ class ServiceConnection:
         self.dst = dst
         self.closed = False
         self._queue: Deque[bytes] = deque()
-        self._wakeup = asyncio.Event()
-        self._writer: asyncio.StreamWriter | None = None
-        self._task = transport.loop.create_task(self._pump())
+        self._queued_bytes = 0
+        self._wire: asyncio.Transport | None = None
+        self._paused = False
+        self._opened = False
+        #: Resolves once no socket of this connection remains open.
+        self.released: asyncio.Future = transport.loop.create_future()
+        self._connecting = transport.loop.create_task(self._connect())
 
     @property
-    def queued(self) -> int:
-        return len(self._queue)
+    def buffered_bytes(self) -> int:
+        """Bytes accepted for the peer that its socket has not taken."""
+        if self._wire is not None:
+            return self._wire.get_write_buffer_size()
+        return self._queued_bytes
 
     def enqueue(self, data: bytes) -> None:
-        if self.closed:
-            self.transport.stats.messages_dropped += 1
+        wire = self._wire
+        if wire is not None and not self._paused:
+            wire.write(data)
             return
-        self._queue.append(data)
-        self._wakeup.set()
+        stats = self.transport.stats
+        if self.closed:
+            stats.messages_dropped += 1
+        elif wire is not None or self._queued_bytes > WRITE_HIGH_WATER:
+            stats.messages_shed += 1
+        else:
+            self._queue.append(data)
+            self._queued_bytes += len(data)
 
     def close(self) -> None:
         if self.closed:
             return
+        self._connecting.cancel()
+        self._drop()
+        if self._wire is not None:
+            _abort(self._wire)
+            self._wire = None
+
+    def _drop(self) -> None:
         self.closed = True
-        self._wakeup.set()
-        self._task.cancel()
-        self._drop_queued()
-        self._reset_writer()
+        self.transport.stats.messages_dropped += len(self._queue)
+        self._queue.clear()
+        self._queued_bytes = 0
 
-    def _drop_queued(self) -> None:
-        if self._queue:
-            self.transport.stats.messages_dropped += len(self._queue)
-            self._queue.clear()
+    async def _connect(self) -> None:
+        try:
+            host, port = self.transport.addresses[self.dst]
+            await asyncio.wait_for(
+                self.transport.loop.create_connection(
+                    lambda: self, host, port),
+                CONNECT_TIMEOUT,
+            )
+        except (OSError, asyncio.TimeoutError, KeyError):
+            # Unreachable peer: everything queued for it is lost, like
+            # datagrams into a crashed node.
+            self._drop()
+        finally:
+            if not self._opened:
+                self.released.set_result(None)
 
-    def _reset_writer(self) -> None:
-        if self._writer is not None:
+    # --- asyncio.Protocol --------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        wire = cast(asyncio.Transport, transport)
+        self._opened = True
+        if self.closed:   # closed while the connect was in flight
+            _abort(wire)
+            return
+        wire.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+        self._wire = wire
+        wire.writelines(self._queue)
+        self._queue.clear()
+        self._queued_bytes = 0
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        self._wire = None
+        self.released.set_result(None)
+
+
+class FrameReceiver(asyncio.BufferedProtocol):
+    """One accepted socket: frames parsed where the kernel put them.
+
+    The loop reads straight into ``_view``'s bytearray; unparsed bytes
+    always start at offset 0 between reads, so the only state is how
+    many there are.  A frame that fails to parse is counted, logged, and
+    costs the peer this one connection.
+    """
+
+    def __init__(self, transport: "TcpTransport") -> None:
+        self.transport = transport
+        self._view = memoryview(bytearray(INITIAL_RECV_BYTES))
+        self._pending = 0
+        self._wire: asyncio.Transport | None = None
+        #: Resolves once the socket is released.
+        self.released: asyncio.Future = transport.loop.create_future()
+
+    def close(self) -> None:
+        if self._wire is not None:
+            _abort(self._wire)
+            self._wire = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._wire = cast(asyncio.Transport, transport)
+        self.transport._receivers.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._wire = None
+        self.transport._receivers.discard(self)
+        self.released.set_result(None)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._pending:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        view = self._view
+        prefix = frame.LENGTH_PREFIX.size
+        start, end = 0, self._pending + nbytes
+        need = prefix
+        while end - start >= prefix:
+            (length,) = frame.LENGTH_PREFIX.unpack_from(view, start)
+            if not 0 < length <= frame.MAX_FRAME_BYTES:
+                self._reject(f"bad frame length {length}")
+                return
+            stop = start + prefix + length
+            if stop > end:
+                need = prefix + length
+                break
             try:
-                self._writer.close()
-            except RuntimeError:
-                pass   # loop already closed during interpreter teardown
-            self._writer = None
+                message = frame.decode_body(view[start + prefix:stop])
+            except frame.FrameError as exc:
+                self._reject(str(exc))
+                return
+            start = stop
+            self.transport._dispatch(message)
+            if self._wire is None:
+                return   # the handler closed the transport under us
+        self._pending = end - start
+        if need > len(view):
+            # Largest frame this connection has seen: the buffer grows
+            # to hold it whole and stays that size.
+            grown = memoryview(bytearray(need))
+            grown[:self._pending] = view[start:end]
+            self._view = grown
+        elif start and self._pending:
+            view[:self._pending] = view[start:end]   # memmove; may overlap
 
-    async def _pump(self) -> None:
-        while not self.closed:
-            if not self._queue:
-                self._wakeup.clear()
-                await self._wakeup.wait()
-                continue
-            try:
-                if self._writer is None:
-                    host, port = self.transport.addresses[self.dst]
-                    _reader, self._writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, port),
-                        CONNECT_TIMEOUT,
-                    )
-                while self._queue:
-                    self._writer.write(self._queue.popleft())
-                await self._writer.drain()
-            except asyncio.CancelledError:
-                raise
-            except (OSError, asyncio.TimeoutError, KeyError):
-                # Unreachable peer: everything queued for it is lost,
-                # like datagrams into a crashed node.  The queue is
-                # left empty so the next send retries from scratch.
-                self._drop_queued()
-                self._reset_writer()
+    def _reject(self, reason: str) -> None:
+        self.transport.stats.frames_rejected += 1
+        logger.warning("dropping connection after a corrupt frame: %s",
+                       reason)
+        self.close()
 
 
 class TcpTransport(Transport):
-    """Frames the binary codec (pickle fallback) over asyncio streams."""
+    """Frames the binary codec (pickle fallback) over asyncio protocols."""
 
     def __init__(self, addresses: Dict[int, Address],
                  loop: asyncio.AbstractEventLoop) -> None:
@@ -135,8 +259,8 @@ class TcpTransport(Transport):
         self._connections: Dict[int, ServiceConnection] = {}
         self._taps: List[MessageHandler] = []
         self._delivery_taps: List[MessageHandler] = []
-        #: live server-side reader task -> its stream writer
-        self._readers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: live accepted sockets
+        self._receivers: Set[FrameReceiver] = set()
         self._closed = False
         frame.install_exact_sizes()
 
@@ -150,35 +274,12 @@ class TcpTransport(Transport):
         book can reach it.  Returns the bound port.
         """
         host, port = self.addresses.get(node_id, ("127.0.0.1", 0))
-        server = await asyncio.start_server(self._serve_stream, host, port)
+        server = await self.loop.create_server(
+            lambda: FrameReceiver(self), host, port)
         bound = server.sockets[0].getsockname()[1]
         self.addresses[node_id] = (host, bound)
         self._servers[node_id] = server
         return bound
-
-    async def _serve_stream(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._readers[task] = writer
-            task.add_done_callback(lambda t: self._readers.pop(t, None))
-        try:
-            while True:
-                prefix = await reader.readexactly(frame.LENGTH_PREFIX.size)
-                (length,) = frame.LENGTH_PREFIX.unpack(prefix)
-                if not 0 < length <= frame.MAX_FRAME_BYTES:
-                    raise ValueError(f"bad frame length {length}")
-                body = await reader.readexactly(length)
-                self._dispatch(frame.decode_body(body))
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass   # peer went away; streams have no goodbye handshake
-        except ValueError:
-            logger.warning("dropping connection after a corrupt frame")
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:
-                pass   # loop already closed during interpreter teardown
 
     def _dispatch(self, message: Message) -> None:
         handler = self._handlers.get(message.dst)
@@ -192,7 +293,7 @@ class TcpTransport(Transport):
             handler(message)
         except Exception:
             # Handler isolation, as in the sim: one poisoned message
-            # must not kill the reader for the whole connection.
+            # must not kill the receiver for the whole connection.
             logger.exception(
                 "handler for %s failed on node %d",
                 message.msg_type.value, message.dst,
@@ -256,21 +357,15 @@ class TcpTransport(Transport):
         for server in self._servers.values():
             server.close()
         self._servers.clear()
-        # Close inbound connections rather than cancelling their reader
-        # tasks: the readers see EOF and exit through their normal
-        # peer-went-away path.
-        for writer in list(self._readers.values()):
-            try:
-                writer.close()
-            except RuntimeError:
-                pass   # loop already closed during interpreter teardown
+        for receiver in self._receivers:
+            receiver.close()
         self._handlers.clear()
         frame.uninstall_exact_sizes()
 
     async def aclose(self) -> None:
-        """Close and wait for sockets and reader tasks to release."""
+        """Close and wait for every socket to be released."""
         servers = list(self._servers.values())
-        readers = list(self._readers.keys())
+        links = [*self._connections.values(), *self._receivers]
         self.close()
         for server in servers:
             try:
@@ -278,5 +373,4 @@ class TcpTransport(Transport):
             except Exception:
                 logger.debug("server close raced with shutdown",
                              exc_info=True)
-        if readers:
-            await asyncio.gather(*readers, return_exceptions=True)
+        await asyncio.gather(*(link.released for link in links))

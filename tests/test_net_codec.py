@@ -6,11 +6,16 @@ Three layers of coverage:
   realistic payloads (batch item lists, diff-run tuples, error codes);
 - hypothesis property tests over the codec's whole value vocabulary,
   pinning decode(encode(m)) == m and len(encode(m)) == encoded_size(m);
+- corrupt frame bodies (seeded mutation/truncation, and a hypothesis
+  property): ``frame.decode_body`` yields a Message or raises
+  ``FrameError``, never whatever the decoder tripped over;
 - an end-to-end test that taps a live simulated cluster and checks
   every hot-type message actually sent encodes, sizes, and round-trips.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.locks import LockMode
+from repro.net import frame
 from repro.net.codec import WIRE_IDS, decode, encode, encoded_size
 from repro.net.message import ENVELOPE_BYTES, Message, MessageType
 
@@ -231,6 +237,77 @@ class TestProperties:
         msg = Message(MessageType.UPDATE_PUSH_BATCH, src=1, dst=2,
                       payload=payload)
         assert msg.size_bytes() == len(encode(msg))
+
+
+# --- corrupt frame bodies ----------------------------------------------------
+
+def _decode_outcome(body: bytes):
+    """The Message, or the FrameError, ``decode_body`` made of ``body``.
+
+    Anything else it raises propagates and fails the calling test.
+    """
+    try:
+        return frame.decode_body(body)
+    except frame.FrameError as exc:
+        return exc
+
+
+class TestCorruptFrameBodies:
+    def test_empty_body_and_unknown_tag_are_frame_errors(self):
+        with pytest.raises(frame.FrameError, match="empty"):
+            frame.decode_body(b"")
+        with pytest.raises(frame.FrameError, match="tag 0x0"):
+            frame.decode_body(b"\x00rest")
+        assert issubclass(frame.FrameError, ValueError)
+
+    def test_garbage_after_the_pickle_tag_is_a_frame_error(self):
+        with pytest.raises(frame.FrameError, match="undecodable"):
+            frame.decode_body(bytes([frame.PICKLE_TAG]) + b"not a pickle")
+
+    def test_seeded_mutations_of_an_update_push(self):
+        body = encode(Message(MessageType.UPDATE_PUSH, src=1, dst=2,
+                              payload=EXAMPLE_PAYLOADS[MessageType.UPDATE_PUSH],
+                              request_id=9))
+        rng = random.Random(17)
+        causes = set()
+        for _ in range(4000):
+            mutated = bytearray(body)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(1, len(mutated))] = rng.randrange(256)
+            if rng.random() < 0.5:
+                del mutated[rng.randrange(1, len(mutated)):]
+            outcome = _decode_outcome(bytes(mutated))
+            if isinstance(outcome, frame.FrameError):
+                causes.add(type(outcome.__cause__).__name__)
+            else:
+                assert isinstance(outcome, Message)
+        # The decoder trips in more than one way; all of them come out
+        # as the one typed error.
+        assert {"error", "IndexError", "ValueError"} <= causes
+
+    @settings(max_examples=300, deadline=None)
+    @given(msg_type=hot_types, payload=payloads,
+           edits=st.lists(st.tuples(st.integers(min_value=1),
+                                    st.integers(0, 255)), max_size=4),
+           cut=st.none() | st.integers(min_value=1))
+    def test_mutated_codec_bodies_decode_or_raise_frame_error(
+            self, msg_type, payload, edits, cut):
+        mutated = bytearray(encode(Message(msg_type, src=1, dst=2,
+                                           payload=payload)))
+        for position, value in edits:
+            mutated[1 + position % (len(mutated) - 1)] = value
+        if cut is not None:
+            del mutated[1 + cut % (len(mutated) - 1):]
+        assert isinstance(_decode_outcome(bytes(mutated)),
+                          (Message, frame.FrameError))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail=st.binary(max_size=128))
+    def test_arbitrary_bytes_behind_the_codec_magic(self, tail):
+        # A view, as the transport passes: decoding happens in place.
+        body = memoryview(bytearray(b"\xc5" + tail))
+        assert isinstance(_decode_outcome(body),
+                          (Message, frame.FrameError))
 
 
 # --- end to end ------------------------------------------------------------
