@@ -62,7 +62,7 @@ class Cluster:
         self.network = SimNetwork(self.scheduler, self.topology, seed=seed)
         #: The backend seam every daemon is built over.  A Cluster is
         #: always the simulated backend; the asyncio backend is built
-        #: by repro.tools.cluster / repro.bench.transport instead.
+        #: by repro.tools.cluster instead.
         self.runtime = SimRuntime(self.scheduler, self.network)
         self.config = config if config is not None else DaemonConfig()
         self._node_configs = dict(node_configs) if node_configs else {}

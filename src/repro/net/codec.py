@@ -1,14 +1,14 @@
-"""Struct-packed binary wire codec for hot message types.
+"""The one binary wire codec: every message type, one size.
 
-The original size model charged every envelope a rough
-:data:`~repro.net.message.ENVELOPE_BYTES` plus a per-value guess.  The
-data-path messages — page fetch/push, token traffic, and their batch
-variants — dominate simulated bandwidth, so those types now have a
-real binary encoding: a fixed little-endian header plus a tagged,
-varint-delimited payload.  ``Message.size_bytes`` reports the *exact*
-encoded length for registered types (installed as a hook by
-:func:`install`; see :mod:`repro.net.sim`) and falls back to the old
-object estimate for cold control-plane types.
+How a :class:`~repro.net.message.Message` becomes bytes, and how many,
+is decided here and nowhere else.  Every :class:`MessageType` has a
+wire id in :data:`WIRE_IDS`; :func:`encode` and :func:`encoded_size`
+are total over that table — they return ``bytes``/``int`` or raise
+:class:`EncodeError` for a payload outside the value vocabulary, never
+a fallback.  The simulator charges ``encoded_size`` per send, the
+stream framing (:mod:`repro.net.frame`) adds its length prefix to the
+same number, so both runtimes agree on what a message weighs and on
+which messages can be sent at all.
 
 Wire layout (documented for docs/performance.md):
 
@@ -19,33 +19,39 @@ Wire layout (documented for docs/performance.md):
 ``payload``
     varint field count, then per field: varint-length key (UTF-8) and
     a tagged value.  Tags: ``0`` None, ``1`` False, ``2`` True,
-    ``3`` int (zigzag varint, arbitrary precision — global addresses
-    are 128-bit), ``4`` float (8-byte IEEE double), ``5`` bytes
-    (varint length + raw; ``bytearray``/``memoryview`` payloads encode
-    identically and decode as ``bytes``), ``6`` str (varint length +
-    UTF-8), ``7`` list and ``8`` tuple (varint count + items — the
-    distinction matters: diff runs are tuples, batch items are lists),
-    ``9`` dict (varint count + key/value pairs, string keys only).
-
-Unsupported payload values (arbitrary objects) make ``encode`` and
-``encoded_size`` return None, deferring to the object estimator — the
-codec never guesses.
+    ``3`` int (zigzag varint of at most :data:`MAX_VARINT_BYTES` bytes
+    — global addresses are 128-bit), ``4`` float (8-byte IEEE double),
+    ``5`` bytes (varint length + raw; ``bytearray``/``memoryview``
+    payloads encode identically and decode as ``bytes``), ``6`` str
+    (varint length + UTF-8), ``7`` list and ``8`` tuple (varint count
+    + items — the distinction matters: diff runs are tuples, batch
+    items are lists), ``9`` dict (the payload layout again: varint
+    count + key/value pairs, string keys only).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.net.message import Message, MessageType, set_size_codec
+from repro.core.addressing import ADDRESS_BITS
+from repro.net.message import Message, MessageType
 
 _MAGIC = 0xC5
 
 _HEADER = struct.Struct("<BBiiqqq")
 _DOUBLE = struct.Struct("<d")
 
-#: Stable wire ids for the hot (data-path) message types.  Cold
-#: control-plane types intentionally stay on the object encoding.
+#: Longest varint on the wire: what a zig-zagged 128-bit global address
+#: needs (129 bits, 7 to a byte).  The decoder refuses a longer run
+#: instead of shifting an attacker's megabyte of 0xFF into one integer;
+#: the encoder refuses an int that would not fit.
+MAX_VARINT_BYTES = -(-(ADDRESS_BITS + 1) // 7)
+_MAX_VARINT_BITS = 7 * MAX_VARINT_BYTES
+
+#: Stable wire id of every message type.  Ids are forever: 1-17 (the
+#: data path) are pinned by golden frames in tests/test_net_codec.py,
+#: and a new type takes the next free number.
 WIRE_IDS: Dict[MessageType, int] = {
     MessageType.PAGE_FETCH: 1,
     MessageType.PAGE_DATA: 2,
@@ -64,6 +70,36 @@ WIRE_IDS: Dict[MessageType, int] = {
     MessageType.UPDATE_PUSH_BATCH: 15,
     MessageType.UPDATE_ACK_BATCH: 16,
     MessageType.ERROR: 17,
+    MessageType.REGION_LOOKUP: 18,
+    MessageType.REGION_LOOKUP_REPLY: 19,
+    MessageType.CM_HINT_QUERY: 20,
+    MessageType.CM_HINT_REPLY: 21,
+    MessageType.CM_HINT_UPDATE: 22,
+    MessageType.SPACE_REQUEST: 23,
+    MessageType.SPACE_GRANT: 24,
+    MessageType.FREE_SPACE_REPORT: 25,
+    MessageType.DESCRIPTOR_FETCH: 26,
+    MessageType.DESCRIPTOR_REPLY: 27,
+    MessageType.DESCRIPTOR_UPDATE: 28,
+    MessageType.REGION_UNRESERVE: 29,
+    MessageType.ALLOC_REQUEST: 30,
+    MessageType.ALLOC_REPLY: 31,
+    MessageType.FREE_REQUEST: 32,
+    MessageType.FREE_REPLY: 33,
+    MessageType.OWNER_TRANSFER: 34,
+    MessageType.REPLICA_CREATE: 35,
+    MessageType.REPLICA_ACK: 36,
+    MessageType.REGION_MIGRATE: 37,
+    MessageType.PING: 38,
+    MessageType.PONG: 39,
+    MessageType.RING_QUERY: 40,
+    MessageType.RING_REPLY: 41,
+    MessageType.RING_PUBLISH: 42,
+    MessageType.MEMBER_JOIN: 43,
+    MessageType.MEMBER_WELCOME: 44,
+    MessageType.MEMBER_UPDATE: 45,
+    MessageType.APP_REQUEST: 46,
+    MessageType.APP_REPLY: 47,
 }
 
 _TYPE_BY_ID: Dict[int, MessageType] = {
@@ -83,8 +119,17 @@ _T_TUPLE = 8
 _T_DICT = 9
 
 
-class Unencodable(Exception):
-    """Raised internally for payload values the codec does not cover."""
+class EncodeError(ValueError):
+    """A message that cannot become one well-formed frame.
+
+    Raised to the *sender* — by :func:`encode`, :func:`encoded_size`
+    and :func:`repro.net.frame.encode_frame`, hence by every
+    transport's ``send`` before the message is counted or tapped — for
+    a payload value outside the wire vocabulary, a non-string key, an
+    int wider than :data:`MAX_VARINT_BYTES`, or a body over the frame
+    limit.  It is a bug in the code that built the payload, never a
+    network condition.
+    """
 
 
 # --- varints ---------------------------------------------------------------
@@ -110,20 +155,29 @@ def _varint_size(value: int) -> int:
 
 
 def _read_varint(data: memoryview, pos: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]
+    result = data[pos]
+    if result < 0x80:      # counts, key lengths, small ints: one byte
+        return result, pos + 1
+    result &= 0x7F
+    for shift in range(7, _MAX_VARINT_BITS, 7):
         pos += 1
+        byte = data[pos]
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+        if byte < 0x80:
+            return result, pos + 1
+    raise ValueError(f"varint longer than {MAX_VARINT_BYTES} bytes")
 
 
 def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> (value.bit_length() + 1)) if value < 0 \
-        else value << 1
+    """Zig-zag ``value``, refusing what the decoder's varint cap would."""
+    encoded = (value << 1) ^ (value >> (value.bit_length() + 1)) \
+        if value < 0 else value << 1
+    if encoded >> _MAX_VARINT_BITS:
+        raise EncodeError(
+            f"int of {value.bit_length()} bits does not fit a "
+            f"{MAX_VARINT_BYTES}-byte varint"
+        )
+    return encoded
 
 
 def _unzigzag(value: int) -> int:
@@ -131,6 +185,18 @@ def _unzigzag(value: int) -> int:
 
 
 # --- value encoding --------------------------------------------------------
+
+def _encode_fields(out: bytearray, fields: Dict[str, Any]) -> None:
+    """A string-keyed mapping: the payload itself and every nested dict."""
+    _write_varint(out, len(fields))
+    for key, value in fields.items():
+        if type(key) is not str:
+            raise EncodeError(f"non-str dict key {key!r}")
+        raw = key.encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
+        _encode_value(out, value)
+
 
 def _encode_value(out: bytearray, value: Any) -> None:
     if value is None:
@@ -166,16 +232,19 @@ def _encode_value(out: bytearray, value: Any) -> None:
             _encode_value(out, item)
     elif type(value) is dict:
         out.append(_T_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            if type(key) is not str:
-                raise Unencodable(f"non-str dict key {key!r}")
-            raw = key.encode("utf-8")
-            _write_varint(out, len(raw))
-            out += raw
-            _encode_value(out, item)
+        _encode_fields(out, value)
     else:
-        raise Unencodable(f"value of type {type(value).__name__}")
+        raise EncodeError(f"value of type {type(value).__name__}")
+
+
+def _fields_size(fields: Dict[str, Any]) -> int:
+    size = _varint_size(len(fields))
+    for key, value in fields.items():
+        if type(key) is not str:
+            raise EncodeError(f"non-str dict key {key!r}")
+        n = len(key.encode("utf-8"))
+        size += _varint_size(n) + n + _value_size(value)
+    return size
 
 
 def _value_size(value: Any) -> int:
@@ -202,14 +271,19 @@ def _value_size(value: Any) -> int:
             size += _value_size(item)
         return size
     if type(value) is dict:
-        size = 1 + _varint_size(len(value))
-        for key, item in value.items():
-            if type(key) is not str:
-                raise Unencodable(f"non-str dict key {key!r}")
-            n = len(key.encode("utf-8"))
-            size += _varint_size(n) + n + _value_size(item)
-        return size
-    raise Unencodable(f"value of type {type(value).__name__}")
+        return 1 + _fields_size(value)
+    raise EncodeError(f"value of type {type(value).__name__}")
+
+
+def _decode_fields(data: memoryview, pos: int) -> Tuple[Dict[str, Any], int]:
+    count, pos = _read_varint(data, pos)
+    fields: Dict[str, Any] = {}
+    for _ in range(count):
+        n, pos = _read_varint(data, pos)
+        key = str(data[pos : pos + n], "utf-8")
+        pos += n
+        fields[key], pos = _decode_value(data, pos)
+    return fields, pos
 
 
 def _decode_value(data: memoryview, pos: int) -> Tuple[Any, int]:
@@ -240,33 +314,19 @@ def _decode_value(data: memoryview, pos: int) -> Tuple[Any, int]:
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
     if tag == _T_DICT:
-        count, pos = _read_varint(data, pos)
-        mapping: Dict[str, Any] = {}
-        for _ in range(count):
-            n, pos = _read_varint(data, pos)
-            key = str(data[pos : pos + n], "utf-8")
-            pos += n
-            mapping[key], pos = _decode_value(data, pos)
-        return mapping, pos
+        return _decode_fields(data, pos)
     raise ValueError(f"unknown value tag {tag}")
 
 
 # --- message encoding ------------------------------------------------------
 
-def encode(message: Message) -> Optional[bytes]:
-    """Binary encoding of a hot-type message, or None to fall back.
-
-    None means either the type is not registered or the payload holds
-    a value outside the wire vocabulary (e.g. a descriptor object);
-    such messages keep the object encoding and estimated size.
-    """
-    wire_id = WIRE_IDS.get(message.msg_type)
-    if wire_id is None:
-        return None
+def encode(message: Message) -> bytes:
+    """The binary encoding of ``message``; :class:`EncodeError` if its
+    payload holds anything outside the wire vocabulary."""
     out = bytearray(
         _HEADER.pack(
             _MAGIC,
-            wire_id,
+            WIRE_IDS[message.msg_type],
             message.src,
             message.dst,
             message.msg_id,
@@ -274,18 +334,7 @@ def encode(message: Message) -> Optional[bytes]:
             -1 if message.reply_to is None else message.reply_to,
         )
     )
-    payload = message.payload
-    _write_varint(out, len(payload))
-    try:
-        for key, value in payload.items():
-            if type(key) is not str:
-                return None
-            raw = key.encode("utf-8")
-            _write_varint(out, len(raw))
-            out += raw
-            _encode_value(out, value)
-    except Unencodable:
-        return None
+    _encode_fields(out, message.payload)
     return bytes(out)
 
 
@@ -299,15 +348,7 @@ def decode(data: bytes) -> Message:
     msg_type = _TYPE_BY_ID.get(wire_id)
     if msg_type is None:
         raise ValueError(f"unknown wire type id {wire_id}")
-    view = memoryview(data)
-    pos = _HEADER.size
-    count, pos = _read_varint(view, pos)
-    payload: Dict[str, Any] = {}
-    for _ in range(count):
-        n, pos = _read_varint(view, pos)
-        key = str(view[pos : pos + n], "utf-8")
-        pos += n
-        payload[key], pos = _decode_value(view, pos)
+    payload, pos = _decode_fields(memoryview(data), _HEADER.size)
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after payload")
     return Message(
@@ -321,34 +362,12 @@ def decode(data: bytes) -> Message:
     )
 
 
-def encoded_size(message: Message) -> Optional[int]:
-    """Exact wire size of a hot-type message without encoding it.
+def encoded_size(message: Message) -> int:
+    """Exact wire size of ``message`` without encoding it.
 
     The simulated network asks for a size on *every* send, so this is
     arithmetic over the payload rather than a throwaway encode; the
-    property tests hold it bit-for-bit equal to ``len(encode(msg))``.
-    Returns None (object-estimate fallback) exactly when ``encode``
-    would.
+    property tests hold it bit-for-bit equal to ``len(encode(msg))``,
+    and it raises :class:`EncodeError` exactly when ``encode`` would.
     """
-    if message.msg_type not in WIRE_IDS:
-        return None
-    payload = message.payload
-    size = _HEADER.size + _varint_size(len(payload))
-    try:
-        for key, value in payload.items():
-            if type(key) is not str:
-                return None
-            n = len(key.encode("utf-8"))
-            size += _varint_size(n) + n + _value_size(value)
-    except Unencodable:
-        return None
-    return size
-
-
-def install() -> None:
-    """Register :func:`encoded_size` as the Message size hook.
-
-    Called by :mod:`repro.net.sim` at import; keeps the dependency
-    one-way (codec imports message, never the reverse).
-    """
-    set_size_codec(encoded_size)
+    return _HEADER.size + _fields_size(message.payload)

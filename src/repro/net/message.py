@@ -5,6 +5,10 @@ grants, lock credential requests, page fetches, invalidations, update
 propagation, and failure-detection pings — is carried by
 :class:`Message` envelopes.  The vocabulary below covers every protocol
 described in Section 3 of the paper.
+
+This module is vocabulary and envelope only.  How a message becomes
+bytes, and how many, is :mod:`repro.net.codec`'s business — which
+imports this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -116,58 +120,13 @@ REPLY_TYPES = frozenset(
     }
 )
 
-# Fixed per-message envelope overhead used for traffic accounting, in
-# bytes.  Roughly a UDP/IP header plus Khazana's own message header.
-ENVELOPE_BYTES = 64
-
-#: Optional exact-size hook installed by :mod:`repro.net.codec` (via
-#: :mod:`repro.net.sim`).  Kept as a late-bound callable so this module
-#: never imports the codec — the dependency stays one-way.
-_size_codec = None
-
-
-def set_size_codec(codec):
-    """Install ``codec(message) -> Optional[int]`` as the size source.
-
-    The hook returns the exact binary wire size for message types it
-    covers and None for the rest, which keep the estimate below.
-    Returns the previously installed hook (None if there was none) so
-    a caller that swaps the hook temporarily — the TCP transport
-    installs exact frame sizes for its lifetime — can restore it.
-    """
-    global _size_codec
-    previous = _size_codec
-    _size_codec = codec
-    return previous
-
-
-def _wire_size(value: Any) -> int:
-    """Approximate serialized size of one payload value, recursively.
-
-    Batch payloads are lists of dicts with embedded page ``bytes``;
-    counting containers by element count alone would hide megabytes of
-    page data from the bandwidth model, so containers recurse.
-    """
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 8 + sum(_wire_size(item) for item in value)
-    if isinstance(value, dict):
-        return 8 + sum(
-            len(str(key)) + _wire_size(item) for key, item in value.items()
-        )
-    return 8
-
 
 @dataclass
 class Message:
     """An envelope exchanged between Khazana daemons.
 
     ``payload`` holds protocol-specific fields; bulk page data travels
-    under the ``"data"`` key as ``bytes`` and dominates the size
-    accounting below.
+    under the ``"data"`` key as ``bytes``.
     """
 
     msg_type: MessageType
@@ -181,22 +140,6 @@ class Message:
     @property
     def is_reply(self) -> bool:
         return self.msg_type in REPLY_TYPES
-
-    def size_bytes(self) -> int:
-        """Wire size for bandwidth/latency accounting.
-
-        Hot data-path types report their exact binary-codec length
-        (see :mod:`repro.net.codec`); everything else keeps the
-        envelope-plus-estimate model.
-        """
-        if _size_codec is not None:
-            exact = _size_codec(self)
-            if exact is not None:
-                return exact
-        size = ENVELOPE_BYTES
-        for key, value in self.payload.items():
-            size += len(key) + _wire_size(value)
-        return size
 
     def reply(
         self, msg_type: MessageType, payload: Optional[Dict[str, Any]] = None

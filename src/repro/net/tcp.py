@@ -4,13 +4,15 @@ The second implementation of the :class:`~repro.net.transport.Transport`
 seam (the first is the simulator).  Semantics deliberately mirror the
 datagram model every protocol is written against:
 
-- ``send`` never blocks and never raises: once the lazy
-  per-destination :class:`ServiceConnection` is up, a frame is written
-  to its socket in the sender's own stack, and a dead or unreachable
-  peer silently drops frames (counted in ``stats.messages_dropped``),
-  exactly as the simulator drops traffic to a crashed node.  The RPC
-  layer's retransmission machinery provides reliability on top, same
-  as over the sim.
+- ``send`` never blocks and never raises for anything the network
+  does: once the lazy per-destination :class:`ServiceConnection` is
+  up, a frame is written to its socket in the sender's own stack, and
+  a dead or unreachable peer silently drops frames (counted in
+  ``stats.messages_dropped``), exactly as the simulator drops traffic
+  to a crashed node.  The RPC layer's retransmission machinery
+  provides reliability on top, same as over the sim.  A message that
+  cannot be framed at all raises :class:`~repro.net.codec.EncodeError`
+  to the sender, uncounted and untapped — as over the sim.
 - a slow peer cannot make the sender hold unbounded memory: past
   :data:`WRITE_HIGH_WATER` buffered bytes, frames for that peer are
   shed (``stats.messages_shed``) until its socket drains.
@@ -26,9 +28,8 @@ bench) owns one ``TcpTransport`` listening on its address-book entry;
 the address book is shared mutable state so ephemeral ports chosen by
 ``listen`` become visible to every transport built over the same book.
 
-While any transport is alive, ``Message.size_bytes`` reports exact
-frame sizes (see :mod:`repro.net.frame`), so traffic accounting equals
-bytes on the socket for hot and cold types alike.
+``stats.bytes_sent`` counts whole frames, so traffic accounting equals
+bytes on the socket: :func:`repro.net.frame.frame_size` per message.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ class FrameReceiver(asyncio.BufferedProtocol):
 
 
 class TcpTransport(Transport):
-    """Frames the binary codec (pickle fallback) over asyncio protocols."""
+    """Frames the binary codec over asyncio protocols."""
 
     def __init__(self, addresses: Dict[int, Address],
                  loop: asyncio.AbstractEventLoop) -> None:
@@ -262,7 +263,6 @@ class TcpTransport(Transport):
         #: live accepted sockets
         self._receivers: Set[FrameReceiver] = set()
         self._closed = False
-        frame.install_exact_sizes()
 
     # --- Server side -----------------------------------------------------
 
@@ -360,7 +360,6 @@ class TcpTransport(Transport):
         for receiver in self._receivers:
             receiver.close()
         self._handlers.clear()
-        frame.uninstall_exact_sizes()
 
     async def aclose(self) -> None:
         """Close and wait for every socket to be released."""

@@ -36,7 +36,9 @@ class Transport(abc.ABC):
         Delivery is asynchronous and unreliable: messages to dead,
         detached, or partitioned nodes vanish silently, exactly like a
         datagram.  Reliability (timeout + retry) belongs to the RPC
-        layer above.
+        layer above.  The one thing ``send`` raises is
+        :class:`~repro.net.codec.EncodeError`, for a message no
+        transport could carry, before it is counted or tapped.
         """
 
     @abc.abstractmethod

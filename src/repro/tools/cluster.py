@@ -163,15 +163,17 @@ def build_node(
 # runs the *unchanged* fsck pass over it.
 
 def snapshot_node(daemon: KhazanaDaemon) -> Dict[str, Any]:
-    """This daemon's fsck-relevant state as a picklable dict."""
+    """This daemon's fsck-relevant state as a wire-encodable dict
+    (an ``APP_REPLY`` payload: string keys only, so pages travel as
+    ``[address, data]`` pairs)."""
 
     def level_snapshot(level: Any) -> Dict[str, Any]:
-        pages = {}
+        pages = []
         for address in level.addresses():
             page = (level.peek(address) if hasattr(level, "peek")
                     else level.get(address))
             if page is not None:
-                pages[address] = bytes(page.data)
+                pages.append([address, bytes(page.data)])
         return {"used": level.used_bytes(),
                 "capacity": level.capacity_bytes,
                 "pages": pages}
@@ -210,7 +212,7 @@ class _SnapshotLevel:
         self.capacity_bytes = raw["capacity"]
         self._pages = {
             address: StoredPage(address, data, dirty=False)
-            for address, data in raw["pages"].items()
+            for address, data in raw["pages"]
         }
 
     def addresses(self) -> List[int]:

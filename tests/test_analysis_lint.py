@@ -282,7 +282,7 @@ class TestRuntimeDeps:
         root = Path(__file__).parent.parent / "src"
         paths = [
             "repro/net/aio.py", "repro/net/tcp.py",
-            "repro/tools/cluster.py", "repro/bench/transport.py",
+            "repro/tools/cluster.py", "repro/bench/hotpath.py",
         ]
         files = [
             SourceFile.parse(f"src/{p}",

@@ -12,6 +12,7 @@ import pytest
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.errors import NotAllocated
 from repro.core.locks import LockMode
+from repro.net.codec import encoded_size
 from repro.net.message import Message, MessageType
 
 PAGE = 4096
@@ -182,7 +183,7 @@ class TestSizeBytesRecursion:
                 {"page": PAGE, "data": b"y" * PAGE, "release_token": True},
             ]},
         )
-        assert msg.size_bytes() >= 2 * PAGE
+        assert encoded_size(msg) >= 2 * PAGE
 
     def test_nested_containers_recurse(self):
         flat = Message(
@@ -195,8 +196,8 @@ class TestSizeBytesRecursion:
         )
         # The wrapping list/tuple adds only constant overhead; the
         # embedded bytes dominate either way.
-        assert nested.size_bytes() >= 100
-        assert abs(nested.size_bytes() - flat.size_bytes()) < 64
+        assert encoded_size(nested) >= 100
+        assert abs(encoded_size(nested) - encoded_size(flat)) < 64
 
 
 class TestFullPageWriteFastPath:

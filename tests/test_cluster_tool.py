@@ -19,7 +19,9 @@ import pytest
 
 import repro
 from repro.core.client import KhazanaSession
+from repro.net import frame
 from repro.net.aio import AsyncioDriver, AsyncioRuntime
+from repro.net.message import Message, MessageType
 from repro.tools import fsck
 from repro.tools.cluster import (
     SnapshotCluster,
@@ -158,10 +160,27 @@ class TestSnapshotFsck:
         assert report.ok, report.render()
 
     def test_snapshot_is_plain_data(self, mini_cluster):
-        _runtime, daemons, _session = mini_cluster
-        import pickle
-
-        snap = snapshot_node(daemons[0])
-        clone = pickle.loads(pickle.dumps(snap))
-        assert clone["node"] == 0
-        assert "regions" in clone and "entries" in clone
+        """A snapshot crosses the wire as the ``APP_REPLY`` the control
+        plane sends it in, and fsck reads the far end's copy."""
+        _runtime, daemons, session = mini_cluster
+        run_workload(session, "crew", home_node=0, pages=2, ops=2)
+        home = daemons[0]
+        # Push a page down so the disk level is not empty either.
+        address = home.storage.memory.addresses()[0]
+        page = home.storage.memory.peek(address)
+        home.storage.disk.put(page)
+        clones = []
+        for daemon in daemons:
+            reply = Message(MessageType.APP_REPLY, src=daemon.node_id, dst=9,
+                            payload={"snapshot": snapshot_node(daemon)},
+                            reply_to=1)
+            wire = frame.encode_frame(reply)
+            assert len(wire) == frame.frame_size(reply)
+            body = wire[frame.LENGTH_PREFIX.size:]
+            clones.append(frame.decode_body(body).payload["snapshot"])
+        assert clones[0] == snapshot_node(home)
+        assert clones[0]["node"] == 0
+        assert clones[0]["storage"]["disk"]["pages"] == [
+            [address, bytes(page.data)]]
+        report = fsck.check_cluster(SnapshotCluster(clones))
+        assert report.ok, report.render()

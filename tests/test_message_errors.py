@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import errors
-from repro.net.message import ENVELOPE_BYTES, Message, MessageType, REPLY_TYPES
+from repro.net.codec import encoded_size
+from repro.net.message import Message, MessageType, REPLY_TYPES
 
 
 class TestMessage:
@@ -32,12 +33,11 @@ class TestMessage:
                         payload={"data": b""})
         big = Message(MessageType.PAGE_DATA, src=1, dst=2,
                       payload={"data": b"x" * 4096})
-        # PAGE_DATA is a codec hot type once a simulation is up: the
-        # 4 KiB of page data shows up byte-for-byte, plus at most a
-        # few bytes of length-prefix growth.
-        grown = big.size_bytes() - small.size_bytes()
+        # The 4 KiB of page data shows up byte-for-byte, plus at most
+        # a few bytes of length-prefix growth.
+        grown = encoded_size(big) - encoded_size(small)
         assert 4096 <= grown <= 4096 + 8
-        assert small.size_bytes() > 0
+        assert encoded_size(small) > 0
 
     def test_size_handles_varied_payloads(self):
         msg = Message(
@@ -49,7 +49,11 @@ class TestMessage:
                 "flag": True,
             },
         )
-        assert msg.size_bytes() > ENVELOPE_BYTES
+        # A control-plane type sizes like any other: header plus every
+        # key and value, nothing estimated.
+        bare = Message(MessageType.CM_HINT_REPLY, src=1, dst=2)
+        assert encoded_size(msg) > encoded_size(bare) + sum(
+            len(key) for key in msg.payload)
 
     def test_request_types_are_not_reply_types(self):
         assert MessageType.LOCK_REQUEST not in REPLY_TYPES
