@@ -1,12 +1,14 @@
-"""Experiment B1 — batched multi-page protocol operations.
+"""Experiment B1 — multi-page protocol operations.
 
 A 64-page lock/read/write/unlock cycle from a node across a WAN link
-to the region's single remote home.  Per-page, the cycle costs one
-serial round-trip per page per phase (~128+ request RPCs); batched, it
-costs one RPC per (home node, message kind) — the O(pages) -> O(home
-nodes) drop the batching tentpole claims.  Bandwidth is identical
-(the same page bytes move either way); what the batch removes is the
-per-page envelope and, above all, the serial WAN latencies.
+to the region's single remote home.  Every page request is a list, so
+the whole range costs one RPC per (home node, message kind); the same
+64 pages locked, read, written and unlocked one page at a time cost a
+lock and an unlock round-trip per page (~128 request RPCs) — the
+O(pages) -> O(home nodes) drop of locking a range.  Bandwidth is
+identical (the same page bytes move either way); what one request per
+home removes is the per-page envelope and, above all, the serial WAN
+latencies.
 """
 
 from repro.api import create_cluster
@@ -17,7 +19,8 @@ from repro.core.locks import LockMode
 from repro.net.message import REPLY_TYPES
 
 PAGES = 64
-SIZE = PAGES * 4096
+PAGE = 4096
+SIZE = PAGES * PAGE
 
 _REPLY_KEYS = {msg_type.value for msg_type in REPLY_TYPES}
 
@@ -30,11 +33,11 @@ def request_count(delta) -> int:
     )
 
 
-def run_cycle(enable_batching: bool):
-    """One 64-page WRITE lock/read/write/unlock cycle over a WAN."""
+def run_cycle(one_page_at_a_time: bool):
+    """64 pages written under WRITE locks over a WAN: one range-wide
+    lock/read/write/unlock cycle, or one cycle per page."""
     config = DaemonConfig(
         enable_failure_handling=False,   # no PING noise in the counts
-        enable_batching=enable_batching,
     )
     cluster = create_cluster(num_nodes=2, topology="wan", config=config)
     owner = cluster.client(node=0)
@@ -47,10 +50,13 @@ def run_cycle(enable_batching: bool):
     kz = cluster.client(node=1)
     before = cluster.stats.snapshot()
     start = cluster.now
-    ctx = kz.lock(region.rid, SIZE, LockMode.WRITE)
-    kz.read(ctx, region.rid, SIZE)
-    kz.write(ctx, region.rid, b"b" * SIZE)
-    kz.unlock(ctx)
+    spans = ([(region.rid + i * PAGE, PAGE) for i in range(PAGES)]
+             if one_page_at_a_time else [(region.rid, SIZE)])
+    for address, length in spans:
+        ctx = kz.lock(address, length, LockMode.WRITE)
+        kz.read(ctx, address, length)
+        kz.write(ctx, address, b"b" * length)
+        kz.unlock(ctx)
     elapsed = cluster.now - start
     delta = cluster.stats.delta_since(before)
     return request_count(delta), elapsed, delta
@@ -63,8 +69,8 @@ def test_batching_wan_cycle(once):
     )
 
     def run():
-        unbatched = run_cycle(enable_batching=False)
-        batched = run_cycle(enable_batching=True)
+        unbatched = run_cycle(one_page_at_a_time=True)
+        batched = run_cycle(one_page_at_a_time=False)
         return unbatched, batched
 
     (unbatched, batched) = once(run)
@@ -77,8 +83,8 @@ def test_batching_wan_cycle(once):
     table.add("bytes sent", un_delta.bytes_sent, b_delta.bytes_sent)
     table.show()
 
-    # O(pages) -> O(home nodes): the batched cycle fits in a handful
-    # of RPCs where the per-page path needs one per page per phase.
+    # O(pages) -> O(home nodes): the whole-range cycle fits in a
+    # handful of RPCs where page-at-a-time needs one per page per phase.
     assert b_requests <= 6
     assert un_requests >= 100
     # Removing ~2*PAGES serial WAN latencies must show up as time.

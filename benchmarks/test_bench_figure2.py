@@ -80,6 +80,7 @@ def test_figure2_lock_fetch_trace(once):
                if m.msg_type is MessageType.LOCK_REPLY]
     assert len(requests) == 1 and len(replies) == 1
     # The reply carried the copy of p (steps 7-9 fold data into it).
-    assert replies[0].payload.get("data") is not None
+    [granted] = replies[0].payload["pages"]
+    assert granted["data"] is not None
     # Warm acquire is satisfied from local storage: no messages at all.
     assert warm == []

@@ -1,11 +1,11 @@
-"""Experiment B2 — batched multi-page ops under the mobile protocol.
+"""Experiment B2 — multi-page ops under the mobile protocol.
 
 A 32-page lock/read/write/unlock cycle against a mobile (epidemic)
-region whose only other replica lives across a WAN link.  Per-page,
-the acquire costs one PAGE_FETCH round-trip per page and the release
-gossips one UPDATE_PUSH per (page, peer); batched, the acquire is one
-PAGE_FETCH_BATCH to the first reachable peer and the release one
-UPDATE_PUSH_BATCH per peer — the same O(pages) -> O(peers) drop the
+region whose only other replica lives across a WAN link.  One page at
+a time, each cycle costs a PAGE_FETCH round-trip and gossips one
+UPDATE_PUSH per peer; the whole range is one PAGE_FETCH carrying every
+missing page to the first reachable peer and one UPDATE_PUSH per peer
+carrying every dirty page — the same O(pages) -> O(peers) drop the
 home-directory protocols get, with no consistency cost (gossip is
 best-effort either way).
 """
@@ -18,7 +18,8 @@ from repro.core.locks import LockMode
 from repro.net.message import REPLY_TYPES
 
 PAGES = 32
-SIZE = PAGES * 4096
+PAGE = 4096
+SIZE = PAGES * PAGE
 
 _REPLY_KEYS = {msg_type.value for msg_type in REPLY_TYPES}
 
@@ -31,11 +32,11 @@ def request_count(delta) -> int:
     )
 
 
-def run_cycle(enable_batching: bool):
-    """One 32-page WRITE lock/read/write/unlock cycle over a WAN."""
+def run_cycle(one_page_at_a_time: bool):
+    """32 pages written under WRITE locks over a WAN: one range-wide
+    lock/read/write/unlock cycle, or one cycle per page."""
     config = DaemonConfig(
         enable_failure_handling=False,   # no PING noise in the counts
-        enable_batching=enable_batching,
     )
     cluster = create_cluster(num_nodes=2, topology="wan", config=config)
     owner = cluster.client(node=0)
@@ -49,10 +50,13 @@ def run_cycle(enable_batching: bool):
     kz = cluster.client(node=1)
     before = cluster.stats.snapshot()
     start = cluster.now
-    ctx = kz.lock(region.rid, SIZE, LockMode.WRITE)
-    kz.read(ctx, region.rid, SIZE)
-    kz.write(ctx, region.rid, b"b" * SIZE)
-    kz.unlock(ctx)
+    spans = ([(region.rid + i * PAGE, PAGE) for i in range(PAGES)]
+             if one_page_at_a_time else [(region.rid, SIZE)])
+    for address, length in spans:
+        ctx = kz.lock(address, length, LockMode.WRITE)
+        kz.read(ctx, address, length)
+        kz.write(ctx, address, b"b" * length)
+        kz.unlock(ctx)
     elapsed = cluster.now - start
     delta = cluster.stats.delta_since(before)
     return request_count(delta), elapsed, delta
@@ -65,8 +69,8 @@ def test_mobile_batching_wan_cycle(once):
     )
 
     def run():
-        unbatched = run_cycle(enable_batching=False)
-        batched = run_cycle(enable_batching=True)
+        unbatched = run_cycle(one_page_at_a_time=True)
+        batched = run_cycle(one_page_at_a_time=False)
         return unbatched, batched
 
     (unbatched, batched) = once(run)
@@ -79,11 +83,11 @@ def test_mobile_batching_wan_cycle(once):
     table.add("bytes sent", un_delta.bytes_sent, b_delta.bytes_sent)
     table.show()
 
-    # Acceptance: mobile multi-page operations may only improve under
-    # batching — strictly fewer request RPCs, never more.
+    # Acceptance: locking the whole range may only improve on locking
+    # page by page — strictly fewer request RPCs, never more.
     assert b_requests < un_requests
     # O(pages) fetches + O(pages * peers) gossip collapse to one
-    # fetch batch plus one gossip batch per peer.
+    # fetch plus one gossip push per peer.
     assert b_requests <= 4
     assert un_requests >= PAGES
     assert b_elapsed <= un_elapsed

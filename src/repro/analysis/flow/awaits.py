@@ -36,7 +36,7 @@ from repro.analysis.flow.callgraph import (
 )
 
 FUTURE_FACTORIES = {"gather", "gather_settled", "with_timeout"}
-FUTURE_METHODS = {"request", "request_any", "with_timeout"}
+FUTURE_METHODS = {"request", "with_timeout"}
 ACQUIRE_TYPES = {"CopysetLedger", "KeyedMutex"}
 
 

@@ -29,7 +29,7 @@ This module checks all three statically:
     as such.  ``while`` retry loops are out of scope (they re-acquire
     a single page, never a swept range) — documented approximation.
 
-``check_pipeline_windows``
+``check_pipelined_acquires``
     No generator handed to ``ProtocolEngine.pipeline`` may acquire a
     write token.  Mode facts prune infeasible paths: the READ-only
     pipeline branch of ``ConsistencyManager.acquire_many`` passes
@@ -83,7 +83,6 @@ class LockEvent:
     lock_class: str          # "token" | "mutex" | "home" | "pagelock"
     node: ast.AST            # the call, for line anchoring
     key_expr: Optional[ast.expr]   # the page/key argument, if any
-    batched: bool = False    # single event covering many pages
 
 
 @dataclass
@@ -259,15 +258,17 @@ class LockModel:
     def _classify_request(self, call: ast.Call,
                           facts: Facts) -> Optional[LockEvent]:
         """A client-side token acquisition: any request carrying
-        ``MessageType.LOCK_REQUEST`` (or the batch variant) whose mode
-        payload may feasibly be WRITE."""
+        ``MessageType.LOCK_REQUEST`` whose mode payload may feasibly be
+        WRITE.  Its key is the ``pages`` list: a request is one event
+        however many pages it carries, and a loop only takes tokens in
+        its own order when the list is built from the loop variable."""
         msg_type: Optional[str] = None
         payload: Optional[ast.Dict] = None
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             chain = attribute_chain(arg) if not isinstance(arg, ast.Dict) \
                 else None
             if chain and len(chain) == 2 and chain[0] == "MessageType":
-                if chain[1] in ("LOCK_REQUEST", "TOKEN_ACQUIRE_BATCH"):
+                if chain[1] == "LOCK_REQUEST":
                     msg_type = chain[1]
             if isinstance(arg, ast.Dict):
                 payload = arg
@@ -279,12 +280,11 @@ class LockModel:
             for key, value in zip(payload.keys, payload.values):
                 if isinstance(key, ast.Constant) and key.value == "mode":
                     modes = mode_values(value, facts)
-                if isinstance(key, ast.Constant) and key.value == "page":
+                if isinstance(key, ast.Constant) and key.value == "pages":
                     key_expr = value
         if "WRITE" not in modes:
             return None      # READ / WRITE_SHARED requests take no token
-        return LockEvent("token", call, key_expr,
-                         batched=msg_type == "TOKEN_ACQUIRE_BATCH")
+        return LockEvent("token", call, key_expr)
 
     # -- transitive summaries --------------------------------------------
 
@@ -593,7 +593,7 @@ class LockOrderAnalysis:
     def run(self) -> None:
         for fn in list(self.graph.functions.values()):
             self.check_acquire_loops(fn)
-            self.check_pipeline_windows(fn)
+            self.check_pipelined_acquires(fn)
         self.check_hold_and_wait()
 
     # -- ascending-order loops -------------------------------------------
@@ -698,7 +698,7 @@ class LockOrderAnalysis:
                 return
             event = self.model.classify(call, fn, local_facts)
             if event is not None:
-                if (event.lock_class == "token" and not event.batched
+                if (event.lock_class == "token"
                         and (uses_loop_var(event.key_expr)
                              or (event.key_expr is None
                                  and uses_loop_var(call)))):
@@ -722,7 +722,7 @@ class LockOrderAnalysis:
 
     # -- pipeline windows ------------------------------------------------
 
-    def check_pipeline_windows(self, fn: FunctionInfo) -> None:
+    def check_pipelined_acquires(self, fn: FunctionInfo) -> None:
         def on_call(call: ast.Call, facts: Facts) -> None:
             if not (isinstance(call.func, ast.Attribute)
                     and call.func.attr == "pipeline" and call.args):

@@ -12,7 +12,7 @@ What counts as discharging the obligation on a path:
 * a direct ``reply`` / ``nak`` / ``reply_request`` / ``reply_error``
   call that mentions the message;
 * delegating the message to a helper that itself always replies
-  (``serve_owner_fetch``, ``serve_fetch_batch``, ...), resolved
+  (``serve_owner_fetch``, ``serve_fetch``, ``reply_pages``, ...), resolved
   through the call graph and checked recursively;
 * ``spawn_handler(msg, gen(), op)`` where the spawned generator
   always replies **or raises** — the kernel's handler wrapper naks a

@@ -10,12 +10,10 @@ cannot know:
   a discrete-event simulation; real ``time.sleep``, socket, file, or
   subprocess I/O would block the single simulation thread and desync
   virtual time.  Everything must go through the sim clock/transport.
-- **KHZ002 unhandled-message / missing-fallback / reply-class** —
-  every non-reply :class:`~repro.net.message.MessageType` member must
-  have a handler registered somewhere (``on(MessageType.X, ...)``);
-  every consistency manager defining a ``handle_*_batch`` method must
-  also define the per-page ``handle_*`` fallback; every type sent as
-  a reply must be classified in ``REPLY_TYPES``.
+- **KHZ002 unhandled-message / reply-class** — every non-reply
+  :class:`~repro.net.message.MessageType` member must have a handler
+  registered somewhere (``on(MessageType.X, ...)``); every type sent
+  as a reply must be classified in ``REPLY_TYPES``.
 - **KHZ003 broad-except** — ``except Exception:`` (or bare
   ``except:``) in protocol code may not silently swallow errors: the
   body must log what happened, or the line carries a suppression.
@@ -26,7 +24,7 @@ cannot know:
 - **KHZ005 foreign-exception** — exceptions raised in consistency
   code, ``core/daemon.py``, and ``core/locks.py`` must come from the
   :mod:`repro.core.errors` taxonomy (or be built by
-  ``error_from_code``/``_typed_denial``), and the raised name must
+  ``error_from_code``/``typed_denial``), and the raised name must
   actually be bound in the module — catching the
   raise-an-unimported-name bug that only explodes on the error path.
 - **KHZ006 private-daemon-attr** — code outside ``repro/core`` may
@@ -84,11 +82,11 @@ cannot know:
 
 Suppression: append ``# khz: allow-<slug>(reason)`` to the flagged
 line.  The reason is mandatory; an empty one is itself an error.
-Slugs: ``blocking-call``, ``unhandled-message``, ``missing-fallback``,
-``reply-class``, ``broad-except``, ``stale-context``,
-``foreign-exception``, ``private-daemon-attr``, ``direct-wire``,
-``direct-scheduler``, ``copy``, ``spawn-label``, ``runtime-dep``,
-``placement-seam``, ``static-table``.
+Slugs: ``blocking-call``, ``unhandled-message``, ``reply-class``,
+``broad-except``, ``stale-context``, ``foreign-exception``,
+``private-daemon-attr``, ``direct-wire``, ``direct-scheduler``,
+``copy``, ``spawn-label``, ``runtime-dep``, ``placement-seam``,
+``static-table``.
 
 The whole-program flow analyzer (:mod:`repro.analysis.flow`) layers
 interprocedural checks (KHZ101 lock-order, KHZ102 reply-path, KHZ103
@@ -137,7 +135,7 @@ TAXONOMY_SCOPES = ("repro/consistency/",)
 TAXONOMY_FILES = ("repro/core/daemon.py", "repro/core/locks.py")
 
 #: Names that construct taxonomy errors without naming a class.
-TAXONOMY_FACTORIES = {"error_from_code", "_typed_denial", "typed_denial"}
+TAXONOMY_FACTORIES = {"error_from_code", "typed_denial"}
 
 #: Variable names that (by convention) hold a daemon/kernel object.
 DAEMONISH_NAME_RE = re.compile(r"^(?:daemon|host|kernel)\w*$")
@@ -363,32 +361,6 @@ def check_message_completeness(files: Sequence[SourceFile],
             f"MessageType.{name} has no registered handler "
             "(no on(MessageType.{0}, ...) anywhere)".format(name),
         )
-
-    # Batch fallback: a CM handling the batched form of an operation
-    # must also handle the per-page form, or a peer with batching
-    # disabled cannot talk to it.
-    for sf in files:
-        if "repro/consistency/" not in sf.path:
-            continue
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {
-                stmt.name: stmt.lineno
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for name, line in sorted(methods.items()):
-                if not (name.startswith("handle_")
-                        and name.endswith("_batch")):
-                    continue
-                fallback = name[: -len("_batch")]
-                if fallback not in methods:
-                    reporter.flag(
-                        sf, line, "KHZ002", "missing-fallback",
-                        f"{node.name}.{name} has no per-page fallback "
-                        f"{fallback}",
-                    )
 
 
 # ---------------------------------------------------------------------------

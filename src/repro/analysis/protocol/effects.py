@@ -47,7 +47,7 @@ MUTATION_METHODS = frozenset({
 
 #: Message types whose home round-trip grants write access; a reply
 #: to one of these is serialization evidence for KHZ202.
-GRANT_REQUEST_TYPES = frozenset({"LOCK_REQUEST", "TOKEN_ACQUIRE_BATCH"})
+GRANT_REQUEST_TYPES = frozenset({"LOCK_REQUEST"})
 
 MAX_DEPTH = 10
 

@@ -1,7 +1,8 @@
 """Structural guards for the repro package tree.
 
-Run as ``python -m repro.analysis.structure src/repro``.  Two checks,
-both born from the decomposition of the original daemon god-module:
+Run as ``python -m repro.analysis.structure src/repro``.  Three
+checks; the first two were born from the decomposition of the original
+daemon god-module:
 
 - **size** — no module under ``src/repro`` may exceed
   :data:`MAX_MODULE_LINES` lines.  The daemon once grew to ~1,600
@@ -20,6 +21,11 @@ both born from the decomposition of the original daemon god-module:
   functions and under ``if TYPE_CHECKING:`` are the sanctioned
   escape hatches (the kernel/service split depends on them) and do
   not create a load-time edge.
+- **budget** — the package as a whole may not exceed
+  :data:`SRC_LINE_BUDGET` lines.  The number is committed: a change
+  that grows ``src/repro`` past it must raise it in the same diff, so
+  growth is always a visible decision, never a side effect.  A change
+  that shrinks the package lowers it to the new count.
 
 Exit status 1 on any violation; findings print one per line.
 """
@@ -36,7 +42,11 @@ MAX_MODULE_LINES = 900
 
 #: Tighter ceiling for the consistency layer: protocol modules hold
 #: policy only (mechanism lives in repro.consistency.engine).
-CONSISTENCY_MODULE_LINES = 500
+CONSISTENCY_MODULE_LINES = 400
+
+#: Committed ceiling on the total size of the package: the sum over
+#: every ``.py`` file of its newline count (what ``wc -l`` reports).
+SRC_LINE_BUDGET = 25013
 
 #: Packages whose mutual imports must stay acyclic at load time.
 LAYERED_PACKAGES = ("repro.core", "repro.consistency", "repro.net")
@@ -62,6 +72,19 @@ def check_module_sizes(root: Path) -> List[str]:
                 "into cohesive services (see docs/architecture.md §2)"
             )
     return problems
+
+
+def check_line_budget(root: Path) -> List[str]:
+    """Flag a package whose total size exceeds :data:`SRC_LINE_BUDGET`."""
+    total = sum(path.read_text(encoding="utf-8").count("\n")
+                for path in root.rglob("*.py"))
+    if total <= SRC_LINE_BUDGET:
+        return []
+    return [
+        f"{root.as_posix()}: {total} lines exceed the committed "
+        f"{SRC_LINE_BUDGET}-line budget — shrink the change, or raise "
+        "SRC_LINE_BUDGET in repro/analysis/structure.py in the same diff"
+    ]
 
 
 def _module_name(path: Path, root: Path) -> Tuple[str, bool]:
@@ -171,7 +194,8 @@ def check_import_cycles(root: Path) -> List[str]:
 
 
 def check_tree(root: Path) -> List[str]:
-    return check_module_sizes(root) + check_import_cycles(root)
+    return (check_module_sizes(root) + check_import_cycles(root)
+            + check_line_budget(root))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

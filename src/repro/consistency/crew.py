@@ -18,11 +18,12 @@ owner or home (Section 3.5's availability goal).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from typing import TYPE_CHECKING
 
 from repro.consistency.engine import PageEvent
+from repro.consistency.engine.batch import error_item
 from repro.consistency.manager import (
     ConsistencyManager,
     LocalPageState,
@@ -94,13 +95,12 @@ class CrewManager(ConsistencyManager):
         mode: LockMode,
         ctx: LockContext,
     ) -> ProtocolGen:
+        """In place: a valid local copy, a grant this node makes as the
+        primary home, or a read copy straight from the owner a
+        directory hint names (the fast path of Figure 2)."""
         self._reject_write_shared(mode)
         if self._satisfied_locally(desc, page_addr, mode):
-            return
-        yield from self._acquire(desc, page_addr, mode, ctx.principal)
-
-    def _acquire(self, desc: RegionDescriptor, page_addr: int,
-                 mode: LockMode, principal: str) -> ProtocolGen:
+            return True
         me = self.host.node_id
         if me == desc.primary_home:
             data = yield from self._home_grant(desc, page_addr, mode, me)
@@ -113,23 +113,24 @@ class CrewManager(ConsistencyManager):
                 PageEvent.READ_FILL if mode is LockMode.READ
                 else PageEvent.WRITE_GRANT,
             )
-            return
+            return True
         if mode is LockMode.READ:
-            served = yield from self._direct_read(desc, page_addr, principal)
-            if served:
-                return
+            served = yield from self._direct_read(desc, page_addr,
+                                                  ctx.principal)
+            return served
+        return False
+
+    def acquire_remote(self, desc: RegionDescriptor, pages: List[int],
+                       mode: LockMode, ctx: LockContext) -> ProtocolGen:
         reply = yield from self.engine.request_home(
             desc,
             MessageType.LOCK_REQUEST,
-            {"rid": desc.rid, "page": page_addr,
-             "mode": mode.value, "principal": principal},
+            {"rid": desc.rid, "pages": list(pages),
+             "mode": mode.value, "principal": ctx.principal},
             policy=TRANSACTION_POLICY,
             fail="no home node of region {rid:#x} granted the lock: {error}",
         )
-        yield from self._install_grant(
-            desc, page_addr, mode,
-            reply.payload.get("data"), reply.payload.get("owner"),
-        )
+        yield from self._install_grants(desc, mode, reply)
 
     def _direct_read(self, desc: RegionDescriptor, page_addr: int,
                      principal: str) -> ProtocolGen:
@@ -144,131 +145,45 @@ class CrewManager(ConsistencyManager):
             reply = yield self.engine.request(
                 owner,
                 MessageType.LOCK_REQUEST,
-                {"rid": desc.rid, "page": page_addr,
+                {"rid": desc.rid, "pages": [page_addr],
                  "mode": LockMode.READ.value, "direct": True,
                  "principal": principal},
                 policy=TRANSACTION_POLICY,
             )
         except (RpcTimeout, RemoteError):
             return False   # stale hint; fall back to the home node
-        yield from self._install_grant(
-            desc, page_addr, LockMode.READ,
-            reply.payload.get("data"), reply.payload.get("owner"),
-        )
+        yield from self._install_grants(desc, LockMode.READ, reply)
         return True
 
-    def _install_grant(
-        self,
-        desc: RegionDescriptor,
-        page_addr: int,
-        mode: LockMode,
-        data: Optional[bytes],
-        owner: Optional[int],
-    ) -> ProtocolGen:
-        """Install a home/owner grant locally (read copy or write
-        ownership); shared by the per-page and batched paths."""
+    def _install_grants(self, desc: RegionDescriptor, mode: LockMode,
+                        reply: Message) -> ProtocolGen:
+        """Install a home/owner grant reply locally (read copies or
+        write ownership), then surface its first per-page error."""
         write = mode is not LockMode.READ
-        if data is not None:
-            yield from self.host.store_local_page(
-                desc, page_addr, data, dirty=write
-            )
-        elif write and not self.host.storage.contains(page_addr):
-            raise KhazanaError(
-                f"write grant for page {page_addr:#x} carried no data and "
-                "no local copy exists"
-            )
-        entry = self.host.page_directory.ensure(page_addr, desc.rid,
-                                                homed=False)
-        if write:
-            entry.owner = self.host.node_id
-        elif owner is not None:
-            entry.owner = owner
-        entry.allocated = True
-        self.pages.fire(
-            page_addr,
-            PageEvent.WRITE_GRANT if write else PageEvent.READ_FILL,
-        )
-
-    def release(
-        self,
-        desc: RegionDescriptor,
-        page_addr: int,
-        ctx: LockContext,
-    ) -> ProtocolGen:
-        """Write dirty data back to every home node at unlock.
-
-        CREW itself moves data only on demand; the write-back provides
-        the persistence the paper requires of Khazana's storage.  Best
-        effort: unreachable homes are repaired by the replica
-        maintenance loop, not by failing the unlock (3.5).
-        """
-        if page_addr not in ctx.dirty_pages:
-            return
-        page = self.host.storage.peek(page_addr)
-        if page is None:
-            return
-        yield from self.engine.push_homes(
-            desc,
-            MessageType.UPDATE_PUSH,
-            {"rid": desc.rid, "page": page_addr, "data": page.data,
-             "release_token": False},
-            policy=TRANSACTION_POLICY,
-            label="crew-writeback",
-        )
-        if self.host.node_id == desc.primary_home:
-            self.host.storage.mark_clean(page_addr)
-
-    # ------------------------------------------------------------------
-    # Batched multi-page path
-    # ------------------------------------------------------------------
-
-    def acquire_many(
-        self,
-        desc: RegionDescriptor,
-        pages: List[int],
-        mode: LockMode,
-        ctx: LockContext,
-        note_acquired: Callable[[int], None],
-    ) -> ProtocolGen:
-        self._reject_write_shared(mode)
-        me = self.host.node_id
-        if not self.engine.batch.use_batch(desc, pages):
-            yield from super().acquire_many(desc, pages, mode, ctx,
-                                            note_acquired)
-            return
-        yield from self.engine.batch.wait_conflicts(pages, mode)
-        batched: List[int] = []
-        for page_addr in pages:
-            if self._satisfied_locally(desc, page_addr, mode):
-                continue
-            entry = self.host.page_directory.get(page_addr)
-            owner_hint = entry.owner if entry is not None else None
-            if (mode is LockMode.READ and owner_hint is not None
-                    and owner_hint not in (me, desc.primary_home)):
-                # Figure 2's direct-owner fast path stays per-page;
-                # only home-mediated pages join the batch.
-                yield from self._acquire(desc, page_addr, mode,
-                                         ctx.principal)
-                continue
-            batched.append(page_addr)
-        if batched:
-            reply = yield from self.engine.request_home(
-                desc,
-                MessageType.TOKEN_ACQUIRE_BATCH,
-                {"rid": desc.rid, "pages": list(batched),
-                 "mode": mode.value, "principal": ctx.principal},
-                policy=TRANSACTION_POLICY,
-                fail=("no home node of region {rid:#x} granted the batch: "
-                      "{error}"),
-            )
-            for item in reply.payload.get("pages", []):
-                yield from self._install_grant(
-                    desc, int(item["page"]), mode,
-                    item.get("data"), item.get("owner"),
+        for item in reply.payload["pages"]:
+            page_addr = int(item["page"])
+            data: Optional[bytes] = item.get("data")
+            if data is not None:
+                yield from self.host.store_local_page(
+                    desc, page_addr, data, dirty=write
                 )
-            self.engine.raise_batch_errors(reply)
-        for page_addr in pages:
-            note_acquired(page_addr)
+            elif write and not self.host.storage.contains(page_addr):
+                raise KhazanaError(
+                    f"write grant for page {page_addr:#x} carried no data "
+                    "and no local copy exists"
+                )
+            entry = self.host.page_directory.ensure(page_addr, desc.rid,
+                                                    homed=False)
+            if write:
+                entry.owner = self.host.node_id
+            elif item.get("owner") is not None:
+                entry.owner = item["owner"]
+            entry.allocated = True
+            self.pages.fire(
+                page_addr,
+                PageEvent.WRITE_GRANT if write else PageEvent.READ_FILL,
+            )
+        self.engine.raise_batch_errors(reply)
 
     def release_many(
         self,
@@ -276,13 +191,15 @@ class CrewManager(ConsistencyManager):
         pages: List[int],
         ctx: LockContext,
     ) -> ProtocolGen:
-        me = self.host.node_id
-        # CREW's write-back goes to the *other* homes even from the
-        # primary, so there is no home-local fallback here.
-        if not self.engine.batch.use_batch(desc, pages,
-                                           home_local_fallback=False):
-            yield from super().release_many(desc, pages, ctx)
-            return
+        """Write dirty pages back to every home node at unlock, one
+        push per home (the primary's included: the write-back goes to
+        the *other* homes).
+
+        CREW itself moves data only on demand; the write-back provides
+        the persistence the paper requires of Khazana's storage.  Best
+        effort: unreachable homes are repaired by the replica
+        maintenance loop, not by failing the unlock (3.5).
+        """
         updates: List[Dict[str, Any]] = []
         for page_addr in pages:
             if page_addr not in ctx.dirty_pages:
@@ -292,16 +209,16 @@ class CrewManager(ConsistencyManager):
                 continue
             updates.append({"page": page_addr, "data": page.data,
                             "release_token": False})
-        if updates:
-            # One coalesced write-back per home; distinct homes overlap.
-            yield from self.engine.push_homes(
-                desc,
-                MessageType.UPDATE_PUSH_BATCH,
-                {"rid": desc.rid, "updates": updates},
-                policy=TRANSACTION_POLICY,
-                label="crew-writeback-batch",
-            )
-        if me == desc.primary_home:
+        if not updates:
+            return
+        yield from self.engine.push_homes(
+            desc,
+            MessageType.UPDATE_PUSH,
+            {"rid": desc.rid, "updates": updates},
+            policy=TRANSACTION_POLICY,
+            label="crew-writeback",
+        )
+        if self.host.node_id == desc.primary_home:
             for update in updates:
                 self.host.storage.mark_clean(update["page"])
 
@@ -340,21 +257,35 @@ class CrewManager(ConsistencyManager):
 
     def handle_lock_request(self, desc: RegionDescriptor, msg: Message) -> None:
         mode = LockMode(msg.payload["mode"])
-        page_addr = msg.payload["page"]
+        pages = [int(p) for p in msg.payload["pages"]]
         if not self.check_remote_access(desc, msg, mode):
             return
         if msg.payload.get("direct"):
-            self.engine.directory.serve_owner_read(desc, msg, page_addr)
+            self.engine.directory.serve_owner_read(desc, msg, pages)
             return
         if not self._primary_only(desc, msg):
             return
 
         def transaction() -> ProtocolGen:
-            data = yield from self._home_grant(desc, page_addr, mode, msg.src)
-            entry = self.host.page_directory.get(page_addr)
-            owner = entry.owner if entry is not None else None
-            self.engine.reply(msg, MessageType.LOCK_REPLY,
-                              {"data": data, "owner": owner})
+            granted: List[Dict[str, Any]] = []
+            errors: List[Dict[str, Any]] = []
+            for page_addr in pages:
+                # Per-page grants with per-page errors (the client rolls
+                # its side back on any error).
+                try:
+                    data = yield from self._home_grant(
+                        desc, page_addr, mode, msg.src
+                    )
+                except KhazanaError as error:
+                    errors.append(error_item(page_addr, error.code,
+                                             str(error)))
+                    continue
+                entry = self.host.page_directory.get(page_addr)
+                owner = entry.owner if entry is not None else None
+                granted.append({"page": page_addr, "data": data,
+                                "owner": owner})
+            self.engine.batch.reply_pages(msg, MessageType.LOCK_REPLY,
+                                          granted, errors)
 
         self.engine.spawn_handler(msg, transaction(), "grant")
 
@@ -364,85 +295,31 @@ class CrewManager(ConsistencyManager):
     def handle_invalidate(self, desc: RegionDescriptor, msg: Message) -> None:
         self.engine.directory.serve_invalidate(desc, msg)
 
-    def _install_writeback(
-        self, desc: RegionDescriptor, page_addr: int, data: bytes
-    ) -> ProtocolGen:
-        """Apply one owner write-back at a home (per-page and batched)."""
-        me = self.host.node_id
-        yield from self.host.store_local_page(
-            desc, page_addr, data, dirty=me != desc.primary_home
-        )
-        entry = self.host.page_directory.ensure(
-            page_addr, desc.rid, homed=me in desc.home_nodes
-        )
-        entry.allocated = True
-        if self.pages.state(page_addr) is LocalPageState.INVALID:
-            # This is a durability write-back, not a coherent cached
-            # copy: the owner may keep writing without telling us, so
-            # we must not appear in the copyset.
-            self.pages.fire(page_addr, PageEvent.WRITEBACK_COPY)
-            entry.sharers.discard(me)
-
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
         """Write-back from an owner at lock release (home side)."""
-
-        def apply() -> ProtocolGen:
-            yield from self._install_writeback(
-                desc, msg.payload["page"], msg.payload["data"]
-            )
-            self.engine.reply(msg, MessageType.UPDATE_ACK, {})
-
-        self.engine.spawn_handler(msg, apply(), "writeback")
-
-    def handle_lock_request_batch(self, desc: RegionDescriptor,
-                                  msg: Message) -> None:
-        mode = LockMode(msg.payload["mode"])
-        if not self.check_remote_access(desc, msg, mode):
-            return
-        if not self._primary_only(desc, msg):
-            return
-        pages = [int(p) for p in msg.payload.get("pages", [])]
-
-        def transaction() -> ProtocolGen:
-            granted: List[Dict[str, Any]] = []
-            errors: List[Dict[str, Any]] = []
-            for page_addr in pages:
-                # Per-page grants with per-page errors: the same
-                # partial semantics the sequential path has today (the
-                # client rolls its side back on any error).
-                try:
-                    data = yield from self._home_grant(
-                        desc, page_addr, mode, msg.src
-                    )
-                except KhazanaError as error:
-                    errors.append(self.engine.batch.error_item(
-                        page_addr, error
-                    ))
-                    continue
-                entry = self.host.page_directory.get(page_addr)
-                owner = entry.owner if entry is not None else None
-                granted.append({"page": page_addr, "data": data,
-                                "owner": owner})
-            self.engine.reply(msg, MessageType.TOKEN_GRANT_BATCH,
-                              {"pages": granted, "errors": errors})
-
-        self.engine.spawn_handler(msg, transaction(), "grant-batch")
-
-    def handle_update_batch(self, desc: RegionDescriptor,
-                            msg: Message) -> None:
-        """Coalesced write-back from an owner at lock release."""
-        updates = msg.payload.get("updates", [])
+        updates = msg.payload["updates"]
+        me = self.host.node_id
 
         def apply() -> ProtocolGen:
             for update in updates:
-                yield from self._install_writeback(
-                    desc, int(update["page"]), update["data"]
+                page_addr = int(update["page"])
+                yield from self.host.store_local_page(
+                    desc, page_addr, update["data"],
+                    dirty=me != desc.primary_home,
                 )
-            self.engine.reply(
-                msg, MessageType.UPDATE_ACK_BATCH, {"applied": len(updates)}
-            )
+                entry = self.host.page_directory.ensure(
+                    page_addr, desc.rid, homed=me in desc.home_nodes
+                )
+                entry.allocated = True
+                if self.pages.state(page_addr) is LocalPageState.INVALID:
+                    # A durability write-back, not a coherent cached
+                    # copy: the owner may keep writing without telling
+                    # us, so we must not appear in the copyset.
+                    self.pages.fire(page_addr, PageEvent.WRITEBACK_COPY)
+                    entry.sharers.discard(me)
+            self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
-        self.engine.spawn_handler(msg, apply(), "writeback-batch")
+        self.engine.spawn_handler(msg, apply(), "writeback")
 
     def on_node_failure(self, node_id: int) -> None:
         self.host.page_directory.forget_node(node_id)

@@ -10,15 +10,16 @@ the primitives exported here —
   home-side directory transactions (``engine.home``);
 - :class:`CopysetLedger` — write-token bookkeeping with the
   probe-before-mutex-release ordering built in (``engine.ledger``);
-- :class:`BatchPlanner` — group-by-home batching, per-page retry
-  fallback, partial-failure error items (``engine.batch``);
+- :class:`BatchPlanner` — page-list replies with per-page errors, the
+  home-side fetch service, the unlock push with its per-page retry
+  fallback (``engine.batch``);
 - :class:`DirectoryCoherence` — owner/copyset copy movement
   (``engine.directory``);
 - :func:`install_replica_update` — the defer-while-locked replica
   install shared by the update-propagating protocols
   (``engine.replicas``);
 - :class:`ProtocolEngine` — the wire primitives (request, send,
-  reply, NAK, home failover, batch fan-out) that KHZ007 makes the
+  reply, NAK, home failover, fan-out, pipelining) that KHZ007 makes the
   only road from consistency code to ``host.rpc`` (``engine.wire``).
 """
 
@@ -34,7 +35,7 @@ from repro.consistency.engine.state import (
     PageStateMachine,
 )
 from repro.consistency.engine.wire import (
-    BATCH_REQUESTS,
+    PIPELINE_WINDOW,
     WIRE_OPS,
     ProtocolEngine,
     transaction_label,
@@ -43,7 +44,6 @@ from repro.consistency.engine.wire import (
 )
 
 __all__ = [
-    "BATCH_REQUESTS",
     "BatchPlanner",
     "CopysetLedger",
     "DirectoryCoherence",
@@ -52,6 +52,7 @@ __all__ = [
     "KeyedMutex",
     "LocalPageState",
     "PageEvent",
+    "PIPELINE_WINDOW",
     "PageStateMachine",
     "ProtocolEngine",
     "WIRE_OPS",

@@ -1,127 +1,63 @@
-"""Batching decisions and fallbacks shared by every protocol.
+"""Page-list traffic shared by every protocol.
 
-The planner answers one question — "is this multi-page operation
-worth a coalesced RPC?" — and owns the two recovery shapes batching
-needs: the per-page background retry after an unreachable home, and
-the per-page error items a home puts in a partial batch reply.  It
-also serves the home side of ``PAGE_FETCH`` / ``PAGE_FETCH_BATCH``,
-which is identical across protocols up to the reply payload.
+Every page request is a list — ``pages`` for lock and fetch,
+``updates`` for push — and one page is a list of one.  The planner
+owns the shapes all protocols' list traffic shares: the per-page
+error items of a partial reply, the reply that carries them, the
+home-side fetch service, and the unlock push whose failure becomes one
+background retry per page.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import logging
+from typing import Any, Callable, Dict, List
 
-from repro.core.locks import LockMode
+from repro.core.errors import KhazanaError
 from repro.core.region import RegionDescriptor
 from repro.net.message import Message, MessageType
+from repro.net.rpc import RemoteError, RpcTimeout
 
 ProtocolGen = Any   # Generator[Future, Any, Any]; kept loose to avoid churn
 
+#: ``meta(page)`` -> the protocol's per-page reply fields (version,
+#: stamp, ...) that ride beside the page's bytes.
+PageMeta = Callable[[int], Dict[str, Any]]
+
+logger = logging.getLogger(__name__)
+
+
+def error_item(page_addr: int, code: str, detail: str) -> Dict[str, Any]:
+    """The per-page error entry of a partial reply."""
+    return {"page": page_addr, "code": code, "detail": detail}
+
 
 class BatchPlanner:
-    """Group-by-home batching plans for ``acquire_many``/``release_many``."""
+    """Reply, fetch and push shapes for page-list requests."""
 
     def __init__(self, engine: Any) -> None:
         self.engine = engine
 
-    def use_batch(self, desc: RegionDescriptor, pages: List[int],
-                  *, home_local_fallback: bool = True) -> bool:
-        """Whether a multi-page operation should coalesce its traffic.
+    def reply_pages(self, msg: Message, msg_type: MessageType,
+                    pages: List[Dict[str, Any]],
+                    errors: List[Dict[str, Any]]) -> None:
+        """Answer a page-list request: the served items plus per-page
+        errors.  A request none of whose pages could be served is
+        refused outright with the first page's error, so a one-page
+        request is NAK'd exactly as it always was — and ordered home
+        failover moves on from it."""
+        if errors and not pages:
+            self.engine.nak(msg, errors[0]["code"], errors[0]["detail"])
+            return
+        self.engine.reply(msg, msg_type, {"pages": pages, "errors": errors})
 
-        Home-local and trivial (single-page) ranges gain nothing from
-        batching, and a daemon may disable it outright.  Protocols
-        whose release path still batches at the home (CREW's
-        write-back goes to the *other* homes) pass
-        ``home_local_fallback=False``.
-        """
-        cm = self.engine.cm
-        if home_local_fallback and cm.host.node_id == desc.primary_home:
-            return False
-        if len(pages) <= 1 or not cm.batching_enabled():
-            return False
-        return True
-
-    def wait_conflicts(self, pages: List[int], mode: LockMode) -> ProtocolGen:
-        """Wait out local lock-table conflicts for the whole range."""
-        for page_addr in pages:
-            yield from self.engine.host.wait_local_conflicts(page_addr, mode)
-
-    def retry_per_page(
-        self,
-        desc: RegionDescriptor,
-        updates: List[Dict[str, Any]],
-        push: Callable[[RegionDescriptor, Dict[str, Any]], Any],
-        label_prefix: str,
-    ) -> None:
-        """Queue one background push per update after a failed batch.
-
-        ``push(desc, payload)`` is the protocol's single-page push
-        generator; each payload is the batch item plus the region id.
-        """
-        for update in updates:
-            payload = {"rid": desc.rid, **update}
-            self.engine.counters.per_page_fallbacks += 1
-            self.engine.host.retry_queue.enqueue(
-                lambda payload=payload: push(desc, payload),
-                label=f"{label_prefix}:{payload['page']:#x}",
-            )
-
-    @staticmethod
-    def error_item(page_addr: int, error: Exception) -> Dict[str, Any]:
-        """The per-page error entry of a partial batch reply."""
-        return {
-            "page": page_addr,
-            "code": getattr(error, "code", "khazana_error"),
-            "detail": str(error),
-        }
-
-    # -- home-side fetch service (shared shape) -------------------------
-
-    def serve_fetch(
-        self,
-        desc: RegionDescriptor,
-        msg: Message,
-        item_payload: Callable[[int, bytes], Dict[str, Any]],
-        *,
-        missing_detail: Optional[Callable[[int], str]] = None,
-        homed: bool = True,
-    ) -> None:
-        """Serve a single PAGE_FETCH: reply PAGE_DATA or NAK."""
+    def serve_fetch(self, desc: RegionDescriptor, msg: Message,
+                    meta: PageMeta, *, homed: bool = True) -> None:
+        """Serve a PAGE_FETCH: one ``{page, data, **meta(page)}`` item
+        per stored page, an error item per page without storage."""
         engine = self.engine
         host = engine.host
-        page_addr = msg.payload["page"]
-        if missing_detail is None:
-            missing_detail = _no_storage_detail
-
-        def serve() -> ProtocolGen:
-            data = yield from host.local_page_bytes(desc, page_addr)
-            if data is None:
-                engine.nak(msg, "not_allocated", missing_detail(page_addr))
-                return
-            if msg.payload.get("register"):
-                entry = host.page_directory.ensure(
-                    page_addr, desc.rid, homed=homed
-                )
-                entry.record_sharer(msg.src)
-            engine.reply(
-                msg, MessageType.PAGE_DATA, item_payload(page_addr, data)
-            )
-
-        engine.spawn_handler(msg, serve(), "fetch")
-
-    def serve_fetch_batch(
-        self,
-        desc: RegionDescriptor,
-        msg: Message,
-        item_payload: Callable[[int, bytes], Dict[str, Any]],
-        *,
-        homed: bool = True,
-    ) -> None:
-        """Serve a PAGE_FETCH_BATCH: per-page items plus error items."""
-        engine = self.engine
-        host = engine.host
-        pages = [int(p) for p in msg.payload.get("pages", [])]
+        pages = [int(p) for p in msg.payload["pages"]]
 
         def serve() -> ProtocolGen:
             served: List[Dict[str, Any]] = []
@@ -129,24 +65,59 @@ class BatchPlanner:
             for page_addr in pages:
                 data = yield from host.local_page_bytes(desc, page_addr)
                 if data is None:
-                    errors.append({
-                        "page": page_addr, "code": "not_allocated",
-                        "detail": _no_storage_detail(page_addr),
-                    })
+                    errors.append(error_item(
+                        page_addr, "not_allocated",
+                        f"page {page_addr:#x} has no storage",
+                    ))
                     continue
                 if msg.payload.get("register"):
                     entry = host.page_directory.ensure(
                         page_addr, desc.rid, homed=homed
                     )
                     entry.record_sharer(msg.src)
-                served.append(item_payload(page_addr, data))
-            engine.reply(
-                msg, MessageType.PAGE_DATA_BATCH,
-                {"pages": served, "errors": errors},
+                served.append({"page": page_addr, "data": data,
+                               **meta(page_addr)})
+            self.reply_pages(msg, MessageType.PAGE_DATA, served, errors)
+
+        engine.spawn_handler(msg, serve(), "fetch")
+
+    def push_updates(
+        self,
+        desc: RegionDescriptor,
+        updates: List[Dict[str, Any]],
+        push: Callable[[RegionDescriptor, List[Dict[str, Any]]], Any],
+        label: str,
+    ) -> ProtocolGen:
+        """Push an unlock's updates home in one request; never raises.
+
+        ``push(desc, updates)`` is the protocol's push generator.  Once
+        it lands, every page that carried bytes is clean.  A push that
+        fails — home unreachable or refusing — becomes one background
+        retry per page (paper 3.5: release-type errors never surface),
+        and each retry marks its page clean when it lands, exactly as
+        a first-try push does.
+        """
+        try:
+            yield from self._push_clean(desc, updates, push)
+        except (KhazanaError, RpcTimeout, RemoteError):
+            logger.warning(
+                "push of %d page(s) to the home of region %#x failed; "
+                "retrying each page in the background",
+                len(updates), desc.rid, exc_info=True,
             )
+            for update in updates:
+                self.engine.counters.per_page_fallbacks += 1
+                self.engine.host.retry_queue.enqueue(
+                    lambda update=update: self._push_clean(
+                        desc, [update], push
+                    ),
+                    label=f"{label}:{update['page']:#x}",
+                )
 
-        engine.spawn_handler(msg, serve(), "fetch-batch")
-
-
-def _no_storage_detail(page_addr: int) -> str:
-    return f"page {page_addr:#x} has no storage"
+    def _push_clean(self, desc: RegionDescriptor,
+                    updates: List[Dict[str, Any]],
+                    push: Callable[..., Any]) -> ProtocolGen:
+        yield from push(desc, updates)
+        for update in updates:
+            if "data" in update or "diff" in update:
+                self.engine.host.storage.mark_clean(update["page"])

@@ -3,7 +3,7 @@
 One :class:`EngineCounters` lives on every :class:`ProtocolEngine`
 (one per daemon × protocol).  ``tools/inspect.py`` renders them next
 to the latency report so operators can see how much protocol traffic
-was coalesced, retried per page, or rolled back.
+carried more than one page, was retried per page, or rolled back.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from typing import Dict
 class EngineCounters:
     #: Home-side request transactions spawned through the engine.
     home_transactions: int = 0
-    #: Batched (``*_BATCH``) requests sent on behalf of the policy.
+    #: Requests sent on behalf of the policy carrying more than one
+    #: page (a multi-page lock range's one request per home).
     batch_fanouts: int = 0
-    #: Pages handed to the background per-page retry fallback after a
-    #: batch could not reach its home.
+    #: Pages handed to the background per-page retry after an unlock
+    #: push could not reach its home.
     per_page_fallbacks: int = 0
     #: Multi-page acquires unwound by the data plane after a partial
     #: failure (no page stays pinned).

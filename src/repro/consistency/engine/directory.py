@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.consistency.engine.batch import error_item
 from repro.consistency.engine.state import LocalPageState, PageEvent
 from repro.core.errors import KhazanaError, NotAllocated
 from repro.core.locks import LockMode
@@ -60,10 +61,10 @@ class DirectoryCoherence:
                 reply = yield self.engine.request(
                     entry.owner,
                     MessageType.PAGE_FETCH,
-                    {"rid": desc.rid, "page": page_addr, "demote": True},
+                    {"rid": desc.rid, "pages": [page_addr], "demote": True},
                     policy=self.policy,
                 )
-                data = reply.payload["data"]
+                data = reply.payload["pages"][0]["data"]
                 yield from self.host.store_local_page(
                     desc, page_addr, data, dirty=False
                 )
@@ -100,10 +101,10 @@ class DirectoryCoherence:
             reply = yield self.engine.request(
                 owner,
                 MessageType.PAGE_FETCH,
-                {"rid": desc.rid, "page": page_addr, "revoke": True},
+                {"rid": desc.rid, "pages": [page_addr], "revoke": True},
                 policy=self.policy,
             )
-            return reply.payload["data"]
+            return reply.payload["pages"][0]["data"]
         except (RpcTimeout, RemoteError):
             entry.forget_sharer(owner)
             return None
@@ -138,74 +139,89 @@ class DirectoryCoherence:
                 entry.forget_sharer(node)
 
     def serve_owner_read(self, desc: RegionDescriptor, msg: Any,
-                         page_addr: int) -> None:
-        """Owner side of a direct read (Figure 2 fast path): wait out
-        local writers, register the requester with the home, demote,
-        grant.  NAKs ``not_responsible`` when the hint is stale."""
+                         pages: List[int]) -> None:
+        """Owner side of a direct read (Figure 2 fast path): per page,
+        wait out local writers, register the requester with the home,
+        demote, grant.  A page whose owner hint is stale gets a
+        ``not_responsible`` error item."""
         engine = self.engine
         cm = engine.cm
         me = self.host.node_id
-        entry = self.host.page_directory.get(page_addr)
-        if (entry is None or entry.owner != me
-                or cm.pages.state(page_addr) is LocalPageState.INVALID):
-            engine.nak(msg, "not_responsible", "stale owner hint")
-            return
 
         def serve() -> ProtocolGen:
-            yield from self.wait_local_unlocked(page_addr, LockMode.READ)
-            data = yield from self.host.local_page_bytes(desc, page_addr)
-            if data is None:
-                engine.nak(msg, "not_responsible", "owner copy evicted")
-                return
-            # Register the requester in the home's copyset *before*
-            # handing out the copy (steps 7-9 of Figure 2): if the
-            # registration raced a later write's invalidation round,
-            # the requester could keep a stale copy forever.
-            home = desc.primary_home
-            if home != me:
-                try:
-                    yield engine.request(
-                        home, MessageType.SHARER_REGISTER,
-                        {"rid": desc.rid, "page": page_addr,
-                         "sharer": msg.src},
-                        policy=self.policy,
-                    )
-                except (RpcTimeout, RemoteError):
-                    engine.nak(
-                        msg, "not_responsible",
-                        "could not register the new sharer with the home"
-                    )
-                    return
-            # Demote to shared, then grant.
-            cm.pages.fire(page_addr, PageEvent.DEMOTE)
-            engine.reply(msg, MessageType.LOCK_REPLY,
-                         {"data": data, "owner": me})
+            granted: List[Any] = []
+            errors: List[Any] = []
+            for page_addr in pages:
+                entry = self.host.page_directory.get(page_addr)
+                if (entry is None or entry.owner != me
+                        or cm.pages.state(page_addr)
+                        is LocalPageState.INVALID):
+                    errors.append(error_item(page_addr, "not_responsible",
+                                             "stale owner hint"))
+                    continue
+                yield from self.wait_local_unlocked(page_addr, LockMode.READ)
+                data = yield from self.host.local_page_bytes(desc, page_addr)
+                if data is None:
+                    errors.append(error_item(page_addr, "not_responsible",
+                                             "owner copy evicted"))
+                    continue
+                # Register the requester in the home's copyset *before*
+                # handing out the copy (steps 7-9 of Figure 2): if the
+                # registration raced a later write's invalidation round,
+                # the requester could keep a stale copy forever.
+                home = desc.primary_home
+                if home != me:
+                    try:
+                        yield engine.request(
+                            home, MessageType.SHARER_REGISTER,
+                            {"rid": desc.rid, "page": page_addr,
+                             "sharer": msg.src},
+                            policy=self.policy,
+                        )
+                    except (RpcTimeout, RemoteError):
+                        errors.append(error_item(
+                            page_addr, "not_responsible",
+                            "could not register the new sharer with the "
+                            "home"))
+                        continue
+                # Demote to shared, then grant.
+                cm.pages.fire(page_addr, PageEvent.DEMOTE)
+                granted.append({"page": page_addr, "data": data,
+                                "owner": me})
+            engine.batch.reply_pages(msg, MessageType.LOCK_REPLY, granted,
+                                     errors)
 
         engine.spawn_handler(msg, serve(), "direct-read")
 
     def serve_owner_fetch(self, desc: RegionDescriptor, msg: Any) -> None:
-        """Owner side of a home's PAGE_FETCH: serve the current bytes,
-        optionally revoking or demoting the local copy first."""
+        """Owner side of a home's PAGE_FETCH: serve each page's current
+        bytes, optionally revoking or demoting the local copy first."""
         engine = self.engine
         cm = engine.cm
-        page_addr = msg.payload["page"]
+        pages = [int(p) for p in msg.payload["pages"]]
         revoke = bool(msg.payload.get("revoke"))
         demote = bool(msg.payload.get("demote"))
 
         def serve() -> ProtocolGen:
-            wait_mode = LockMode.WRITE if revoke else LockMode.READ
-            yield from self.wait_local_unlocked(page_addr, wait_mode)
-            data = yield from self.host.local_page_bytes(desc, page_addr)
-            if data is None:
-                engine.nak(msg, "not_responsible", "no local copy")
-                return
-            if revoke:
-                self.host.drop_local_page(page_addr)
-                cm.pages.fire(page_addr, PageEvent.INVALIDATE)
-            elif demote:
-                cm.pages.fire(page_addr, PageEvent.DEMOTE)
-                self.host.storage.mark_clean(page_addr)
-            engine.reply(msg, MessageType.PAGE_DATA, {"data": data})
+            served: List[Any] = []
+            errors: List[Any] = []
+            for page_addr in pages:
+                wait_mode = LockMode.WRITE if revoke else LockMode.READ
+                yield from self.wait_local_unlocked(page_addr, wait_mode)
+                data = yield from self.host.local_page_bytes(desc, page_addr)
+                if data is None:
+                    errors.append(error_item(page_addr, "not_responsible",
+                                             "no local copy"))
+                    continue
+                if revoke:
+                    self.host.drop_local_page(page_addr)
+                    cm.pages.fire(page_addr, PageEvent.INVALIDATE)
+                elif demote:
+                    cm.pages.fire(page_addr, PageEvent.DEMOTE)
+                    self.host.storage.mark_clean(page_addr)
+                served.append({"page": page_addr, "data": data})
+            engine.batch.reply_pages(msg, MessageType.PAGE_DATA, served,
+                                     errors)
 
         engine.spawn_handler(msg, serve(), "fetch")
 

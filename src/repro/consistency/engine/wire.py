@@ -6,7 +6,7 @@ Lint rule KHZ007 forbids policy modules (everything under
 ``host.rpc`` or ``host.reply_*`` directly; every request, one-way
 send, reply, and NAK goes through a :class:`ProtocolEngine` primitive
 so that retry policies, home failover, NAK classification
-(:func:`typed_denial`), batching counters, and task labels are
+(:func:`typed_denial`), page-list counters, and task labels are
 uniform across protocols.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
-from repro.consistency.engine.batch import BatchPlanner
+from repro.consistency.engine.batch import BatchPlanner, PageMeta
 from repro.consistency.engine.counters import EngineCounters
 from repro.consistency.engine.directory import DirectoryCoherence
 from repro.consistency.engine.home import HomeTransactions
@@ -30,12 +30,12 @@ if TYPE_CHECKING:
 
 ProtocolGen = Generator[Future, Any, Any]
 
-#: Coalesced request kinds, counted as batch fan-outs.
-BATCH_REQUESTS = frozenset({
-    MessageType.PAGE_FETCH_BATCH,
-    MessageType.TOKEN_ACQUIRE_BATCH,
-    MessageType.UPDATE_PUSH_BATCH,
-})
+#: Most independent per-page transactions one multi-page operation
+#: keeps in flight (:meth:`ProtocolEngine.pipeline`): READ acquires
+#: and home-local releases.  Order-dependent traffic — WRITE-token
+#: acquisition, taken in ascending page order to stay deadlock-free —
+#: never rides the pipeline.
+PIPELINE_WINDOW = 8
 
 #: Home NAK codes that mean "this node no longer serves the region" —
 #: after a re-home the stale descriptor's first home answers with one
@@ -48,16 +48,10 @@ STALE_HOME_NAKS = frozenset({"not_responsible", "region_not_found"})
 WIRE_OPS: Dict[MessageType, str] = {
     MessageType.LOCK_REQUEST: "grant",
     MessageType.LOCK_REPLY: "grant",
-    MessageType.TOKEN_ACQUIRE_BATCH: "grant",
-    MessageType.TOKEN_GRANT_BATCH: "grant",
     MessageType.PAGE_FETCH: "fetch",
     MessageType.PAGE_DATA: "fetch",
-    MessageType.PAGE_FETCH_BATCH: "fetch",
-    MessageType.PAGE_DATA_BATCH: "fetch",
     MessageType.UPDATE_PUSH: "update",
     MessageType.UPDATE_ACK: "update",
-    MessageType.UPDATE_PUSH_BATCH: "update",
-    MessageType.UPDATE_ACK_BATCH: "update",
     MessageType.INVALIDATE: "invalidate",
     MessageType.INVALIDATE_ACK: "invalidate",
     MessageType.SHARER_REGISTER: "copyset",
@@ -99,8 +93,9 @@ class ProtocolEngine:
     One engine per (daemon, protocol); the policy reaches every
     subsystem through it: ``engine.home`` (per-page transaction
     mutex), ``engine.ledger`` (write tokens + probe ordering),
-    ``engine.batch`` (multi-page planning), ``engine.directory``
-    (owner/copyset coherence), plus the wire primitives below.
+    ``engine.batch`` (page-list replies, fetch, push),
+    ``engine.directory`` (owner/copyset coherence), plus the wire
+    primitives below.
     """
 
     def __init__(self, cm: Any) -> None:
@@ -118,7 +113,8 @@ class ProtocolEngine:
                 payload: Optional[Dict[str, Any]] = None,
                 policy: Optional[RetryPolicy] = None) -> Future:
         """An acknowledged request to one peer."""
-        if msg_type in BATCH_REQUESTS:
+        if payload is not None and len(
+                payload.get("pages") or payload.get("updates") or ()) > 1:
             self.counters.batch_fanouts += 1
         return self.host.rpc.request(dst, msg_type, payload, policy=policy)
 
@@ -198,25 +194,6 @@ class ProtocolEngine:
             raise typed_denial(last_error) from last_error
         raise LockDenied(fail.format(rid=desc.rid, error=last_error))
 
-    def request_any(
-        self,
-        candidates: List[int],
-        msg_type: MessageType,
-        payload: Dict[str, Any],
-        *,
-        policy: Optional[RetryPolicy] = None,
-    ) -> ProtocolGen:
-        """Try each candidate peer in order; None when all fail."""
-        for peer in candidates:
-            try:
-                reply = yield self.request(
-                    peer, msg_type, payload, policy=policy
-                )
-                return reply
-            except (RpcTimeout, RemoteError):
-                continue
-        return None
-
     def push_homes(
         self,
         desc: RegionDescriptor,
@@ -253,18 +230,17 @@ class ProtocolEngine:
         desc: RegionDescriptor,
         msg: Message,
         pages: List[int],
-        item_payload: Any,
-        reply: Any,
+        meta: PageMeta,
         op: str,
     ) -> None:
         """Home-side all-or-nothing token grant over the ledger.
 
         Acquire every page's write token in order, serve the current
-        bytes (``item_payload(page, data)`` builds each granted item),
-        send ``reply(granted)``, then record the grants — the grant
-        probe must fire *after* the reply it rides on.  Any failure
-        aborts every token held so far: a denied or killed grant
-        leaves no residue (token conservation).
+        bytes (each granted item is ``{page, data, **meta(page)}``),
+        send the LOCK_REPLY, then record the grants — the grant probe
+        must fire *after* the reply it rides on.  Any failure aborts
+        every token held so far: a denied or killed grant leaves no
+        residue (token conservation).
         """
         ledger = self.ledger
         host = self.host
@@ -283,7 +259,8 @@ class ProtocolEngine:
                         self.nak(msg, "not_allocated",
                                  f"page {page_addr:#x} has no storage")
                         return
-                    granted.append(item_payload(page_addr, data))
+                    granted.append({"page": page_addr, "data": data,
+                                    **meta(page_addr)})
             except BaseException:
                 # Cleanup-then-reraise: must also run when the handler
                 # task is killed (GeneratorExit), or held tokens leak.
@@ -294,7 +271,8 @@ class ProtocolEngine:
                 entry = host.page_directory.ensure(page_addr, desc.rid,
                                                    homed=True)
                 entry.record_sharer(msg.src)
-            reply(granted)
+            self.reply(msg, MessageType.LOCK_REPLY,
+                       {"pages": granted, "errors": []})
             # Tokens now belong to msg.src until its update push with
             # release_token=True arrives.
             for page_addr in pages:
@@ -303,8 +281,8 @@ class ProtocolEngine:
         self.spawn_handler(msg, grant(), op)
 
     def raise_batch_errors(self, reply: Message) -> None:
-        """Surface the first per-page error of a partial batch reply."""
-        errors = reply.payload.get("errors") or []
+        """Surface the first per-page error of a partial reply."""
+        errors = reply.payload["errors"]
         if errors:
             first = errors[0]
             raise error_from_code(first["code"], first.get("detail", ""))
@@ -316,11 +294,9 @@ class ProtocolEngine:
         window; resolves to ``[(ok, value-or-exc), ...]`` in input
         order, never raising (the caller decides what a failure means).
 
-        The serial loops this replaces awaited each page's full round
-        trip before issuing the next request; here up to
-        ``config.pipeline_window`` transactions run at once, so one
-        reply's latency hides the others'.  A window of <= 1 (or a
-        single generator) degrades to the exact serial behaviour.
+        Up to :data:`PIPELINE_WINDOW` transactions run at once, so one
+        reply's latency hides the others'; a single generator runs
+        serially in the caller's task.
 
         The generators must be mutually independent: anything
         order-dependent — WRITE-token acquisition takes tokens in
@@ -328,8 +304,7 @@ class ProtocolEngine:
         through here.
         """
         results: List[Any] = [None] * len(gens)
-        window = int(getattr(self.host.config, "pipeline_window", 1) or 1)
-        if window <= 1 or len(gens) <= 1:
+        if len(gens) <= 1:
             for index, gen in enumerate(gens):
                 try:
                     value = yield from gen
@@ -354,7 +329,8 @@ class ProtocolEngine:
         next_index = 0
         total = len(gens)
         while next_index < total or state["pending"]:
-            while next_index < total and state["pending"] < window:
+            while (next_index < total
+                   and state["pending"] < PIPELINE_WINDOW):
                 state["pending"] += 1
                 future = self.host.spawn(
                     gens[next_index], label=f"{label}#{next_index}"

@@ -24,7 +24,7 @@ Semantics:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -39,7 +39,7 @@ from repro.core.errors import KhazanaError, LockDenied
 from repro.core.locks import LockContext, LockMode
 from repro.core.region import RegionDescriptor
 from repro.net.message import Message, MessageType
-from repro.net.rpc import RemoteError, RetryPolicy, RpcTimeout
+from repro.net.rpc import RetryPolicy
 
 if TYPE_CHECKING:
     from repro.core.cmhost import CMHost
@@ -87,175 +87,65 @@ class EventualManager(ConsistencyManager):
         mode: LockMode,
         ctx: LockContext,
     ) -> ProtocolGen:
-        me = self.host.node_id
+        """In place: the home's own copy, or a replica within the
+        staleness bound (fast response — the whole point)."""
         self._rids[page_addr] = desc.rid
-        if me == desc.primary_home:
+        if self.host.node_id == desc.primary_home:
             data = yield from self.host.local_page_bytes(desc, page_addr)
             if data is None:
                 raise KhazanaError(f"home lost page {page_addr:#x}")
-            return
-
-        have_copy = self.host.storage.contains(page_addr)
+            return True
         age = self.host.now - self._refreshed_at.get(
             page_addr, float("-inf")
         )
-        if have_copy and age <= self.staleness_bound:
-            return   # fresh enough; fast response (the whole point)
-        try:
-            yield from self._refresh(desc, page_addr, ctx.principal)
-        except LockDenied:
-            if not have_copy:
-                raise
-            # Home unreachable: serve the stale copy rather than fail
-            # (availability over freshness for this protocol).
+        return (self.host.storage.contains(page_addr)
+                and age <= self.staleness_bound)
 
-    def _install_refresh(self, desc: RegionDescriptor, page_addr: int,
-                         data: bytes, version: int,
-                         writer: int) -> ProtocolGen:
-        """Install one home-served page and stamp its freshness."""
-        yield from self.host.store_local_page(
-            desc, page_addr, data, dirty=False
-        )
-        self._versions[page_addr] = (version, writer)
-        self._refreshed_at[page_addr] = self.host.now
-        self.pages.fire(page_addr, PageEvent.READ_FILL)
-        entry = self.host.page_directory.ensure(
-            page_addr, desc.rid, homed=False
-        )
-        entry.allocated = True
-
-    def _refresh(self, desc: RegionDescriptor, page_addr: int,
-                 principal: str = "_khazana") -> ProtocolGen:
-        # NAKs fail over to the next home just like timeouts: this
-        # protocol prefers availability over surfacing a denial.
-        reply = yield from self.engine.request_home(
-            desc, MessageType.PAGE_FETCH,
-            {"rid": desc.rid, "page": page_addr, "register": True,
-             "principal": principal},
-            policy=FETCH_POLICY,
-            fail="no home of region {rid:#x} reachable: {error}",
-            nak="skip",
-        )
-        yield from self._install_refresh(
-            desc, page_addr, reply.payload["data"],
-            reply.payload.get("version", 0), reply.payload.get("writer", 0),
-        )
-
-    def release(
-        self,
-        desc: RegionDescriptor,
-        page_addr: int,
-        ctx: LockContext,
-    ) -> ProtocolGen:
-        if page_addr not in ctx.dirty_pages:
-            return
-        me = self.host.node_id
-        page = self.host.storage.peek(page_addr)
-        if page is None:
-            return
-        version, _writer = self._versions.get(page_addr, (0, 0))
-        version += 1
-        self._versions[page_addr] = (version, me)
-        self._refreshed_at[page_addr] = self.host.now
-        if me == desc.primary_home:
-            self._record_home_write(desc, page_addr, version, me)
-            return
-        payload = {
-            "rid": desc.rid,
-            "page": page_addr,
-            "data": page.data,
-            "version": version,
-            "writer": me,
-            "release_token": False,
-        }
-        try:
-            yield self.engine.request(
-                desc.primary_home, MessageType.UPDATE_PUSH, payload,
-                policy=FETCH_POLICY,
-            )
-            self.host.storage.mark_clean(page_addr)
-        except (RpcTimeout, RemoteError):
-            # Release-type failure: hand to the background retry queue
-            # (paper 3.5); the local copy stays dirty meanwhile.
-            self.host.retry_queue.enqueue(
-                lambda: self._retry_push(desc, payload),
-                label=f"eventual-push:{page_addr:#x}",
-            )
-
-    def _retry_push(self, desc: RegionDescriptor, payload: Dict[str, Any]) -> ProtocolGen:
-        yield self.engine.request(
-            desc.primary_home, MessageType.UPDATE_PUSH, payload,
-            policy=FETCH_POLICY,
-        )
-        self.host.storage.mark_clean(payload["page"])
-
-    def _record_home_write(self, desc: RegionDescriptor, page_addr: int,
-                           version: int, writer: int) -> None:
-        entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=True)
-        entry.allocated = True
-        entry.version = version
-        self._dirty_fanout.add(page_addr)
-
-    # ------------------------------------------------------------------
-    # Batched multi-page path
-    # ------------------------------------------------------------------
-
-    def acquire_many(
+    def acquire_remote(
         self,
         desc: RegionDescriptor,
         pages: List[int],
         mode: LockMode,
         ctx: LockContext,
-        note_acquired: Callable[[int], None],
     ) -> ProtocolGen:
-        if not self.engine.batch.use_batch(desc, pages):
-            yield from super().acquire_many(desc, pages, mode, ctx,
-                                            note_acquired)
-            return
-        for page_addr in pages:
-            yield from self.host.wait_local_conflicts(page_addr, mode)
-            self._rids[page_addr] = desc.rid
-        now = self.host.now
-        stale = [
-            p for p in pages
-            if not (self.host.storage.contains(p)
-                    and now - self._refreshed_at.get(p, float("-inf"))
-                    <= self.staleness_bound)
-        ]
-        if stale:
-            try:
-                yield from self._refresh_batch(desc, stale, ctx.principal)
-            except LockDenied:
-                # Home unreachable: stale copies may still serve, but a
-                # page we have never held is a hard failure.
-                if any(not self.host.storage.contains(p) for p in stale):
-                    raise
-        for page_addr in pages:
-            note_acquired(page_addr)
+        """Refresh stale or missing pages in one fetch from the home.
 
-    def _refresh_batch(self, desc: RegionDescriptor, pages: List[int],
-                       principal: str = "_khazana") -> ProtocolGen:
-        reply = yield from self.engine.request_home(
-            desc, MessageType.PAGE_FETCH_BATCH,
-            {"rid": desc.rid, "pages": list(pages), "register": True,
-             "principal": principal},
-            policy=FETCH_POLICY,
-            fail="no home of region {rid:#x} reachable: {error}",
-            nak="skip",
-        )
-        for item in reply.payload.get("pages", []):
-            yield from self._install_refresh(
-                desc, int(item["page"]), item["data"],
-                item.get("version", 0), item.get("writer", 0),
+        A refusal fails over to the next home just like a timeout:
+        this protocol prefers availability over surfacing a denial.
+        If no home serves, stale copies still do; a page this node has
+        never held is a hard failure.
+        """
+        try:
+            reply = yield from self.engine.request_home(
+                desc, MessageType.PAGE_FETCH,
+                {"rid": desc.rid, "pages": list(pages), "register": True,
+                 "principal": ctx.principal},
+                policy=FETCH_POLICY,
+                fail="no home of region {rid:#x} reachable: {error}",
+                nak="skip",
             )
-        # Per-page errors are tolerable for pages we already replicate
-        # (stale serve); not for pages we have never held.  This is a
-        # softer rule than engine.raise_batch_errors.
-        for err in reply.payload.get("errors") or []:
+        except LockDenied:
+            if not all(self.host.storage.contains(p) for p in pages):
+                raise
+            return
+        for item in reply.payload["pages"]:
+            page_addr = int(item["page"])
+            yield from self.host.store_local_page(
+                desc, page_addr, item["data"], dirty=False
+            )
+            self._versions[page_addr] = (item.get("version", 0),
+                                         item.get("writer", 0))
+            self._refreshed_at[page_addr] = self.host.now
+            self.pages.fire(page_addr, PageEvent.READ_FILL)
+            entry = self.host.page_directory.ensure(
+                page_addr, desc.rid, homed=False
+            )
+            entry.allocated = True
+        for err in reply.payload["errors"]:
             if not self.host.storage.contains(int(err["page"])):
                 raise LockDenied(
                     f"home refused page {int(err['page']):#x}: "
-                    f"{err.get('detail', err.get('code', ''))}"
+                    f"{err['detail']}"
                 )
 
     def release_many(
@@ -264,10 +154,10 @@ class EventualManager(ConsistencyManager):
         pages: List[int],
         ctx: LockContext,
     ) -> ProtocolGen:
+        """Stamp every dirty page with a new (version, writer) and push
+        them to the primary home in one request; the home records its
+        own writes in place."""
         me = self.host.node_id
-        if not self.engine.batch.use_batch(desc, pages):
-            yield from super().release_many(desc, pages, ctx)
-            return
         updates: List[Dict[str, Any]] = []
         for page_addr in pages:
             if page_addr not in ctx.dirty_pages:
@@ -275,32 +165,33 @@ class EventualManager(ConsistencyManager):
             page = self.host.storage.peek(page_addr)
             if page is None:
                 continue
-            version, _writer = self._versions.get(page_addr, (0, 0))
-            version += 1
+            version = self._versions.get(page_addr, (0, 0))[0] + 1
             self._versions[page_addr] = (version, me)
             self._refreshed_at[page_addr] = self.host.now
-            updates.append({
-                "page": page_addr, "data": page.data,
-                "version": version, "writer": me,
-                "release_token": False,
-            })
-        if not updates:
-            return
-        try:
-            yield self.engine.request(
-                desc.primary_home, MessageType.UPDATE_PUSH_BATCH,
-                {"rid": desc.rid, "updates": updates},
-                policy=FETCH_POLICY,
+            if me == desc.primary_home:
+                self._record_home_write(desc, page_addr, version)
+                continue
+            updates.append({"page": page_addr, "data": page.data,
+                            "version": version, "writer": me})
+        if updates:
+            # The local copies stay dirty until the push lands.
+            yield from self.engine.batch.push_updates(
+                desc, updates, self._push, "eventual-push"
             )
-        except (RpcTimeout, RemoteError):
-            # Home unreachable: fall back to one background retry per
-            # page; local copies stay dirty until each push lands.
-            self.engine.batch.retry_per_page(
-                desc, updates, self._retry_push, "eventual-push"
-            )
-            return
-        for update in updates:
-            self.host.storage.mark_clean(update["page"])
+
+    def _push(self, desc: RegionDescriptor,
+              updates: List[Dict[str, Any]]) -> ProtocolGen:
+        yield self.engine.request(
+            desc.primary_home, MessageType.UPDATE_PUSH,
+            {"rid": desc.rid, "updates": updates}, policy=FETCH_POLICY,
+        )
+
+    def _record_home_write(self, desc: RegionDescriptor, page_addr: int,
+                           version: int) -> None:
+        entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=True)
+        entry.allocated = True
+        entry.version = version
+        self._dirty_fanout.add(page_addr)
 
     # ------------------------------------------------------------------
     # Home side
@@ -310,108 +201,65 @@ class EventualManager(ConsistencyManager):
         if not self.check_remote_access(desc, msg, LockMode.READ):
             return
 
-        def item_payload(page_addr: int, data: bytes) -> Dict[str, Any]:
+        def meta(page_addr: int) -> Dict[str, Any]:
             version, writer = self._versions.get(page_addr, (0, 0))
-            return {"data": data, "version": version, "writer": writer}
+            return {"version": version, "writer": writer}
 
-        self.engine.batch.serve_fetch(desc, msg, item_payload)
+        self.engine.batch.serve_fetch(desc, msg, meta)
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        if self.host.node_id == desc.primary_home:
-            self._apply_at_home(desc, msg)
-            return
-        if msg.request_id is not None:
-            # Same failover hole as the release protocol: a writer's
-            # push that missed the primary must be refused, not
-            # silently absorbed without a reply.
-            self.engine.nak(msg, "not_responsible",
-                            "update push needs the primary home")
-            return
-        self._apply_replica_update(desc, msg)
-
-    def handle_page_fetch_batch(self, desc: RegionDescriptor,
-                                msg: Message) -> None:
-        if not self.check_remote_access(desc, msg, LockMode.READ):
-            return
-
-        def item_payload(page_addr: int, data: bytes) -> Dict[str, Any]:
-            version, writer = self._versions.get(page_addr, (0, 0))
-            return {"page": page_addr, "data": data,
-                    "version": version, "writer": writer}
-
-        self.engine.batch.serve_fetch_batch(desc, msg, item_payload)
-
-    def handle_update_batch(self, desc: RegionDescriptor,
-                            msg: Message) -> None:
+        updates = msg.payload["updates"]
         if self.host.node_id != desc.primary_home:
-            self.engine.nak(msg, "not_responsible",
-                            "batched updates go to the primary home")
+            if msg.request_id is not None:
+                # Same failover hole as the release protocol: a
+                # writer's push that missed the primary must be
+                # refused, not silently absorbed without a reply.
+                self.engine.nak(msg, "not_responsible",
+                                "update push needs the primary home")
+                return
+            for update in updates:
+                self._apply_replica_update(desc, update)
             return
-        updates = msg.payload.get("updates", [])
 
         def apply() -> ProtocolGen:
-            applied = 0
             for update in updates:
                 page_addr = int(update["page"])
-                incoming = (update.get("version", 0), update.get("writer", 0))
-                # Same last-writer-wins rule as the per-page handler.
-                if incoming > self._versions.get(page_addr, (0, -1)):
-                    yield from self.host.store_local_page(
-                        desc, page_addr, update["data"], dirty=False
-                    )
-                    self._versions[page_addr] = incoming
-                    self._record_home_write(
-                        desc, page_addr, incoming[0], incoming[1]
-                    )
-                    if self.host.probe.enabled:
-                        self.host.probe.remote_update(
-                            self.host.node_id, page_addr, msg.src,
-                            desc.attrs.protocol,
-                        )
                 self._rids[page_addr] = desc.rid
-                applied += 1
-            self.engine.reply(
-                msg, MessageType.UPDATE_ACK_BATCH, {"applied": applied}
-            )
-
-        self.engine.spawn_handler(msg, apply(), "apply-batch")
-
-    def _apply_at_home(self, desc: RegionDescriptor, msg: Message) -> None:
-        page_addr = msg.payload["page"]
-        incoming = (msg.payload.get("version", 0), msg.payload.get("writer", 0))
-        current = self._versions.get(page_addr, (0, -1))
-
-        def apply() -> ProtocolGen:
-            # Last-writer-wins by (version, writer id): concurrent
-            # writers converge on a single winner everywhere.
-            if incoming > current:
-                yield from self.host.store_local_page(
-                    desc, page_addr, msg.payload["data"], dirty=False
-                )
+                # Last-writer-wins by (version, writer id): concurrent
+                # writers converge on a single winner everywhere.  The
+                # winner is committed before the store yields (as
+                # install_replica_update does), so a push arriving
+                # mid-store compares against it, not against what the
+                # store is replacing.
+                incoming = (update.get("version", 0),
+                            update.get("writer", 0))
+                if incoming <= self._versions.get(page_addr, (0, -1)):
+                    continue
                 self._versions[page_addr] = incoming
-                self._record_home_write(
-                    desc, page_addr, incoming[0], incoming[1]
-                )
+                self._record_home_write(desc, page_addr, incoming[0])
                 if self.host.probe.enabled:
                     self.host.probe.remote_update(
                         self.host.node_id, page_addr, msg.src,
                         desc.attrs.protocol,
                     )
-            self._rids[page_addr] = desc.rid
+                yield from self.host.store_local_page(
+                    desc, page_addr, update["data"], dirty=False
+                )
             self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
         self.engine.spawn_handler(msg, apply(), "apply")
 
-    def _apply_replica_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        page_addr = msg.payload["page"]
-        incoming = (msg.payload.get("version", 0), msg.payload.get("writer", 0))
+    def _apply_replica_update(self, desc: RegionDescriptor,
+                              update: Dict[str, Any]) -> None:
+        page_addr = int(update["page"])
+        incoming = (update.get("version", 0), update.get("writer", 0))
 
         def commit() -> None:
             self._versions[page_addr] = incoming
             self._refreshed_at[page_addr] = self.host.now
 
         install_replica_update(
-            self, desc, page_addr, msg.payload["data"],
+            self, desc, page_addr, update["data"],
             fresh=lambda: incoming > self._versions.get(page_addr, (0, -1)),
             commit=commit,
             op="replica-store",
@@ -436,14 +284,9 @@ class EventualManager(ConsistencyManager):
                 self.engine.send(
                     sharer,
                     MessageType.UPDATE_PUSH,
-                    {
-                        "rid": entry.rid,
-                        "page": page_addr,
-                        "data": page.data,
-                        "version": version,
-                        "writer": writer,
-                        "fanout": True,
-                    },
+                    {"rid": entry.rid, "updates": [
+                        {"page": page_addr, "data": page.data,
+                         "version": version, "writer": writer}]},
                 )
 
     def on_node_failure(self, node_id: int) -> None:

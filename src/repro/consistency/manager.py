@@ -14,7 +14,7 @@ Futures and are driven by the daemon's task runner).
 
 Every CM owns a :class:`~repro.consistency.engine.ProtocolEngine`
 (``self.engine``): the shared mechanism layer that carries all wire
-traffic, home-side transactions, token bookkeeping, and batching.
+traffic, home-side transactions, token bookkeeping, and page lists.
 Policy modules never touch ``host.rpc`` / ``host.reply_*`` directly
 (lint rule KHZ007).
 """
@@ -22,7 +22,6 @@ Policy modules never touch ``host.rpc`` / ``host.reply_*`` directly
 from __future__ import annotations
 
 import abc
-import logging
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Mapping, Type
 
 from repro.consistency.engine import (
@@ -31,7 +30,6 @@ from repro.consistency.engine import (
     PageEvent,
     PageStateMachine,
     ProtocolEngine,
-    typed_denial,
 )
 from repro.core.errors import ProtocolUnknown
 from repro.core.locks import LockContext, LockMode
@@ -44,11 +42,6 @@ if TYPE_CHECKING:
 
 ProtocolGen = Generator[Future, Any, Any]
 
-logger = logging.getLogger(__name__)
-
-#: Engine-layer name; re-exported for callers predating the engine.
-_typed_denial = typed_denial
-
 __all__ = [
     "ConsistencyManager",
     "KeyedMutex",
@@ -57,7 +50,6 @@ __all__ = [
     "available_protocols",
     "create_manager",
     "register_protocol",
-    "_typed_denial",
 ]
 
 
@@ -68,9 +60,10 @@ class ConsistencyManager(abc.ABC):
     :class:`~repro.core.cmhost.CMHost` protocol — the RPC endpoint,
     page directory, lock table, storage hierarchy, and the reply /
     residency / conflict-wait helpers it names.  Subclasses implement
-    the client-side ``acquire``/``release``/``evict`` path and the
-    home/replica-side message handlers, reaching the wire only through
-    ``self.engine``.
+    the client-side path — :meth:`acquire` (one page, in place),
+    :meth:`acquire_remote` (the rest of the range, one request per
+    home), :meth:`release_many`, ``evict`` — and the home/replica-side
+    message handlers, reaching the wire only through ``self.engine``.
     """
 
     #: Registry name; subclasses must override.
@@ -88,13 +81,13 @@ class ConsistencyManager(abc.ABC):
         #: The explicit transition machine over ``page_state``.
         self.pages = PageStateMachine(self.page_state, self.TRANSITIONS,
                                       label=self.protocol_name)
-        #: Shared mechanism: wire, home transactions, tokens, batching.
+        #: Shared mechanism: wire, home transactions, tokens, page lists.
         self.engine = ProtocolEngine(self)
         #: Remote invalidations deferred because a local lock context
         #: still covers the page; drained by :meth:`notify_unlocked`.
         self._deferred: Dict[int, List[Callable[[], None]]] = {}
 
-    # --- Client-side path (called by the daemon's lock machinery) ---------
+    # --- Client-side path: one lock range, any number of pages ---------
 
     @abc.abstractmethod
     def acquire(
@@ -104,26 +97,26 @@ class ConsistencyManager(abc.ABC):
         mode: LockMode,
         ctx: LockContext,
     ) -> ProtocolGen:
-        """Make the local copy of ``page_addr`` usable in ``mode``.
+        """Serve one page of a lock range in place, if this node can.
 
-        Runs after local lock-table conflicts have cleared.  On return
-        the page must be resident locally with sufficient rights.
+        Runs after local lock-table conflicts on the page have cleared.
+        Resolves to True when the page is now resident locally with
+        sufficient rights (a valid local copy, a grant this node makes
+        as the page's home, a copy read straight from its owner);
+        False hands the page to :meth:`acquire_remote`.
         """
 
     @abc.abstractmethod
-    def release(
+    def acquire_remote(
         self,
         desc: RegionDescriptor,
-        page_addr: int,
+        pages: List[int],
+        mode: LockMode,
         ctx: LockContext,
     ) -> ProtocolGen:
-        """Protocol work at unlock time (push updates, drop tokens)."""
-
-    # --- Batched multi-page path -------------------------------------------
-
-    def batching_enabled(self) -> bool:
-        """Whether this daemon may coalesce multi-page protocol traffic."""
-        return bool(self.host.config.enable_batching)
+        """Acquire the pages :meth:`acquire` could not serve in place:
+        one request per home (or peer) carrying them all.  On return
+        every page must be resident locally with sufficient rights."""
 
     def acquire_many(
         self,
@@ -135,104 +128,79 @@ class ConsistencyManager(abc.ABC):
     ) -> ProtocolGen:
         """Acquire every page of a lock range for one context.
 
-        Default: the per-page path — wait out local conflicts, run
-        :meth:`acquire`, and pin each page in turn.  Batch-aware
-        protocols override this to group the pages by the home node
-        that must serve them and issue one RPC per home.
+        One path for any number of pages (one page is a list of one):
+        each page waits out local conflicts and gets :meth:`acquire`;
+        the pages it could not serve go to :meth:`acquire_remote`
+        together.  ``note_acquired(page)`` is invoked the moment a
+        page's acquisition is final: the daemon registers the page in
+        its lock table there, and rolls exactly the noted pages back if
+        the rest of the range fails (no page stays pinned after a
+        partial failure).
 
-        ``note_acquired(page)`` must be invoked the moment a page's
-        acquisition is final: the daemon registers the page in its lock
-        table there, and rolls exactly the noted pages back if the rest
-        of the range fails (no page stays pinned after a partial
-        failure).
-
-        READ acquisitions of distinct pages are mutually independent,
-        so they run through the engine's request pipeline (bounded by
-        ``config.pipeline_window``) instead of awaiting each reply
-        serially.  Write-intent modes stay strictly serial: write
-        tokens are taken in ascending page order, which is what keeps
-        concurrent multi-page lockers deadlock-free.
+        At the region's primary home the in-place work is real —
+        grants, local loads — and READ acquisitions of distinct pages
+        are mutually independent, so they run through the engine's
+        request pipeline instead of awaiting each page serially;
+        elsewhere a READ page is served by a local check (or CREW's
+        owner read) that is cheaper run in line than spawned.
+        Write-intent modes stay strictly serial: write tokens are taken
+        in ascending page order, which is what keeps concurrent
+        multi-page lockers deadlock-free.
         """
-        if (
-            mode is LockMode.READ
-            and len(pages) > 1
-            and self.host.config.pipeline_window > 1
-        ):
-            def acquire_one(page_addr: int) -> ProtocolGen:
-                yield from self.host.wait_local_conflicts(page_addr, mode)
-                yield from self.acquire(desc, page_addr, mode, ctx)
-                # Pin immediately on success: an unpinned-but-acquired
-                # page would be a victimization candidate while its
-                # siblings are still in flight.
+        def acquire_one(page_addr: int) -> ProtocolGen:
+            yield from self.host.wait_local_conflicts(page_addr, mode)
+            served = yield from self.acquire(desc, page_addr, mode, ctx)
+            if served:
+                # Pin immediately: an unpinned-but-acquired page would
+                # be a victimization candidate while its siblings are
+                # still in flight.
                 note_acquired(page_addr)
+            return served
 
+        remote: List[int] = []
+        if (mode is LockMode.READ and len(pages) > 1
+                and self.host.node_id == desc.primary_home):
             settled = yield from self.engine.pipeline(
                 [acquire_one(page_addr) for page_addr in pages],
                 op="acquire-pipeline",
             )
-            for ok, value in settled:
+            for page_addr, (ok, value) in zip(pages, settled):
                 if not ok:
                     raise value
-            return
-        for page_addr in pages:
-            yield from self.host.wait_local_conflicts(page_addr, mode)
-            yield from self.acquire(desc, page_addr, mode, ctx)
-            note_acquired(page_addr)
+                if not value:
+                    remote.append(page_addr)
+        else:
+            for page_addr in pages:
+                served = yield from acquire_one(page_addr)
+                if not served:
+                    remote.append(page_addr)
+        if remote:
+            yield from self.acquire_remote(desc, remote, mode, ctx)
+            for page_addr in remote:
+                note_acquired(page_addr)
 
+    @abc.abstractmethod
     def release_many(
         self,
         desc: RegionDescriptor,
         pages: List[int],
         ctx: LockContext,
     ) -> ProtocolGen:
-        """Release every page of a context (release-type: never raises).
+        """Protocol work when a context unlocks (push updates, drop
+        tokens) for every page it covered, in one request per home.
+        Release-type: never raises — a push that cannot land is retried
+        in the background (paper 3.5)."""
 
-        Default: per-page :meth:`release`, with failures handed to the
-        background retry queue (paper 3.5).  Batch-aware protocols
-        override this to coalesce the context's dirty pages into one
-        ``UPDATE_PUSH_BATCH`` per home node, falling back to per-page
-        retries when a home is unreachable.
-
-        Per-page releases of distinct pages never wait on one another
-        (release only gives things up), so multi-page releases run
-        through the engine's request pipeline; each page's failure
-        handling is unchanged.
-        """
-
-        if len(pages) > 1 and self.host.config.pipeline_window > 1:
-            def release_one(page_addr: int) -> ProtocolGen:
-                try:
-                    yield from self.release(desc, page_addr, ctx)
-                except Exception:  # khz: allow-broad-except(logged and queued for background retry in _queue_release_retry)
-                    self._queue_release_retry(desc, page_addr, ctx)
-
-            yield from self.engine.pipeline(
-                [release_one(page_addr) for page_addr in pages],
-                op="release-pipeline",
-            )
-            return
-        for page_addr in pages:
-            try:
-                yield from self.release(desc, page_addr, ctx)
-            except Exception:  # khz: allow-broad-except(logged and queued for background retry in _queue_release_retry)
-                self._queue_release_retry(desc, page_addr, ctx)
-
-    def _queue_release_retry(self, desc: RegionDescriptor, page_addr: int,
-                             ctx: LockContext) -> None:
-        """Hand one failed per-page release to the background queue.
-
-        Release-type semantics: never surface, but say what is being
-        retried so a wedged release is debuggable.
-        """
-        logger.warning(
-            "node %d: release of page %#x failed; queued for "
-            "background retry",
-            self.host.node_id, page_addr, exc_info=True,
-        )
-        self.host.retry_queue.enqueue(
-            lambda: self.release(desc, page_addr, ctx),
-            label=f"cm-release:{page_addr:#x}",
-        )
+    def release(
+        self,
+        desc: RegionDescriptor,
+        page_addr: int,
+        ctx: LockContext,
+    ) -> ProtocolGen:
+        """Release one page of a context: the unit of work the data
+        plane hands the background retry queue, page by page, should a
+        whole-context :meth:`release_many` fail outright."""
+        yield from self.release_many(desc, [page_addr], ctx)
 
     def evict(
         self, desc: RegionDescriptor, page_addr: int, data: bytes, dirty: bool
@@ -254,12 +222,9 @@ class ConsistencyManager(abc.ABC):
             yield self.engine.request(
                 home,
                 MessageType.UPDATE_PUSH,
-                {
-                    "rid": desc.rid,
-                    "page": page_addr,
-                    "data": data,
-                    "release_token": False,
-                },
+                {"rid": desc.rid, "updates": [
+                    {"page": page_addr, "data": data,
+                     "release_token": False}]},
             )
         self.engine.send(
             home,
@@ -332,18 +297,6 @@ class ConsistencyManager(abc.ABC):
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
         self.engine.nak(msg, "unhandled", "update_push")
-
-    def handle_page_fetch_batch(self, desc: RegionDescriptor,
-                                msg: Message) -> None:
-        self.engine.nak(msg, "unhandled", "page_fetch_batch")
-
-    def handle_lock_request_batch(self, desc: RegionDescriptor,
-                                  msg: Message) -> None:
-        self.engine.nak(msg, "unhandled", "token_acquire_batch")
-
-    def handle_update_batch(self, desc: RegionDescriptor,
-                            msg: Message) -> None:
-        self.engine.nak(msg, "unhandled", "update_push_batch")
 
     def handle_sharer_register(self, desc: RegionDescriptor, msg: Message) -> None:
         entry = self.host.page_directory.ensure(

@@ -25,15 +25,14 @@ This module adds that protocol.  Semantics:
 - **Conflicts** resolve last-writer-wins by stamp, Bayou's default
   when no application merge procedure is supplied.
 
-Multi-page lock ranges use the engine's
-:class:`~repro.consistency.engine.BatchPlanner`: one
-``PAGE_FETCH_BATCH`` per reachable peer instead of one ``PAGE_FETCH``
-per page, and one ``UPDATE_PUSH_BATCH`` per gossip peer at release.
+A lock range costs one ``PAGE_FETCH`` per peer tried (each carrying
+every still-missing page) and, at release, one ``UPDATE_PUSH`` per
+gossip peer carrying every dirty page that peer replicates.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -92,23 +91,55 @@ class MobileManager(ConsistencyManager):
         mode: LockMode,
         ctx: LockContext,
     ) -> ProtocolGen:
+        """In place: the local replica, disconnected or not, or a home
+        node's own copy."""
         self._rids[page_addr] = desc.rid
         self._descs[desc.rid] = desc
         if self.host.storage.contains(page_addr):
-            return   # disconnected or not, the local replica serves
+            return True
         if self.host.node_id in desc.home_nodes:
             data = yield from self.host.local_page_bytes(desc, page_addr)
-            if data is not None:
-                return
-        fetched = yield from self._fetch_from_anyone(desc, page_addr)
-        if fetched:
-            return
-        if mode.is_write:
+            return data is not None
+        return False
+
+    def acquire_remote(
+        self,
+        desc: RegionDescriptor,
+        pages: List[int],
+        mode: LockMode,
+        ctx: LockContext,
+    ) -> ProtocolGen:
+        """Fetch from the home nodes, then any hinted sharer, narrowing
+        to the still-missing pages — a peer that replicates only part
+        of the range serves what it has and the next candidate fills
+        the rest.  A write with no reachable peer starts from zeroes;
+        a read fails only when completely disconnected."""
+        remaining = list(pages)
+        for peer in self._candidates(desc, pages):
+            if not remaining:
+                break
+            try:
+                reply = yield self.engine.request(
+                    peer, MessageType.PAGE_FETCH,
+                    {"rid": desc.rid, "pages": list(remaining),
+                     "register": True},
+                    policy=FETCH_POLICY,
+                )
+            except (RpcTimeout, RemoteError):
+                continue
+            for item in reply.payload["pages"]:
+                page_addr = int(item["page"])
+                yield from self._install_fetched(
+                    desc, page_addr, item["data"], item["stamp"], peer
+                )
+                remaining.remove(page_addr)
+        for page_addr in remaining:
+            if not mode.is_write:
+                raise LockDenied(
+                    f"page {page_addr:#x}: no local replica and no "
+                    "reachable peer"
+                )
             yield from self._first_touch(desc, page_addr)
-            return
-        raise LockDenied(
-            f"page {page_addr:#x}: no local replica and no reachable peer"
-        )
 
     def _first_touch(self, desc: RegionDescriptor,
                      page_addr: int) -> ProtocolGen:
@@ -149,35 +180,30 @@ class MobileManager(ConsistencyManager):
         pd.record_sharer(peer)
         pd.allocated = True
 
-    def _fetch_from_anyone(self, desc: RegionDescriptor,
-                           page_addr: int) -> ProtocolGen:
-        """Try the home nodes, then any hinted sharer."""
-        reply = yield from self.engine.request_any(
-            self._candidates(desc, [page_addr]),
-            MessageType.PAGE_FETCH,
-            {"rid": desc.rid, "page": page_addr, "register": True},
-            policy=FETCH_POLICY,
-        )
-        if reply is None:
-            return False
-        yield from self._install_fetched(
-            desc, page_addr, reply.payload["data"],
-            reply.payload.get("stamp"), reply.src,
-        )
-        return True
-
-    def release(
+    def release_many(
         self,
         desc: RegionDescriptor,
-        page_addr: int,
+        pages: List[int],
         ctx: LockContext,
     ) -> ProtocolGen:
-        if page_addr not in ctx.dirty_pages:
-            return
-        self._stamp_write(page_addr)
-        # Eager best-effort gossip; unreachable peers catch up via the
-        # anti-entropy tick once connectivity returns.
-        self._gossip_page(desc, page_addr)
+        """Stamp every dirty page and gossip it eagerly: one one-way
+        UPDATE_PUSH per peer, carrying the pages that peer replicates.
+        Unreachable peers catch up via the anti-entropy tick once
+        connectivity returns."""
+        per_peer: Dict[int, List[Dict[str, Any]]] = {}
+        for page_addr in pages:
+            if page_addr not in ctx.dirty_pages:
+                continue
+            page = self.host.storage.peek(page_addr)
+            if page is None:
+                continue
+            update = {"page": page_addr, "data": page.data,
+                      "stamp": list(self._stamp_write(page_addr))}
+            for peer in self._peers_for(desc, page_addr):
+                per_peer.setdefault(peer, []).append(update)
+        for peer, updates in per_peer.items():
+            self.engine.send(peer, MessageType.UPDATE_PUSH,
+                             {"rid": desc.rid, "updates": updates})
         return
         yield  # pragma: no cover - generator form required
 
@@ -198,12 +224,9 @@ class MobileManager(ConsistencyManager):
             yield self.engine.request(
                 desc.primary_home,
                 MessageType.UPDATE_PUSH,
-                {
-                    "rid": desc.rid,
-                    "page": page_addr,
-                    "data": data,
-                    "stamp": list(stamp),
-                },
+                {"rid": desc.rid, "updates": [
+                    {"page": page_addr, "data": data,
+                     "stamp": list(stamp)}]},
             )
         self.engine.send(
             desc.primary_home,
@@ -212,106 +235,6 @@ class MobileManager(ConsistencyManager):
         )
         self._stamps.pop(page_addr, None)
         self.pages.drop(page_addr)
-
-    # ------------------------------------------------------------------
-    # Batched multi-page path
-    # ------------------------------------------------------------------
-
-    def acquire_many(
-        self,
-        desc: RegionDescriptor,
-        pages: List[int],
-        mode: LockMode,
-        ctx: LockContext,
-        note_acquired: Callable[[int], None],
-    ) -> ProtocolGen:
-        # Mobile has no home-mediated path: even a home node fetches
-        # from peers, so only range size / config gate the batch.
-        if not self.engine.batch.use_batch(desc, pages,
-                                           home_local_fallback=False):
-            yield from super().acquire_many(desc, pages, mode, ctx,
-                                            note_acquired)
-            return
-        yield from self.engine.batch.wait_conflicts(pages, mode)
-        self._descs[desc.rid] = desc
-        missing: List[int] = []
-        for page_addr in pages:
-            self._rids[page_addr] = desc.rid
-            if self.host.storage.contains(page_addr):
-                continue
-            if self.host.node_id in desc.home_nodes:
-                data = yield from self.host.local_page_bytes(desc, page_addr)
-                if data is not None:
-                    continue
-            missing.append(page_addr)
-        # One batched fetch per peer, narrowing to the still-missing
-        # pages — a peer that replicates only part of the range serves
-        # what it has and the next candidate fills the rest.
-        remaining = list(missing)
-        for peer in self._candidates(desc, missing):
-            if not remaining:
-                break
-            try:
-                reply = yield self.engine.request(
-                    peer, MessageType.PAGE_FETCH_BATCH,
-                    {"rid": desc.rid, "pages": list(remaining),
-                     "register": True},
-                    policy=FETCH_POLICY,
-                )
-            except (RpcTimeout, RemoteError):
-                continue
-            for item in reply.payload.get("pages", []):
-                page_addr = int(item["page"])
-                yield from self._install_fetched(
-                    desc, page_addr, item["data"], item.get("stamp"), peer
-                )
-                remaining.remove(page_addr)
-        for page_addr in remaining:
-            if mode.is_write:
-                yield from self._first_touch(desc, page_addr)
-            else:
-                raise LockDenied(
-                    f"page {page_addr:#x}: no local replica and no "
-                    "reachable peer"
-                )
-        for page_addr in pages:
-            note_acquired(page_addr)
-
-    def release_many(
-        self,
-        desc: RegionDescriptor,
-        pages: List[int],
-        ctx: LockContext,
-    ) -> ProtocolGen:
-        if not self.engine.batch.use_batch(desc, pages,
-                                           home_local_fallback=False):
-            yield from super().release_many(desc, pages, ctx)
-            return
-        # One UPDATE_PUSH_BATCH per gossip peer instead of one
-        # UPDATE_PUSH per (page, peer); each peer gets only the pages
-        # it would have been gossiped under the per-page path.
-        per_peer: Dict[int, List[Dict[str, Any]]] = {}
-        for page_addr in pages:
-            if page_addr not in ctx.dirty_pages:
-                continue
-            page = self.host.storage.peek(page_addr)
-            if page is None:
-                continue
-            stamp = self._stamp_write(page_addr)
-            update = {
-                "page": page_addr, "data": page.data,
-                "stamp": list(stamp), "gossip": True,
-            }
-            for peer in self._peers_for(desc, page_addr):
-                per_peer.setdefault(peer, []).append(update)
-        for peer in sorted(per_peer):
-            self.engine.send(
-                peer,
-                MessageType.UPDATE_PUSH_BATCH,
-                {"rid": desc.rid, "updates": per_peer[peer]},
-            )
-        return
-        yield  # pragma: no cover - generator form required
 
     # ------------------------------------------------------------------
     # Gossip
@@ -341,13 +264,9 @@ class MobileManager(ConsistencyManager):
             self.engine.send(
                 peer,
                 MessageType.UPDATE_PUSH,
-                {
-                    "rid": desc.rid,
-                    "page": page_addr,
-                    "data": page.data,
-                    "stamp": list(stamp),
-                    "gossip": True,
-                },
+                {"rid": desc.rid, "updates": [
+                    {"page": page_addr, "data": page.data,
+                     "stamp": list(stamp)}]},
             )
 
     def tick(self) -> None:
@@ -372,31 +291,17 @@ class MobileManager(ConsistencyManager):
     # ------------------------------------------------------------------
 
     def handle_page_fetch(self, desc: RegionDescriptor, msg: Message) -> None:
-        def item_payload(page_addr: int, data: bytes) -> Dict[str, Any]:
-            stamp = self._stamps.get(page_addr, (0, 0))
-            return {"data": data, "stamp": list(stamp)}
-
         self.engine.batch.serve_fetch(
-            desc, msg, item_payload,
-            missing_detail=lambda page_addr: f"no replica of {page_addr:#x}",
-            homed=self.host.node_id in desc.home_nodes,
-        )
-
-    def handle_page_fetch_batch(self, desc: RegionDescriptor,
-                                msg: Message) -> None:
-        def item_payload(page_addr: int, data: bytes) -> Dict[str, Any]:
-            stamp = self._stamps.get(page_addr, (0, 0))
-            return {"page": page_addr, "data": data, "stamp": list(stamp)}
-
-        self.engine.batch.serve_fetch_batch(
-            desc, msg, item_payload,
+            desc, msg,
+            lambda page_addr: {
+                "stamp": list(self._stamps.get(page_addr, (0, 0)))
+            },
             homed=self.host.node_id in desc.home_nodes,
         )
 
     def _apply_gossip(self, desc: RegionDescriptor, page_addr: int,
                       data: bytes, incoming: Stamp, src: int) -> None:
-        """LWW-apply one gossiped page version (shared by the per-page
-        and batched update handlers)."""
+        """LWW-apply one gossiped page version."""
         self._rids[page_addr] = desc.rid
         self._descs[desc.rid] = desc
         entry = self.host.page_directory.ensure(
@@ -433,26 +338,13 @@ class MobileManager(ConsistencyManager):
         )
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        page_addr = msg.payload["page"]
-        incoming: Stamp = tuple(int(x) for x in msg.payload["stamp"])
-        self._apply_gossip(
-            desc, page_addr, msg.payload["data"], incoming, msg.src
-        )
-        if msg.request_id is not None:
-            self.engine.reply(msg, MessageType.UPDATE_ACK, {})
-
-    def handle_update_batch(self, desc: RegionDescriptor,
-                            msg: Message) -> None:
-        updates = msg.payload.get("updates", [])
-        for update in updates:
+        for update in msg.payload["updates"]:
             incoming: Stamp = tuple(int(x) for x in update["stamp"])
             self._apply_gossip(
                 desc, int(update["page"]), update["data"], incoming, msg.src
             )
         if msg.request_id is not None:
-            self.engine.reply(
-                msg, MessageType.UPDATE_ACK_BATCH, {"applied": len(updates)}
-            )
+            self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
     def on_node_failure(self, node_id: int) -> None:
         # Mobile replicas expect peers to vanish and return; keep the

@@ -33,7 +33,7 @@ from repro.consistency.manager import (
     ProtocolGen,
     register_protocol,
 )
-from repro.core.errors import KhazanaError, LockDenied
+from repro.core.errors import KhazanaError
 from repro.core.locks import LockContext, LockMode
 from repro.core.region import RegionDescriptor
 from repro.net.message import Message, MessageType
@@ -73,90 +73,85 @@ class ReleaseManager(ConsistencyManager):
 
     def acquire(self, desc: RegionDescriptor, page_addr: int,
                 mode: LockMode, ctx: LockContext) -> ProtocolGen:
+        """In place: any local replica satisfies a read; the primary
+        home takes its own write token; a write-shared lock twins a
+        copy it already holds (the home always does)."""
+        home = self.host.node_id == desc.primary_home
         if mode is LockMode.READ:
             if self.host.storage.contains(page_addr):
-                return  # any replica satisfies a read acquire
-            if self.host.node_id == desc.primary_home:
-                data = yield from self.host.local_page_bytes(desc, page_addr)
-                if data is None:
-                    raise KhazanaError(
-                        f"home lost page {page_addr:#x} of region {desc.rid:#x}"
-                    )
-                return
-            yield from self._fetch_replica(desc, page_addr, ctx.principal)
-            return
+                return True   # any replica satisfies a read acquire
+            if not home:
+                return False
+            data = yield from self.host.local_page_bytes(desc, page_addr)
+            if data is None:
+                raise KhazanaError(
+                    f"home lost page {page_addr:#x} of region {desc.rid:#x}"
+                )
+            return True
         if mode is LockMode.WRITE:
-            yield from self._acquire_token(desc, page_addr, ctx.principal)
-            return
-        # WRITE_SHARED: no token; remember a twin for diffing.
-        data = yield from self._ensure_local_copy(desc, page_addr)
-        self._twins.remember(ctx.ctx_id, page_addr, data)
-
-    def _install_page(self, desc: RegionDescriptor, page_addr: int,
-                      data: bytes, version: int,
-                      event: PageEvent) -> ProtocolGen:
-        """Store a home-served page locally and record its version;
-        shared by the replica-fetch and token-acquire installs."""
-        yield from self.host.store_local_page(desc, page_addr, data, dirty=False)
-        self._versions[page_addr] = version
-        self.pages.fire(page_addr, event)
-        entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=False)
-        entry.allocated = True
-
-    def _install_items(self, desc: RegionDescriptor, reply: Message,
-                       event: PageEvent) -> ProtocolGen:
-        for item in reply.payload.get("pages", []):
-            yield from self._install_page(
-                desc, int(item["page"]), item["data"],
-                item.get("version", 0), event,
-            )
-
-    def _grant_from_home(self, desc: RegionDescriptor, page_addr: int,
-                         msg_type: MessageType, payload: Dict[str, Any],
-                         event: PageEvent) -> ProtocolGen:
-        reply = yield from self._home_request(desc, msg_type, payload)
-        yield from self._install_page(
-            desc, page_addr, reply.payload["data"],
-            reply.payload.get("version", 0), event)
-
-    def _fetch_replica(self, desc: RegionDescriptor, page_addr: int,
-                       principal: str = "_khazana") -> ProtocolGen:
-        yield from self._grant_from_home(
-            desc, page_addr, MessageType.PAGE_FETCH,
-            {"rid": desc.rid, "page": page_addr, "register": True,
-             "principal": principal},
-            PageEvent.READ_FILL,
-        )
-
-    def _ensure_local_copy(self, desc: RegionDescriptor, page_addr: int) -> ProtocolGen:
-        if not self.host.storage.contains(page_addr):
-            if self.host.node_id == desc.primary_home:
-                data = yield from self.host.local_page_bytes(desc, page_addr)
-                if data is None:
-                    raise KhazanaError(f"home lost page {page_addr:#x}")
-                return data
-            yield from self._fetch_replica(desc, page_addr)
-        data = yield from self.host.local_page_bytes(desc, page_addr)
-        return data
-
-    def _acquire_token(self, desc: RegionDescriptor, page_addr: int,
-                       principal: str = "_khazana") -> ProtocolGen:
-        me = self.host.node_id
-        if me == desc.primary_home:
+            if not home:
+                return False
             yield self.engine.ledger.acquire(page_addr)
             data = yield from self.host.local_page_bytes(desc, page_addr)
             if data is None:
                 self.engine.ledger.abort(page_addr)
                 raise KhazanaError(f"home lost page {page_addr:#x}")
-            self.engine.ledger.grant(page_addr, me)
+            self.engine.ledger.grant(page_addr, self.host.node_id)
             self.pages.fire(page_addr, PageEvent.WRITE_GRANT)
+            return True
+        # WRITE_SHARED: no token; remember a twin for diffing.
+        if not (home or self.host.storage.contains(page_addr)):
+            return False
+        yield from self._twin(desc, page_addr, ctx)
+        return True
+
+    def acquire_remote(self, desc: RegionDescriptor, pages: List[int],
+                       mode: LockMode, ctx: LockContext) -> ProtocolGen:
+        """One request to the home: WRITE takes every page's token
+        (the home grants all or none, so a denial leaves nothing to
+        roll back remotely); READ and WRITE_SHARED fetch replicas."""
+        if mode is LockMode.WRITE:
+            reply = yield from self._home_request(
+                desc, MessageType.LOCK_REQUEST,
+                {"rid": desc.rid, "pages": list(pages),
+                 "mode": LockMode.WRITE.value, "principal": ctx.principal},
+            )
+            yield from self._install_items(desc, reply,
+                                           PageEvent.WRITE_GRANT)
             return
-        yield from self._grant_from_home(
-            desc, page_addr, MessageType.LOCK_REQUEST,
-            {"rid": desc.rid, "page": page_addr,
-             "mode": LockMode.WRITE.value, "principal": principal},
-            PageEvent.WRITE_GRANT,
+        reply = yield from self._home_request(
+            desc, MessageType.PAGE_FETCH,
+            {"rid": desc.rid, "pages": list(pages), "register": True,
+             "principal": ctx.principal},
         )
+        yield from self._install_items(desc, reply, PageEvent.READ_FILL)
+        if mode is LockMode.WRITE_SHARED:
+            for page_addr in pages:
+                yield from self._twin(desc, page_addr, ctx)
+
+    def _twin(self, desc: RegionDescriptor, page_addr: int,
+              ctx: LockContext) -> ProtocolGen:
+        data = yield from self.host.local_page_bytes(desc, page_addr)
+        if data is None:
+            raise KhazanaError(
+                f"page {page_addr:#x} vanished during write-shared acquire"
+            )
+        self._twins.remember(ctx.ctx_id, page_addr, data)
+
+    def _install_items(self, desc: RegionDescriptor, reply: Message,
+                       event: PageEvent) -> ProtocolGen:
+        """Store home-served pages locally and record their versions,
+        then surface the reply's first per-page error."""
+        for item in reply.payload["pages"]:
+            page_addr = int(item["page"])
+            yield from self.host.store_local_page(desc, page_addr,
+                                                  item["data"], dirty=False)
+            self._versions[page_addr] = item.get("version", 0)
+            self.pages.fire(page_addr, event)
+            entry = self.host.page_directory.ensure(page_addr, desc.rid,
+                                                    homed=False)
+            entry.allocated = True
+        self.engine.raise_batch_errors(reply)
 
     def _home_request(self, desc: RegionDescriptor, msg_type: MessageType,
                       payload: Dict[str, Any]) -> ProtocolGen:
@@ -165,96 +160,10 @@ class ReleaseManager(ConsistencyManager):
             fail="no home node of region {rid:#x} answered: {error}",
         ))
 
-    def release(self, desc: RegionDescriptor, page_addr: int,
-                ctx: LockContext) -> ProtocolGen:
-        update = self._release_update(desc, page_addr, ctx)
-        if update is None:
-            return
-        if self.host.node_id == desc.primary_home:
-            yield from self._apply_pushed(desc, page_addr, update,
-                                          self.host.node_id)
-            return
-        payload: Dict[str, Any] = {"rid": desc.rid, **update}
-        if ctx.mode is LockMode.WRITE_SHARED:
-            yield from self._push_home(desc, page_addr, payload)
-            return
-        try:
-            yield from self._push_home(desc, page_addr, payload)
-            self.host.storage.mark_clean(page_addr)
-        except LockDenied:
-            # Token release must not be lost; retry in the background
-            # (3.5: release-type errors never surface to clients).
-            self.host.retry_queue.enqueue(
-                lambda: self._push_home(desc, page_addr, payload),
-                label=f"release-token:{page_addr:#x}",
-            )
-
-    def _push_home(self, desc: RegionDescriptor, page_addr: int,
-                   payload: Dict[str, Any]) -> ProtocolGen:
-        yield from self._home_request(desc, MessageType.UPDATE_PUSH, payload)
-
-    def _retry_push(self, desc: RegionDescriptor,
-                    payload: Dict[str, Any]) -> ProtocolGen:
-        yield from self._push_home(desc, payload["page"], payload)
-
-    # ------------------------------------------------------------------
-    # Batched multi-page path
-    # ------------------------------------------------------------------
-
-    def acquire_many(self, desc: RegionDescriptor, pages: List[int],
-                     mode: LockMode, ctx: LockContext,
-                     note_acquired: Any) -> ProtocolGen:
-        if not self.engine.batch.use_batch(desc, pages):
-            # Home-local or trivial ranges gain nothing from batching.
-            yield from super().acquire_many(desc, pages, mode, ctx,
-                                            note_acquired)
-            return
-        yield from self.engine.batch.wait_conflicts(pages, mode)
-        if mode is LockMode.WRITE:
-            # The home grants all tokens or none (it NAKs the whole
-            # batch), so a denial leaves nothing to roll back remotely.
-            reply = yield from self._home_request(
-                desc, MessageType.TOKEN_ACQUIRE_BATCH,
-                {"rid": desc.rid, "pages": list(pages),
-                 "mode": LockMode.WRITE.value, "principal": ctx.principal},
-            )
-            yield from self._install_items(desc, reply,
-                                           PageEvent.WRITE_GRANT)
-        else:
-            missing = [p for p in pages
-                       if not self.host.storage.contains(p)]
-            if missing:
-                yield from self._fetch_replica_batch(desc, missing,
-                                                     ctx.principal)
-            if mode is LockMode.WRITE_SHARED:   # twin every page
-                for page_addr in pages:
-                    data = yield from self.host.local_page_bytes(
-                        desc, page_addr
-                    )
-                    if data is None:
-                        raise KhazanaError(
-                            f"page {page_addr:#x} vanished during "
-                            f"write-shared acquire"
-                        )
-                    self._twins.remember(ctx.ctx_id, page_addr, data)
-        for page_addr in pages:
-            note_acquired(page_addr)
-
-    def _fetch_replica_batch(self, desc: RegionDescriptor, pages: List[int],
-                             principal: str = "_khazana") -> ProtocolGen:
-        reply = yield from self._home_request(
-            desc, MessageType.PAGE_FETCH_BATCH,
-            {"rid": desc.rid, "pages": list(pages), "register": True,
-             "principal": principal},
-        )
-        yield from self._install_items(desc, reply, PageEvent.READ_FILL)
-        self.engine.raise_batch_errors(reply)
-
     def release_many(self, desc: RegionDescriptor, pages: List[int],
                      ctx: LockContext) -> ProtocolGen:
-        if not self.engine.batch.use_batch(desc, pages):
-            yield from super().release_many(desc, pages, ctx)
-            return
+        """Push dirty data and token releases to the primary home in
+        one request; the home applies its own pages in place."""
         updates = []
         for page_addr in pages:
             update = self._release_update(desc, page_addr, ctx)
@@ -262,27 +171,35 @@ class ReleaseManager(ConsistencyManager):
                 updates.append(update)
         if not updates:
             return
-        try:
-            yield from self._home_request(
-                desc, MessageType.UPDATE_PUSH_BATCH,
-                {"rid": desc.rid, "updates": updates},
-            )
-        except KhazanaError:
-            # Home unreachable (all _home_request failures surface as
-            # KhazanaError): token releases and dirty data must not
-            # be lost — fall back to one background retry per page.
-            logger.warning(
-                "batched release to home of region %#x failed; retrying "
-                "%d page(s) individually in the background",
-                desc.rid, len(updates), exc_info=True,
-            )
-            self.engine.batch.retry_per_page(
-                desc, updates, self._retry_push, "release-token"
+        me = self.host.node_id
+        if me != desc.primary_home:
+            yield from self.engine.batch.push_updates(
+                desc, updates, self._push_home, "release-token"
             )
             return
-        for update in updates:
-            if "data" in update or "diff" in update:
-                self.host.storage.mark_clean(update["page"])
+        settled = yield from self.engine.pipeline(
+            [self._apply_pushed(desc, update, me) for update in updates],
+            op="release-pipeline",
+        )
+        for update, (ok, _error) in zip(updates, settled):
+            if not ok:
+                # A token release must not be lost (3.5).
+                logger.warning(
+                    "node %d: home-local release of page %#x failed; "
+                    "retrying in the background", me, update["page"],
+                )
+                self.host.retry_queue.enqueue(
+                    lambda update=update: self._apply_pushed(desc, update,
+                                                             me),
+                    label=f"release-token:{update['page']:#x}",
+                )
+
+    def _push_home(self, desc: RegionDescriptor,
+                   updates: List[Dict[str, Any]]) -> ProtocolGen:
+        yield from self._home_request(
+            desc, MessageType.UPDATE_PUSH,
+            {"rid": desc.rid, "updates": updates},
+        )
 
     def _release_update(self, desc: RegionDescriptor, page_addr: int,
                         ctx: LockContext) -> Optional[Dict[str, Any]]:
@@ -304,66 +221,35 @@ class ReleaseManager(ConsistencyManager):
     # Home side
     # ------------------------------------------------------------------
 
-    def _primary_only(self, desc: RegionDescriptor, msg: Message,
-                      detail: str = "not primary home") -> bool:
-        if self.host.node_id == desc.primary_home:
-            return True
-        self.engine.nak(msg, "not_responsible", detail)
-        return False
+    def _version_of(self, page_addr: int) -> Dict[str, Any]:
+        return {"version": self._versions.get(page_addr, 0)}
 
     def handle_lock_request(self, desc: RegionDescriptor, msg: Message) -> None:
         if not self._primary_only(desc, msg):
             return
         if not self.check_remote_access(desc, msg, LockMode.WRITE):
             return
-        self.engine.serve_token_grants(
-            desc, msg, [msg.payload["page"]],
-            lambda p, d: {"data": d, "version": self._versions.get(p, 0)},
-            lambda granted: self.engine.reply(msg, MessageType.LOCK_REPLY,
-                                              granted[0]),
-            "grant",
-        )
-
-    def handle_lock_request_batch(self, desc: RegionDescriptor,
-                                  msg: Message) -> None:
-        if not self._primary_only(desc, msg):
-            return
-        if not self.check_remote_access(desc, msg, LockMode.WRITE):
-            return
-        # Ascending order everywhere → concurrent batches cannot
+        # Ascending order everywhere → concurrent grants cannot
         # deadlock on each other's tokens.
-        pages = sorted(int(p) for p in msg.payload.get("pages", []))
-        self.engine.serve_token_grants(
-            desc, msg, pages,
-            lambda p, d: {"page": p, "data": d,
-                          "version": self._versions.get(p, 0)},
-            lambda granted: self.engine.reply(
-                msg, MessageType.TOKEN_GRANT_BATCH, {"pages": granted}
-            ),
-            "grant-batch",
-        )
+        pages = sorted(int(p) for p in msg.payload["pages"])
+        self.engine.serve_token_grants(desc, msg, pages, self._version_of,
+                                       "grant")
 
     def handle_page_fetch(self, desc: RegionDescriptor, msg: Message) -> None:
         if not self.check_remote_access(desc, msg, LockMode.READ):
             return
-        self.engine.batch.serve_fetch(
-            desc, msg,
-            lambda p, d: {"data": d, "version": self._versions.get(p, 0)},
-        )
+        self.engine.batch.serve_fetch(desc, msg, self._version_of)
 
-    def handle_page_fetch_batch(self, desc: RegionDescriptor,
-                                msg: Message) -> None:
-        if not self.check_remote_access(desc, msg, LockMode.READ):
-            return
-        self.engine.batch.serve_fetch_batch(
-            desc, msg,
-            lambda p, d: {"page": p, "data": d,
-                          "version": self._versions.get(p, 0)},
-        )
+    def _primary_only(self, desc: RegionDescriptor, msg: Message) -> bool:
+        if self.host.node_id == desc.primary_home:
+            return True
+        self.engine.nak(msg, "not_responsible", "not primary home")
+        return False
 
-    def _apply_pushed(self, desc: RegionDescriptor, page_addr: int,
-                      update: Dict[str, Any], writer: int) -> ProtocolGen:
+    def _apply_pushed(self, desc: RegionDescriptor, update: Dict[str, Any],
+                      writer: int) -> ProtocolGen:
         """One pushed update at the home, plus its token release."""
+        page_addr = int(update["page"])
         yield from self._apply_update_at_home(
             desc, page_addr, diff=update.get("diff"),
             data=update.get("data"), writer=writer,
@@ -372,11 +258,11 @@ class ReleaseManager(ConsistencyManager):
             self.engine.ledger.release(page_addr, writer)
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        page_addr = msg.payload["page"]
+        updates = msg.payload["updates"]
         if self.host.node_id == desc.primary_home:
             def apply() -> ProtocolGen:
-                yield from self._apply_pushed(desc, page_addr, msg.payload,
-                                              msg.src)
+                for update in updates:
+                    yield from self._apply_pushed(desc, update, msg.src)
                 self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
             self.engine.spawn_handler(msg, apply(), "apply")
@@ -391,25 +277,8 @@ class ReleaseManager(ConsistencyManager):
                             "update push needs the primary home")
             return
         # Replica side: a propagated (one-way) update from the home.
-        self._apply_replica_update(desc, msg)
-
-    def handle_update_batch(self, desc: RegionDescriptor,
-                            msg: Message) -> None:
-        if not self._primary_only(desc, msg,
-                                  "batched updates go to the primary home"):
-            return
-        updates = msg.payload.get("updates", [])
-
-        def apply() -> ProtocolGen:
-            for update in updates:
-                yield from self._apply_pushed(desc, int(update["page"]),
-                                              update, msg.src)
-            self.engine.reply(
-                msg, MessageType.UPDATE_ACK_BATCH,
-                {"applied": len(updates)},
-            )
-
-        self.engine.spawn_handler(msg, apply(), "apply-batch")
+        for update in updates:
+            self._apply_replica_update(desc, update)
 
     def _apply_update_at_home(
         self, desc: RegionDescriptor, page_addr: int,
@@ -433,15 +302,16 @@ class ReleaseManager(ConsistencyManager):
         # replicas that miss an update catch up at their next fetch).
         self.engine.fanout_update(
             entry,
-            {"rid": desc.rid, "page": page_addr,
-             "data": data, "version": version, "fanout": True},
+            {"rid": desc.rid, "updates": [
+                {"page": page_addr, "data": data, "version": version}]},
             exclude=(writer,),
         )
 
-    def _apply_replica_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        page_addr = msg.payload["page"]
-        data = msg.payload.get("data")
-        version = msg.payload.get("version", 0)
+    def _apply_replica_update(self, desc: RegionDescriptor,
+                              update: Dict[str, Any]) -> None:
+        page_addr = int(update["page"])
+        data = update.get("data")
+        version = update.get("version", 0)
         if data is None:
             return
 

@@ -10,9 +10,9 @@ that cooperate to provide the illusion of a unified resource."
 :class:`KhazanaDaemon` is the client-facing facade over the layered
 node built by :class:`~repro.core.kernel.NodeKernel`:
 
-- :class:`~repro.core.location.LocationService` — the region-location
-  chain of Section 3.2 (directory → cluster manager → address-map
-  walk → cluster walk),
+- :class:`~repro.core.placement.PlacementStrategy` — region location
+  (Section 3.2's chain: directory → cluster manager → address-map
+  walk → cluster walk, or a rendezvous-hashed ring),
 - :class:`~repro.core.space.SpaceService` — region lifecycle and
   address-space management (Section 3.1),
 - :class:`~repro.core.dataplane.DataPlane` — lock/read/write and
@@ -43,8 +43,8 @@ from repro.core.kernel import (
     OpLatency,
     ProtocolGen,
 )
-from repro.core.location import LOOKUP_POLICY
 from repro.core.locks import LockContext, LockMode
+from repro.core.placement.base import LOOKUP_POLICY
 from repro.core.region import RegionDescriptor
 from repro.core.security import SYSTEM_PRINCIPAL
 

@@ -5,8 +5,8 @@ cooperating daemon processes ... all Khazana nodes are peers"
 (paper Section 2).  Each peer is built from four cohesive services
 composed by this kernel:
 
-- :class:`~repro.core.location.LocationService` — the region-location
-  chain of Section 3.2,
+- :class:`~repro.core.placement.PlacementStrategy` — region location
+  (Section 3.2's chain, or a hash ring),
 - :class:`~repro.core.space.SpaceService` — address-space and region
   lifecycle (reserve/allocate/resize/migrate, pool refill, Section 3.1),
 - :class:`~repro.core.dataplane.DataPlane` — lock/read/write, lock
@@ -90,17 +90,6 @@ class DaemonConfig:
     housekeeping_period: float = 1.0
     #: Run the failure detector / replica maintainer.
     enable_failure_handling: bool = True
-    #: Coalesce multi-page lock/unlock traffic into one RPC per home
-    #: node (PAGE_FETCH_BATCH / TOKEN_ACQUIRE_BATCH / UPDATE_PUSH_BATCH).
-    #: Off forces the per-page protocol path everywhere.
-    enable_batching: bool = True
-    #: Max independent per-page requests a daemon keeps in flight when
-    #: a multi-page operation cannot batch (READ acquires, releases).
-    #: 1 restores the fully serial request-reply-request pattern.
-    #: Order-dependent traffic (WRITE-token acquisition, which takes
-    #: tokens in ascending page order to stay deadlock-free) is never
-    #: pipelined regardless of this setting.
-    pipeline_window: int = 8
     #: Region-directory capacity (ablation A1 shrinks this to 1).
     region_directory_capacity: int = 1024
     #: Disable the cluster-manager hint tier (ablation A1).

@@ -10,7 +10,7 @@ message runs through a small middleware stack before its handler:
    latency timer that :meth:`MessageRouter.reply_request` /
    :meth:`MessageRouter.reply_error` stop,
 3. :class:`TraceInterceptor` — debug-logs the dispatch with the same
-   batch-aware label the message trace tool renders,
+   page-counting label the message trace tool renders,
 4. :class:`ProbeInterceptor` — tells the race-detector probe a
    message is about to be handled (before any handler side-effect),
 5. :class:`AccessNoteInterceptor` — feeds consistency traffic on
@@ -126,7 +126,7 @@ class LatencyInterceptor(Interceptor):
 
 
 class TraceInterceptor(Interceptor):
-    """Debug-log each dispatch with the batch-aware wire label."""
+    """Debug-log each dispatch with the page-counting wire label."""
 
     def handle(self, msg: Message, route: Route,
                proceed: Callable[[], None]) -> None:
@@ -300,13 +300,6 @@ class MessageRouter:
             self.cm_dispatch("handle_invalidate"), dedup=True, cm=True)
         reg(MessageType.UPDATE_PUSH,
             self.cm_dispatch("handle_update"), dedup=True, cm=True)
-        reg(MessageType.PAGE_FETCH_BATCH,
-            self.cm_dispatch("handle_page_fetch_batch"), dedup=True, cm=True)
-        reg(MessageType.TOKEN_ACQUIRE_BATCH,
-            self.cm_dispatch("handle_lock_request_batch"), dedup=True,
-            cm=True)
-        reg(MessageType.UPDATE_PUSH_BATCH,
-            self.cm_dispatch("handle_update_batch"), dedup=True, cm=True)
         reg(MessageType.SHARER_REGISTER,
             self.cm_dispatch("handle_sharer_register"), cm=True)
         reg(MessageType.SHARER_UNREGISTER,

@@ -24,7 +24,7 @@ Wire layout (documented for docs/performance.md):
     ``5`` bytes (varint length + raw; ``bytearray``/``memoryview``
     payloads encode identically and decode as ``bytes``), ``6`` str
     (varint length + UTF-8), ``7`` list and ``8`` tuple (varint count
-    + items — the distinction matters: diff runs are tuples, batch
+    + items — the distinction matters: diff runs are tuples, page
     items are lists), ``9`` dict (the payload layout again: varint
     count + key/value pairs, string keys only).
 """
@@ -49,9 +49,12 @@ _DOUBLE = struct.Struct("<d")
 MAX_VARINT_BYTES = -(-(ADDRESS_BITS + 1) // 7)
 _MAX_VARINT_BITS = 7 * MAX_VARINT_BYTES
 
-#: Stable wire id of every message type.  Ids are forever: 1-17 (the
-#: data path) are pinned by golden frames in tests/test_net_codec.py,
-#: and a new type takes the next free number.
+#: Stable wire id of every message type.  Ids are forever: 1-10 and 17
+#: (the data path) are pinned by golden frames in tests/test_net_codec.py,
+#: a new type takes the next free number, and a deleted type's id is
+#: retired, never reused — 11-16 (the multi-page twins of 1-6, folded
+#: into them when every page request became a list) and 34 (a reserved
+#: owner-transfer type nothing ever sent) decode as unknown.
 WIRE_IDS: Dict[MessageType, int] = {
     MessageType.PAGE_FETCH: 1,
     MessageType.PAGE_DATA: 2,
@@ -63,12 +66,6 @@ WIRE_IDS: Dict[MessageType, int] = {
     MessageType.INVALIDATE_ACK: 8,
     MessageType.SHARER_REGISTER: 9,
     MessageType.SHARER_UNREGISTER: 10,
-    MessageType.PAGE_FETCH_BATCH: 11,
-    MessageType.PAGE_DATA_BATCH: 12,
-    MessageType.TOKEN_ACQUIRE_BATCH: 13,
-    MessageType.TOKEN_GRANT_BATCH: 14,
-    MessageType.UPDATE_PUSH_BATCH: 15,
-    MessageType.UPDATE_ACK_BATCH: 16,
     MessageType.ERROR: 17,
     MessageType.REGION_LOOKUP: 18,
     MessageType.REGION_LOOKUP_REPLY: 19,
@@ -86,7 +83,6 @@ WIRE_IDS: Dict[MessageType, int] = {
     MessageType.ALLOC_REPLY: 31,
     MessageType.FREE_REQUEST: 32,
     MessageType.FREE_REPLY: 33,
-    MessageType.OWNER_TRANSFER: 34,
     MessageType.REPLICA_CREATE: 35,
     MessageType.REPLICA_ACK: 36,
     MessageType.REGION_MIGRATE: 37,

@@ -46,29 +46,21 @@ class MessageType(str, enum.Enum):
     FREE_REQUEST = "free_request"            # release backing store
     FREE_REPLY = "free_reply"
 
-    # --- Consistency protocols (paper Section 3.3, Figure 2) ---
+    # --- Consistency protocols (paper Section 3.3, Figure 2).  Every
+    # page request carries a list — ``pages`` (lock/fetch) or
+    # ``updates`` (push) — bound for one peer: one page is a list of
+    # one, a multi-page lock range costs one request per home.
+    # Replies carry the served ``pages`` plus per-page ``errors``.
     LOCK_REQUEST = "lock_request"            # CM -> peer CM: credentials to grant
     LOCK_REPLY = "lock_reply"
-    PAGE_FETCH = "page_fetch"                # fetch a copy of a page
+    PAGE_FETCH = "page_fetch"                # fetch copies of pages
     PAGE_DATA = "page_data"
     INVALIDATE = "invalidate"                # CREW: revoke cached copies
     INVALIDATE_ACK = "invalidate_ack"
-    OWNER_TRANSFER = "owner_transfer"        # khz: allow-unhandled-message(reserved for explicit owner handoff; CREW currently transfers ownership inside LOCK_REPLY)
-    UPDATE_PUSH = "update_push"              # release/eventual: propagate writes
+    UPDATE_PUSH = "update_push"              # write-back, fan-out, gossip
     UPDATE_ACK = "update_ack"
     SHARER_REGISTER = "sharer_register"      # tell home node we cache a page
     SHARER_UNREGISTER = "sharer_unregister"  # eviction notice (may retry in bg)
-
-    # --- Batched multi-page protocol operations.  One envelope carries
-    # a list of pages bound for the same home node, collapsing the
-    # per-page round-trips of a multi-page lock/unlock cycle into one
-    # RPC per (home node, message kind).
-    PAGE_FETCH_BATCH = "page_fetch_batch"    # fetch many read copies at once
-    PAGE_DATA_BATCH = "page_data_batch"
-    TOKEN_ACQUIRE_BATCH = "token_acquire_batch"  # many write grants at once
-    TOKEN_GRANT_BATCH = "token_grant_batch"
-    UPDATE_PUSH_BATCH = "update_push_batch"  # coalesced write-back at unlock
-    UPDATE_ACK_BATCH = "update_ack_batch"
 
     # --- Replication & failure handling (paper Section 3.5) ---
     REPLICA_CREATE = "replica_create"        # push a replica for min-copies
@@ -108,9 +100,6 @@ REPLY_TYPES = frozenset(
         MessageType.PAGE_DATA,
         MessageType.INVALIDATE_ACK,
         MessageType.UPDATE_ACK,
-        MessageType.PAGE_DATA_BATCH,
-        MessageType.TOKEN_GRANT_BATCH,
-        MessageType.UPDATE_ACK_BATCH,
         MessageType.REPLICA_ACK,
         MessageType.PONG,
         MessageType.RING_REPLY,
@@ -169,8 +158,8 @@ class Message:
 
 def wire_label(message: "Message") -> str:
     """Human-readable label for a message: the type, annotated with a
-    page count for batch envelopes so a trace (or a dispatch log line)
-    shows how much work one RPC carries."""
+    page count for page-list envelopes so a trace (or a dispatch log
+    line) shows how much work one RPC carries."""
     base = message.msg_type.value
     payload = message.payload
     if not isinstance(payload, dict):
@@ -179,7 +168,4 @@ def wire_label(message: "Message") -> str:
         batch = payload.get(key)
         if isinstance(batch, list):
             return f"{base}[{len(batch)} page(s)]"
-    applied = payload.get("applied")
-    if isinstance(applied, int):
-        return f"{base}[{applied} page(s)]"
     return base

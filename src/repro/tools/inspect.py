@@ -173,9 +173,10 @@ def engine_report(cluster) -> List[Dict[str, Any]]:
     """Per-node, per-protocol counters from the consistency engines.
 
     Shows how each protocol used the shared engine: home transactions
-    served, batch fan-outs sent, per-page fallbacks after a failed
-    batch, and acquire rollbacks.  Nodes that never instantiated a CM
-    for a protocol simply have no row for it.
+    served, requests sent carrying more than one page, per-page
+    retries after a failed unlock push, and acquire rollbacks.  Nodes
+    that never instantiated a CM for a protocol simply have no row for
+    it.
     """
     rows = []
     for node in cluster.node_ids():

@@ -23,7 +23,7 @@ class TracedMessage:
 
     @property
     def label(self) -> str:
-        """Message type, annotated with a page count for batch
+        """Message type, annotated with a page count for page-list
         envelopes so a trace shows how much work one RPC carries.
         Shared with the MessageRouter's dispatch logging."""
         return wire_label(self.message)

@@ -108,18 +108,14 @@ class TestMessageCompleteness:
             _fixture("handlers.py.txt", "src/repro/consistency/handlers.py"),
         ]
 
-    def test_flags_orphan_member_reply_class_and_missing_fallback(self):
+    def test_flags_orphan_member_and_reply_class(self):
         findings = lint_files(self._files())
-        rules = sorted(f.message.split()[0] for f in findings)
-        assert len(findings) == 3
+        assert len(findings) == 2
         assert {f.rule for f in findings} == {"KHZ002"}
         messages = " ".join(f.message for f in findings)
         assert "MessageType.ORPHAN" in messages          # unhandled
         assert "ORPHAN_ALLOWED" not in messages          # suppressed
         assert "REPLY_TYPES" in messages                 # reply-class
-        assert "BatchOnlyManager" in messages            # missing-fallback
-        assert "CompleteManager" not in messages
-        assert rules  # keep flake-style vars used
 
 
 class TestPrivateDaemonAccess:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.analysis import structure
 from repro.analysis.structure import (
     CONSISTENCY_MODULE_LINES,
     MAX_MODULE_LINES,
     build_import_graph,
+    check_line_budget,
     check_module_sizes,
     check_tree,
     find_cycle,
@@ -50,6 +52,21 @@ class TestModuleSizes:
         assert line_ceiling(Path("src/repro/core/kernel.py")) == (
             MAX_MODULE_LINES
         )
+
+
+class TestLineBudget:
+    def test_flags_a_package_over_the_committed_budget(self, tmp_path,
+                                                       monkeypatch):
+        pkg = tmp_path / "repro"
+        pkg.mkdir()
+        (pkg / "a.py").write_text("x = 1\ny = 2\n")
+        (pkg / "b.py").write_text("z = 3\n")
+        monkeypatch.setattr(structure, "SRC_LINE_BUDGET", 3)
+        assert check_line_budget(pkg) == []
+        monkeypatch.setattr(structure, "SRC_LINE_BUDGET", 2)
+        problems = check_line_budget(pkg)
+        assert len(problems) == 1
+        assert "3 lines exceed the committed 2-line budget" in problems[0]
 
 
 class TestImportCycles:

@@ -1,10 +1,11 @@
-"""Tests for batched multi-page protocol operations.
+"""Tests for multi-page protocol operations.
 
-A multi-page lock/unlock cycle coalesces its traffic into one RPC per
-(home node, message kind) — PAGE_FETCH_BATCH / TOKEN_ACQUIRE_BATCH /
-UPDATE_PUSH_BATCH — while preserving the per-page semantics: partial
-failures roll back cleanly and unreachable homes fall back to per-page
-background retries.
+Every page request is a list, so a multi-page lock/unlock cycle costs
+one RPC per (home node, message kind) — PAGE_FETCH / LOCK_REQUEST /
+UPDATE_PUSH each carrying every page bound for that home — while
+keeping the per-page semantics: partial failures roll back cleanly and
+unreachable homes fall back to per-page background retries.  Locking
+one page at a time costs one request per page through the same path.
 """
 
 import pytest
@@ -102,9 +103,9 @@ class TestCrashedHomeFallback:
 
 class TestOneRequestPerHome:
     def test_crew_write_cycle_batches_per_home(self, quiet_cluster):
-        """A multi-page CREW write cycle issues one TOKEN_ACQUIRE_BATCH
-        to the primary home and one UPDATE_PUSH_BATCH per home — no
-        per-page LOCK_REQUEST/UPDATE_PUSH traffic at all."""
+        """A multi-page CREW write cycle sends one LOCK_REQUEST to the
+        primary home and one UPDATE_PUSH per home, each carrying all
+        eight pages — no per-page traffic at all."""
         cluster = quiet_cluster
         owner, desc = make_region(
             cluster, 1, 8, ConsistencyLevel.STRICT, min_replicas=2
@@ -123,10 +124,8 @@ class TestOneRequestPerHome:
         locker.unlock(ctx)
         delta = cluster.stats.delta_since(before)
 
-        assert delta.count(MessageType.TOKEN_ACQUIRE_BATCH) == 1
-        assert delta.count(MessageType.UPDATE_PUSH_BATCH) == 2
-        assert delta.count(MessageType.LOCK_REQUEST) == 0
-        assert delta.count(MessageType.UPDATE_PUSH) == 0
+        assert delta.count(MessageType.LOCK_REQUEST) == 1
+        assert delta.count(MessageType.UPDATE_PUSH) == 2
         assert delta.count(MessageType.PAGE_FETCH) == 0
 
     def test_release_read_batches_fetches(self, quiet_cluster):
@@ -140,36 +139,34 @@ class TestOneRequestPerHome:
         # itself is a one-page release region served per-page) so the
         # delta below is the region's own traffic.
         reader.read_at(desc.rid + 7 * PAGE, 1)
-        before = cluster.stats.snapshot()
+        trace = []
+        cluster.network.tap(trace.append)
         assert reader.read_at(desc.rid, 8 * PAGE) == b"r" * (8 * PAGE)
-        delta = cluster.stats.delta_since(before)
 
-        # Pages 0..6 are missing locally -> one batch; page 7 is the
-        # cached warm-up copy.
-        assert delta.count(MessageType.PAGE_FETCH_BATCH) == 1
-        assert delta.count(MessageType.PAGE_FETCH) == 0
+        # Pages 0..6 are missing locally -> one fetch carrying all
+        # seven; page 7 is the cached warm-up copy.
+        fetches = [m for m in trace if m.msg_type is MessageType.PAGE_FETCH]
+        assert len(fetches) == 1
+        assert len(fetches[0].payload["pages"]) == 7
 
-    def test_disabling_batching_restores_per_page_path(self, ):
-        from repro.api import create_cluster
-        from repro.core.daemon import DaemonConfig
-
-        cluster = create_cluster(
-            num_nodes=4,
-            config=DaemonConfig(enable_failure_handling=False,
-                                enable_batching=False),
-        )
+    def test_one_page_at_a_time_costs_one_request_per_page(
+            self, quiet_cluster):
+        """The same eight pages locked, written and unlocked one page
+        at a time: one LOCK_REQUEST and one UPDATE_PUSH per page, each
+        a list of one, through the same path."""
+        cluster = quiet_cluster
         owner, desc = make_region(cluster, 1, 8, ConsistencyLevel.RELEASE)
         owner.allocate(desc.rid)
 
         writer = cluster.client(node=2)
         before = cluster.stats.snapshot()
-        ctx = writer.lock(desc.rid, 8 * PAGE, LockMode.WRITE)
-        writer.write(ctx, desc.rid, b"p" * (8 * PAGE))
-        writer.unlock(ctx)
+        for index in range(8):
+            page = desc.rid + index * PAGE
+            ctx = writer.lock(page, PAGE, LockMode.WRITE)
+            writer.write(ctx, page, b"p" * PAGE)
+            writer.unlock(ctx)
         delta = cluster.stats.delta_since(before)
 
-        assert delta.count(MessageType.TOKEN_ACQUIRE_BATCH) == 0
-        assert delta.count(MessageType.UPDATE_PUSH_BATCH) == 0
         assert delta.count(MessageType.LOCK_REQUEST) == 8
         assert delta.count(MessageType.UPDATE_PUSH) == 8
 
@@ -177,7 +174,7 @@ class TestOneRequestPerHome:
 class TestSizeBytesRecursion:
     def test_batch_payload_counts_embedded_page_data(self):
         msg = Message(
-            msg_type=MessageType.UPDATE_PUSH_BATCH, src=1, dst=0,
+            msg_type=MessageType.UPDATE_PUSH, src=1, dst=0,
             payload={"rid": 0, "updates": [
                 {"page": 0, "data": b"x" * PAGE, "release_token": True},
                 {"page": PAGE, "data": b"y" * PAGE, "release_token": True},

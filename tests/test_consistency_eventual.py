@@ -3,8 +3,10 @@ planned relaxed model for web caches and query engines)."""
 
 import pytest
 
+from repro.api import create_cluster
 from repro.consistency.eventual import DEFAULT_STALENESS_BOUND
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
+from repro.core.daemon import DaemonConfig
 from repro.net.message import Message, MessageType
 
 
@@ -130,11 +132,40 @@ class TestUpdatePushFailover:
         cluster.network.attach(2, replies.append)
         cluster.network.send(Message(
             MessageType.UPDATE_PUSH, src=2, dst=3, request_id=4242,
-            payload={"rid": desc.rid, "page": desc.rid,
-                     "data": b"Z" * 4096},
+            payload={"rid": desc.rid, "updates": [
+                {"page": desc.rid, "data": b"Z" * 4096}]},
         ))
         cluster.run(1.0)
         naks = [m for m in replies if m.reply_to == 4242]
         assert [m.msg_type for m in naks] == [MessageType.ERROR]
         assert naks[0].payload["code"] == "not_responsible"
         assert kz3.read_at(desc.rid, 2) == b"v1"
+
+
+class TestHomeInstallOrder:
+    def test_durable_home_keeps_the_newer_of_two_pushes(self, tmp_path):
+        """Two pushes of one page, the newer first, to a home whose
+        store costs time (a durable home writes through): the older
+        push must lose the last-writer-wins comparison even though it
+        arrives while the newer one is still being stored."""
+        cluster = create_cluster(
+            num_nodes=4,
+            config=DaemonConfig(spill_dir=str(tmp_path / "spill")),
+        )
+        _kz1, desc = make_region(cluster)
+        home = cluster.daemon(desc.primary_home)
+        replies = []
+        cluster.network.attach(2, replies.append)
+        for request_id, version, fill in ((7001, 2, b"N"), (7002, 1, b"O")):
+            cluster.network.send(Message(
+                MessageType.UPDATE_PUSH, src=2, dst=desc.primary_home,
+                request_id=request_id,
+                payload={"rid": desc.rid, "updates": [
+                    {"page": desc.rid, "data": fill * 4096,
+                     "version": version, "writer": 2}]},
+            ))
+        cluster.run(1.0)
+        acks = [m for m in replies if m.reply_to in (7001, 7002)]
+        assert [m.msg_type for m in acks] == [MessageType.UPDATE_ACK] * 2
+        assert home.storage.peek(desc.rid).data[:1] == b"N"
+        assert home.page_directory.get(desc.rid).version == 2

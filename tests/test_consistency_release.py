@@ -150,8 +150,9 @@ class TestReleaseProtocol:
         cluster.network.attach(2, replies.append)
         cluster.network.send(Message(
             MessageType.UPDATE_PUSH, src=2, dst=3, request_id=4242,
-            payload={"rid": desc.rid, "page": desc.rid,
-                     "data": b"Z" * 4096, "release_token": False},
+            payload={"rid": desc.rid, "updates": [
+                {"page": desc.rid, "data": b"Z" * 4096,
+                 "release_token": False}]},
         ))
         cluster.run(1.0)
         # The tap also sees unrelated heartbeat traffic to node 2;
@@ -161,3 +162,32 @@ class TestReleaseProtocol:
         assert naks[0].payload["code"] == "not_responsible"
         # The refused push never touched node 3's replica.
         assert kz3.read_at(desc.rid, 2) == b"v1"
+
+
+class TestBackgroundRetry:
+    def test_retried_unlock_push_leaves_the_page_clean(self, quiet_cluster):
+        """An unlock push that only lands from the retry queue must
+        mark the page clean like a first-try push does; a page left
+        dirty is written back again at eviction — an extra push, a
+        version bump and a fan-out of possibly stale bytes."""
+        cluster = quiet_cluster
+        _kz1, desc = make_region(cluster)
+        writer = cluster.client(node=2)
+        ctx = writer.lock(desc.rid, 4096, LockMode.WRITE)
+        writer.write(ctx, desc.rid, b"w" * 4096)
+        cluster.crash(desc.primary_home)
+        writer.unlock(ctx)   # the push fails; never raises
+
+        daemon = cluster.daemon(2)
+        assert daemon.retry_queue.pending >= 1
+        cluster.recover(desc.primary_home)
+        cluster.run(120.0)   # the background retry lands
+        assert daemon.retry_queue.pending == 0
+        page = daemon.storage.peek(desc.rid)
+        assert page is not None and not page.dirty
+
+        before = cluster.stats.snapshot()
+        assert daemon.data.on_disk_evict(page)
+        cluster.run(5.0)
+        delta = cluster.stats.delta_since(before)
+        assert delta.count(MessageType.UPDATE_PUSH) == 0
