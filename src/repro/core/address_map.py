@@ -27,7 +27,7 @@ import abc
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.core.addressing import (
     DEFAULT_PAGE_SIZE,
@@ -353,86 +353,54 @@ class AddressMap:
                 f"{target.length}"
             )
         grown = AddressRange(target.start, new_length)
-        root_ctx = yield from self.io.lock_page(ROOT_PAGE, LockMode.WRITE)
-        try:
-            raw = yield from self.io.read_page(root_ctx, ROOT_PAGE)
-            root = MapNode.decode(raw)
-            yield from self._extend_in(ROOT_PAGE, root, target, grown,
-                                       requester)
-            yield from self.io.write_page(
-                root_ctx, ROOT_PAGE, root.encode(self.io.page_size)
-            )
-        finally:
-            yield from self.io.unlock_page(root_ctx)
 
-    def _extend_in(self, page_addr: int, node: MapNode,
-                   target: AddressRange, grown: AddressRange,
-                   requester: Optional[int]) -> ProtocolGen:
-        entry = node.entry_covering(target.start)
-        if entry is None:
-            raise NotReserved(f"range {target} not in the address map")
-        if entry.state is EntryState.SUBTREE:
-            child_addr = entry.child_page
-            child_ctx = yield from self.io.lock_page(
-                child_addr, LockMode.WRITE
-            )
-            try:
-                raw = yield from self.io.read_page(child_ctx, child_addr)
-                child_node = MapNode.decode(raw)
-                yield from self._extend_in(
-                    child_addr, child_node, target, grown, requester
+        def edit(node: MapNode, entry: MapEntry) -> None:
+            if entry.state is not EntryState.RESERVED or entry.range != target:
+                raise NotReserved(
+                    f"extend target {target} does not match map entry "
+                    f"{entry.range} ({entry.state.value})"
                 )
-                yield from self.io.write_page(
-                    child_ctx, child_addr,
-                    child_node.encode(self.io.page_size),
-                )
-            finally:
-                yield from self.io.unlock_page(child_ctx)
-            return
-        if entry.state is not EntryState.RESERVED or entry.range != target:
-            raise NotReserved(
-                f"extend target {target} does not match map entry "
-                f"{entry.range} ({entry.state.value})"
-            )
-        # Collect the run of FREE/DELEGATED entries after the region
-        # until the grown range is covered.
-        consumed: List[MapEntry] = []
-        position = target.end
-        while position < grown.end:
-            tail = node.entry_covering(position)
-            if tail is None or tail.state not in (
-                EntryState.FREE, EntryState.DELEGATED
-            ):
-                raise AddressSpaceExhausted(
-                    f"space after {target} is not free at {position:#x} "
-                    f"(found {tail.state.value if tail else 'a map-node boundary'})"
-                )
-            if (
-                tail.state is EntryState.DELEGATED
-                and requester is not None
-                and tail.manager_node != requester
-            ):
-                # Never steal space from another node's local pool —
-                # its daemon would later hand out the same addresses.
-                raise AddressSpaceExhausted(
-                    f"space after {target} is delegated to node "
-                    f"{tail.manager_node}, not the requester"
-                )
-            consumed.append(tail)
-            position = tail.range.end
+            # Collect the run of FREE/DELEGATED entries after the region
+            # until the grown range is covered.
+            consumed: List[MapEntry] = []
+            position = target.end
+            while position < grown.end:
+                tail = node.entry_covering(position)
+                if tail is None or tail.state not in (
+                    EntryState.FREE, EntryState.DELEGATED
+                ):
+                    raise AddressSpaceExhausted(
+                        f"space after {target} is not free at {position:#x} "
+                        f"(found {tail.state.value if tail else 'a map-node boundary'})"
+                    )
+                if (
+                    tail.state is EntryState.DELEGATED
+                    and requester is not None
+                    and tail.manager_node != requester
+                ):
+                    # Never steal space from another node's local pool —
+                    # its daemon would later hand out the same addresses.
+                    raise AddressSpaceExhausted(
+                        f"space after {target} is delegated to node "
+                        f"{tail.manager_node}, not the requester"
+                    )
+                consumed.append(tail)
+                position = tail.range.end
 
-        node.replace_entry(
-            entry, [MapEntry(grown, EntryState.RESERVED, entry.data)]
-        )
-        for tail in consumed:
-            remainder = tail.range.subtract(
-                AddressRange.from_bounds(target.end, grown.end)
-            )
             node.replace_entry(
-                tail,
-                [MapEntry(r, tail.state, tail.data) for r in remainder],
+                entry, [MapEntry(grown, EntryState.RESERVED, entry.data)]
             )
-        node.coalesce_free()
+            for tail in consumed:
+                remainder = tail.range.subtract(
+                    AddressRange.from_bounds(target.end, grown.end)
+                )
+                node.replace_entry(
+                    tail,
+                    [MapEntry(r, tail.state, tail.data) for r in remainder],
+                )
+            node.coalesce_free()
+
+        yield from self._mutate(target, edit)
 
     def update_homes(self, target: AddressRange,
                      home_nodes: Tuple[int, ...]) -> ProtocolGen:
@@ -461,132 +429,112 @@ class AddressMap:
         new_state: EntryState,
         new_data: Tuple[int, ...],
     ) -> ProtocolGen:
-        """Rewrite the entry containing ``target``, splitting as needed.
+        """Rewrite the entry containing ``target``, splitting as needed."""
 
-        Holds a write lock on the root page for the duration (the map
-        mutation mutex) plus a write lock on the leaf node touched.
+        def edit(node: MapNode, entry: MapEntry) -> None:
+            if not entry.range.contains_range(target):
+                raise InvalidRange(
+                    f"range {target} straddles address-map entries "
+                    f"(entry is {entry.range})"
+                )
+            if entry.state not in acceptable:
+                if new_state is EntryState.RESERVED:
+                    raise AlreadyReserved(
+                        f"range {target} is {entry.state.value}, not free"
+                    )
+                raise NotReserved(
+                    f"range {target} is {entry.state.value}; expected one of "
+                    f"{[s.value for s in acceptable]}"
+                )
+            pieces = [MapEntry(piece, entry.state, entry.data)
+                      for piece in entry.range.subtract(target)]
+            pieces.append(MapEntry(target, new_state, new_data))
+            node.replace_entry(entry, pieces)
+            node.coalesce_free()
+
+        yield from self._mutate(target, edit)
+
+    def _mutate(self, target: AddressRange,
+                edit: Callable[[MapNode, MapEntry], None]) -> ProtocolGen:
+        """Apply ``edit(leaf, entry)`` to the leaf entry covering
+        ``target.start`` and write back every page whose bytes changed.
+
+        The root page's write lock is held throughout (the map
+        mutation mutex), plus a write lock on each node on the way
+        down: one page per level.  An overflowing node splits into its
+        parent (:meth:`_copy_split`); only an overflowing root pushes
+        its entries down a level, so every leaf sits at one depth.
         """
         root_ctx = yield from self.io.lock_page(ROOT_PAGE, LockMode.WRITE)
         try:
             raw = yield from self.io.read_page(root_ctx, ROOT_PAGE)
             root = MapNode.decode(raw)
-            yield from self._carve_in(
-                ROOT_PAGE, root, root, target,
-                acceptable, new_state, new_data,
-            )
-            # Persist the root: its entries may have changed, and tree
-            # splits anywhere below bump its next_free_page counter.
-            yield from self.io.write_page(
-                root_ctx, ROOT_PAGE, root.encode(self.io.page_size)
-            )
+            yield from self._walk(root, root, target, edit)
+            if len(root.entries) > MAX_ENTRIES:
+                root.entries = yield from self._copy_split(root, root.entries)
+            yield from self._write_back(root_ctx, ROOT_PAGE, root, raw)
         finally:
             yield from self.io.unlock_page(root_ctx)
 
-    def _carve_in(
-        self,
-        page_addr: int,
-        node: MapNode,
-        root: MapNode,
-        target: AddressRange,
-        acceptable: Tuple[EntryState, ...],
-        new_state: EntryState,
-        new_data: Tuple[int, ...],
-    ) -> ProtocolGen:
+    def _walk(self, node: MapNode, root: MapNode, target: AddressRange,
+              edit: Callable[[MapNode, MapEntry], None]) -> ProtocolGen:
         entry = node.entry_covering(target.start)
         if entry is None:
             raise NotReserved(
                 f"range {target} not described by the address map"
             )
-        if entry.state is EntryState.SUBTREE:
-            child_addr = entry.child_page
-            child_ctx = yield from self.io.lock_page(
-                child_addr, LockMode.WRITE
-            )
-            try:
-                raw = yield from self.io.read_page(child_ctx, child_addr)
-                child_node = MapNode.decode(raw)
-                yield from self._carve_in(
-                    child_addr, child_node, root, target,
-                    acceptable, new_state, new_data,
-                )
-                yield from self.io.write_page(
-                    child_ctx, child_addr, child_node.encode(self.io.page_size)
-                )
-            finally:
-                yield from self.io.unlock_page(child_ctx)
+        if entry.state is not EntryState.SUBTREE:
+            edit(node, entry)
             return
+        child_addr = entry.child_page
+        ctx = yield from self.io.lock_page(child_addr, LockMode.WRITE)
+        try:
+            raw = yield from self.io.read_page(ctx, child_addr)
+            child = MapNode.decode(raw)
+            yield from self._walk(child, root, target, edit)
+            if len(child.entries) > MAX_ENTRIES:
+                halves = yield from self._copy_split(root, child.entries)
+                node.replace_entry(entry, halves)
+            else:
+                yield from self._write_back(ctx, child_addr, child, raw)
+        finally:
+            yield from self.io.unlock_page(ctx)
 
-        if not entry.range.contains_range(target):
-            raise InvalidRange(
-                f"range {target} straddles address-map entries "
-                f"(entry is {entry.range})"
-            )
-        if entry.state not in acceptable:
-            if new_state is EntryState.RESERVED:
-                raise AlreadyReserved(
-                    f"range {target} is {entry.state.value}, not free"
-                )
-            raise NotReserved(
-                f"range {target} is {entry.state.value}; expected one of "
-                f"{[s.value for s in acceptable]}"
-            )
+    def _write_back(self, ctx: Any, page_addr: int, node: MapNode,
+                    raw: bytes) -> ProtocolGen:
+        blob = node.encode(self.io.page_size)
+        if blob != raw:
+            yield from self.io.write_page(ctx, page_addr, blob)
 
-        pieces: List[MapEntry] = []
-        if entry.range.start < target.start:
-            pieces.append(
-                MapEntry(
-                    AddressRange.from_bounds(entry.range.start, target.start),
-                    entry.state, entry.data,
-                )
-            )
-        pieces.append(MapEntry(target, new_state, new_data))
-        if target.end < entry.range.end:
-            pieces.append(
-                MapEntry(
-                    AddressRange.from_bounds(target.end, entry.range.end),
-                    entry.state, entry.data,
-                )
-            )
-        node.replace_entry(entry, pieces)
-        node.coalesce_free()
+    def _copy_split(self, root: MapNode,
+                    entries: List[MapEntry]) -> ProtocolGen:
+        """Copy-on-split: write each half of ``entries`` to a freshly
+        allocated tree page, and return the two SUBTREE entries that
+        replace the split node's entry in its parent.
 
-        if len(node.entries) > MAX_ENTRIES:
-            yield from self._split(page_addr, node, root)
-        # The caller persists this node (the root in _carve, a child in
-        # the SUBTREE branch above).
-
-    def _split(self, page_addr: int, node: MapNode, root: MapNode) -> ProtocolGen:
-        """Replace an overflowing node's entries with two SUBTREE
-        children, allocating child pages from the root's bump counter."""
-        mid = len(node.entries) // 2
-        left_entries = node.entries[:mid]
-        right_entries = node.entries[mid:]
-        left_addr = self._alloc_tree_page(root)
-        right_addr = self._alloc_tree_page(root)
-
-        for child_addr, child_entries in (
-            (left_addr, left_entries),
-            (right_addr, right_entries),
-        ):
-            child = MapNode(entries=child_entries)
-            ctx = yield from self.io.lock_page(child_addr, LockMode.WRITE)
+        Both halves are written and unlocked before the caller links
+        them in, and the split node's own page is never rewritten: a
+        reader holding a stale parent still finds an intact node there
+        describing the whole range (lookups run against
+        release-consistent replicas).
+        """
+        mid = len(entries) // 2
+        halves: List[MapEntry] = []
+        for part in (entries[:mid], entries[mid:]):
+            page_addr = self._alloc_tree_page(root)
+            ctx = yield from self.io.lock_page(page_addr, LockMode.WRITE)
             try:
                 yield from self.io.write_page(
-                    ctx, child_addr, child.encode(self.io.page_size)
+                    ctx, page_addr, MapNode(part).encode(self.io.page_size)
                 )
             finally:
                 yield from self.io.unlock_page(ctx)
-
-        left_range = AddressRange.from_bounds(
-            left_entries[0].range.start, left_entries[-1].range.end
-        )
-        right_range = AddressRange.from_bounds(
-            right_entries[0].range.start, right_entries[-1].range.end
-        )
-        node.entries = [
-            MapEntry(left_range, EntryState.SUBTREE, (left_addr,)),
-            MapEntry(right_range, EntryState.SUBTREE, (right_addr,)),
-        ]
+            halves.append(MapEntry(
+                AddressRange.from_bounds(part[0].range.start,
+                                         part[-1].range.end),
+                EntryState.SUBTREE, (page_addr,),
+            ))
+        return halves
 
     def _alloc_tree_page(self, root: MapNode) -> int:
         if root.next_free_page is None:

@@ -49,8 +49,18 @@ logger = logging.getLogger(__name__)
 
 #: Cached replies kept for duplicate suppression.
 REPLY_CACHE_LIMIT = 2048
+#: Page bytes the cached replies may pin; the oldest go first past it.
+REPLY_CACHE_BYTES = 1 << 20
 #: In-flight latency timers kept before the oldest is abandoned.
 INFLIGHT_LIMIT = 4096
+
+
+def _page_bytes(reply: Optional[Message]) -> int:
+    """Page-body bytes a cached reply pins (its ``pages`` items' data)."""
+    if reply is None:
+        return 0
+    return sum(len(item.get("data") or b"")
+               for item in reply.payload.get("pages", ()))
 
 
 @dataclass(frozen=True)
@@ -99,8 +109,7 @@ class DedupInterceptor(Interceptor):
                 router.kernel.rpc.send(cached)
             return   # in progress or already answered
         cache[key] = None
-        while len(cache) > REPLY_CACHE_LIMIT:
-            cache.popitem(last=False)
+        router.trim_reply_cache()
         proceed()
 
 
@@ -174,6 +183,8 @@ class MessageRouter:
         self.reply_cache: "OrderedDict[Tuple[int, int], Optional[Message]]" = (
             OrderedDict()
         )
+        #: Page-body bytes held by the cached replies.
+        self.reply_cache_bytes = 0
         #: (src, request_id) -> (op name, virtual start time).
         self.inflight: "OrderedDict[Tuple[int, int], Tuple[str, float]]" = (
             OrderedDict()
@@ -234,10 +245,22 @@ class MessageRouter:
     def reply_error(self, msg: Message, code: str, detail: str = "") -> None:
         self._finish(msg, msg.error_reply(code, detail))
 
+    def trim_reply_cache(self) -> None:
+        """Forget the oldest cached replies until both the entry and
+        the page-byte bound hold."""
+        cache = self.reply_cache
+        while cache and (len(cache) > REPLY_CACHE_LIMIT
+                         or self.reply_cache_bytes > REPLY_CACHE_BYTES):
+            self.reply_cache_bytes -= _page_bytes(cache.popitem(last=False)[1])
+
     def _finish(self, msg: Message, reply: Message) -> None:
         if msg.request_id is not None:
-            self.reply_cache[(msg.src, msg.request_id)] = reply
-            timer = self.inflight.pop((msg.src, msg.request_id), None)
+            key = (msg.src, msg.request_id)
+            self.reply_cache_bytes += (_page_bytes(reply)
+                                       - _page_bytes(self.reply_cache.get(key)))
+            self.reply_cache[key] = reply
+            self.trim_reply_cache()
+            timer = self.inflight.pop(key, None)
             if timer is not None:
                 op, started = timer
                 self.kernel.stats.note_latency(

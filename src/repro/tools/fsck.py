@@ -3,7 +3,10 @@
 Checks performed against a (quiesced) cluster:
 
 1. **Map partition** — the address-map tree's entries are disjoint,
-   sorted, and jointly cover the entire 128-bit space.
+   sorted, and jointly cover the entire 128-bit space; the tree is
+   balanced: every page is reached once, every node's entries
+   partition exactly its parent entry's range, and every leaf entry
+   sits at one depth (:attr:`FsckReport.map_depth`).
 2. **Reservation agreement** — every RESERVED map entry's home list
    names at least one node that actually homes the region, and every
    homed region appears in the map.
@@ -28,7 +31,7 @@ Run via :func:`check_cluster`; returns an :class:`FsckReport` whose
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import Any, List, Optional, Set
 
 from repro.analysis import invariants
 from repro.core.address_map import (
@@ -36,7 +39,7 @@ from repro.core.address_map import (
     EntryState,
     MapNode,
 )
-from repro.core.addressing import MAX_ADDRESS
+from repro.core.addressing import MAX_ADDRESS, AddressRange
 from repro.core.daemon import SYSTEM_RID
 
 
@@ -49,6 +52,8 @@ class FsckReport:
     checked_map_entries: int = 0
     checked_regions: int = 0
     checked_pages: int = 0
+    #: Levels below the root at which every leaf entry sits.
+    map_depth: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -64,34 +69,14 @@ class FsckReport:
         lines = [
             f"fsck: {len(self.errors)} error(s), "
             f"{len(self.warnings)} warning(s); "
-            f"{self.checked_map_entries} map entries, "
+            f"{self.checked_map_entries} map entries "
+            f"(depth {self.map_depth}), "
             f"{self.checked_regions} regions, "
             f"{self.checked_pages} pages checked"
         ]
         lines.extend(f"  ERROR: {e}" for e in self.errors)
         lines.extend(f"  warn:  {w}" for w in self.warnings)
         return "\n".join(lines)
-
-
-def _map_entries(cluster) -> List[Any]:
-    """Walk the address-map tree directly from the bootstrap node's
-    storage (fsck inspects state; it must not mutate it)."""
-    bootstrap = cluster.daemon(0)
-    entries: List[Any] = []
-
-    def walk(page_addr: int) -> None:
-        page = bootstrap.storage.peek(page_addr)
-        if page is None:
-            return
-        node = MapNode.decode(page.data)
-        for entry in node.entries:
-            if entry.state is EntryState.SUBTREE:
-                walk(entry.child_page)
-            else:
-                entries.append(entry)
-
-    walk(ROOT_PAGE)
-    return entries
 
 
 def check_cluster(cluster, strict: bool = False) -> FsckReport:
@@ -103,8 +88,8 @@ def check_cluster(cluster, strict: bool = False) -> FsckReport:
     time to converge.
     """
     report = FsckReport()
-    _check_map_partition(cluster, report)
-    _check_reservations(cluster, report)
+    entries = _check_map_partition(cluster, report)
+    _check_reservations(cluster, entries, report)
     _check_descriptors(cluster, report)
     _check_copysets(cluster, report)
     _check_storage_accounting(cluster, report)
@@ -128,33 +113,54 @@ def _check_strict_invariants(cluster, report: FsckReport) -> None:
         report.error(f"strict: {problem}")
 
 
-def _check_map_partition(cluster, report: FsckReport) -> None:
-    entries = sorted(_map_entries(cluster), key=lambda e: e.range.start)
-    report.checked_map_entries = len(entries)
-    if not entries:
-        report.error("address map is empty (root page unreadable?)")
-        return
-    if entries[0].range.start != 0:
-        report.error(
-            f"map does not start at 0 (first entry at "
-            f"{entries[0].range.start:#x})"
-        )
-    position = 0
-    for entry in entries:
-        if entry.range.start != position:
+def _check_map_partition(cluster, report: FsckReport) -> List[Any]:
+    """Walk the address-map tree directly from the bootstrap node's
+    storage (fsck inspects state; it must not mutate it) and return its
+    leaf entries.  Every page must be reached once, every node's
+    entries must partition exactly the range its parent entry gives it
+    (the root's is the whole space), and every leaf entry must sit at
+    one depth."""
+    bootstrap = cluster.daemon(0)
+    entries: List[Any] = []
+    depths: Set[int] = set()
+    seen: Set[int] = set()
+
+    def walk(page_addr: int, covers: AddressRange, depth: int) -> None:
+        page = bootstrap.storage.peek(page_addr)
+        if page_addr in seen or page is None:
+            report.error(f"map page {page_addr:#x} is " + (
+                "reached twice" if page_addr in seen else "missing"))
+            return
+        seen.add(page_addr)
+        node = MapNode.decode(page.data)
+        position = covers.start
+        for entry in node.entries:
+            if entry.range.start != position:
+                break
+            position = entry.range.end
+        if position != covers.end:
             report.error(
-                f"map gap or overlap at {position:#x}: next entry starts "
-                f"at {entry.range.start:#x}"
+                f"map page {page_addr:#x} does not partition exactly "
+                f"[{covers.start:#x}, {covers.end:#x}) (breaks at "
+                f"{position:#x})"
             )
-        position = entry.range.end
-    if position != MAX_ADDRESS + 1:
-        report.error(
-            f"map does not cover the full space (ends at {position:#x})"
-        )
+        for entry in node.entries:
+            if entry.state is EntryState.SUBTREE:
+                walk(entry.child_page, entry.range, depth + 1)
+            else:
+                entries.append(entry)
+                depths.add(depth)
+
+    walk(ROOT_PAGE, AddressRange.from_bounds(0, MAX_ADDRESS + 1), 0)
+    if len(depths) > 1:
+        report.error(f"map leaves sit at depths {sorted(depths)}, not one")
+    report.map_depth = max(depths, default=None)
+    report.checked_map_entries = len(entries)
+    return entries
 
 
-def _check_reservations(cluster, report: FsckReport) -> None:
-    entries = _map_entries(cluster)
+def _check_reservations(cluster, entries: List[Any],
+                        report: FsckReport) -> None:
     reserved = {
         e.range.start: e for e in entries if e.state is EntryState.RESERVED
     }

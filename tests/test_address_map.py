@@ -38,6 +38,7 @@ class FakePageStore(MapIO):
         self.page_size = DEFAULT_PAGE_SIZE
         self.pages = {ROOT_PAGE: initial_root_node().encode(self.page_size)}
         self.locks_taken = []
+        self.writes = []
 
     def lock_page(self, page_addr, mode):
         self.locks_taken.append((page_addr, mode))
@@ -49,6 +50,7 @@ class FakePageStore(MapIO):
         yield  # pragma: no cover
 
     def write_page(self, ctx, page_addr, data):
+        self.writes.append(page_addr)
         self.pages[page_addr] = data
         return None
         yield  # pragma: no cover
@@ -69,6 +71,36 @@ def amap():
 
 
 FREE_BASE = SYSTEM_REGION.end
+
+
+def tree_depth(pages):
+    """Walk the tree held in ``pages`` and return the depth every leaf
+    entry sits at, checking the balanced shape on the way: each page is
+    reached once, and each node's entries partition exactly the range
+    its parent entry gives it."""
+    depths, seen = set(), set()
+
+    def walk(page_addr, covers, depth):
+        assert page_addr not in seen, f"page {page_addr:#x} reached twice"
+        seen.add(page_addr)
+        entries = MapNode.decode(pages[page_addr]).entries
+        bounds = [(e.range.start, e.range.end) for e in entries]
+        assert bounds[0][0] == covers.start
+        assert bounds[-1][1] == covers.end
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        for entry in entries:
+            if entry.state is EntryState.SUBTREE:
+                walk(entry.child_page, entry.range, depth + 1)
+            else:
+                depths.add(depth)
+
+    walk(ROOT_PAGE, AddressRange.from_bounds(0, MAX_ADDRESS + 1), 0)
+    assert len(depths) == 1, f"leaves at depths {sorted(depths)}"
+    return depths.pop()
+
+
+def root_of(amap):
+    return MapNode.decode(amap.io.pages[ROOT_PAGE])
 
 
 class TestMapNode:
@@ -219,21 +251,86 @@ class TestSplitting:
         assert len(reserved) == count + 1
 
 
+class TestBalance:
+    def test_ascending_reserves_keep_the_tree_shallow(self, amap):
+        """Reservations carve ascending addresses, the pattern that once
+        grew the right spine a level per ~16 entries.  The tree stays
+        balanced and shallow, and a carve locks one page per level
+        (plus the fresh pages a split writes)."""
+        io = amap.io
+        ranges = [AddressRange(FREE_BASE + i * 0x10000, 0x4000)
+                  for i in range(2000)]
+
+        def carve(op):
+            locks, pages = len(io.locks_taken), root_of(amap).next_free_page
+            run(op)
+            fresh = (root_of(amap).next_free_page - pages) // io.page_size
+            return len(io.locks_taken) - locks - fresh
+
+        locked = [carve(amap.reserve(rng, (1,))) for rng in ranges]
+        locked += [carve(amap.release(rng)) for rng in ranges[::2]]
+        depth = tree_depth(io.pages)
+        assert depth <= 3
+        assert max(locked) <= depth + 1
+        for i, rng in enumerate(ranges):
+            entry = run(amap.lookup(rng.start))
+            assert entry.state is (EntryState.FREE if i % 2 == 0
+                                   else EntryState.RESERVED)
+
+    def test_a_carve_inside_one_leaf_writes_only_that_leaf(self, amap):
+        for i in range(3 * MAX_ENTRIES):
+            start = FREE_BASE + i * 0x10000
+            run(amap.reserve(AddressRange(start, 0x4000), (i,)))
+        assert tree_depth(amap.io.pages) == 1
+        amap.io.writes.clear()
+        run(amap.update_homes(AddressRange(FREE_BASE, 0x4000), (9,)))
+        leaf = root_of(amap).entry_covering(FREE_BASE).child_page
+        assert amap.io.writes == [leaf]
+        amap.io.writes.clear()
+        run(amap.update_homes(AddressRange(FREE_BASE, 0x4000), (9,)))
+        assert amap.io.writes == []   # nothing changed, nothing written
+
+    def test_stale_parent_still_resolves_every_key(self, amap):
+        """Copy-on-split: a split writes both halves to fresh pages and
+        leaves the split node's page as it was, so a reader holding the
+        pre-split root still resolves every key as before the split."""
+        keys = []
+        for i in range(10 * MAX_ENTRIES):
+            before = dict(amap.io.pages)
+            root = root_of(amap)
+            start = FREE_BASE + i * 0x10000
+            keys += [start, start + 0x4000]
+            run(amap.reserve(AddressRange(start, 0x4000), (i,)))
+            if (all(e.state is EntryState.SUBTREE for e in root.entries)
+                    and len(root_of(amap).entries) > len(root.entries)):
+                break   # a leaf split sideways into the root
+        else:
+            pytest.fail("no split below the root")
+        stale = FakePageStore()
+        stale.pages = {**amap.io.pages, ROOT_PAGE: before[ROOT_PAGE]}
+        snapshot = FakePageStore()
+        snapshot.pages = before
+        for key in keys:
+            assert (run(AddressMap(stale).lookup(key))
+                    == run(AddressMap(snapshot).lookup(key)))
+
+
 class TestMapProperties:
     @given(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=200),
+                st.integers(min_value=0, max_value=400),
                 st.integers(min_value=1, max_value=8),
-                st.booleans(),
+                st.integers(min_value=0, max_value=3).map(lambda n: n == 0),
             ),
-            min_size=1,
-            max_size=40,
+            min_size=120,
+            max_size=240,
         )
     )
     @settings(max_examples=30, deadline=None)
     def test_partition_invariant(self, ops):
-        """After arbitrary reserve/release sequences the tree still
+        """After arbitrary reserve/release sequences — long enough for
+        leaves to split below the root — the tree is balanced and still
         partitions the whole address space into disjoint entries."""
         amap = AddressMap(FakePageStore())
         live = {}
@@ -246,9 +343,19 @@ class TestMapProperties:
                 overlapping = any(
                     rng.overlaps(other) for other in live.values()
                 )
-                if not overlapping:
+                if overlapping:
+                    continue
+                try:
                     run(amap.reserve(rng, (1,)))
-                    live[start] = rng
+                except InvalidRange:
+                    # Free space split across two nodes is never
+                    # coalesced (the paper skips cross-node
+                    # defragmentation), so a range spanning it is refused.
+                    first = run(amap.lookup(start))
+                    assert first.state is EntryState.FREE
+                    assert first.range.end < rng.end
+                    continue
+                live[start] = rng
         # Every live reservation resolves; released space is free.
         for start, rng in live.items():
             entry = run(amap.lookup(start))
@@ -256,3 +363,4 @@ class TestMapProperties:
             assert entry.range == rng
         entries = run(amap.enumerate_reserved())
         assert len(entries) == len(live) + 1   # + system region
+        tree_depth(amap.io.pages)

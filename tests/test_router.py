@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.router import (
     Interceptor,
+    REPLY_CACHE_BYTES,
     REPLY_CACHE_LIMIT,
     Route,
 )
@@ -90,6 +91,42 @@ class TestDedup:
             )
         cluster.run(1.0)
         assert len(daemon.router.reply_cache) <= REPLY_CACHE_LIMIT
+
+    def test_reply_cache_is_bounded_by_page_bytes(self, cluster):
+        """Replies that carry pages are forgotten oldest-first once their
+        page bytes pass the budget; a retransmit of a recent request is
+        still answered from the cache, not served twice."""
+        daemon = cluster.daemon(2)
+        router = daemon.router
+        body = b"p" * (REPLY_CACHE_BYTES // 8)
+        calls = []
+
+        def handler(msg):
+            calls.append((msg.src, msg.request_id))
+            daemon.reply_request(msg, MessageType.PONG, {
+                "pages": [{"page": msg.request_id, "data": body}],
+                "errors": [],
+            })
+
+        daemon.rpc.on(MessageType.PING, router.dedup(handler))
+        replies = []
+        cluster.network.attach(1, lambda m: replies.append(m))
+        for rid in range(1, 25):
+            cluster.network.send(
+                Message(MessageType.PING, src=1, dst=2, request_id=rid)
+            )
+        cluster.run(1.0)
+        assert 0 < router.reply_cache_bytes <= REPLY_CACHE_BYTES
+        assert router.reply_cache_bytes == sum(
+            len(item["data"]) for reply in router.reply_cache.values()
+            if reply is not None for item in reply.payload.get("pages", ()))
+        assert (1, 1) not in router.reply_cache     # the oldest went first
+        cluster.network.send(
+            Message(MessageType.PING, src=1, dst=2, request_id=24)
+        )
+        cluster.run(0.1)
+        assert calls.count((1, 24)) == 1
+        assert replies[-1].payload["pages"][0]["page"] == 24
 
 
 class TestInterceptorOrdering:

@@ -4,7 +4,17 @@ them, whole-cluster invariant checks after a battery of operations."""
 import pytest
 
 from repro.api import create_cluster
+from repro.core.address_map import (
+    MAX_ENTRIES,
+    ROOT_PAGE,
+    SYSTEM_REGION,
+    EntryState,
+    MapEntry,
+    MapNode,
+)
+from repro.core.addressing import DEFAULT_PAGE_SIZE, MAX_ADDRESS, AddressRange
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
+from repro.storage.store import StoredPage
 from repro.tools import (
     check_cluster,
     cluster_summary,
@@ -107,6 +117,72 @@ class TestFsck:
         assert any("no page-directory entry" in e for e in report.errors)
         # The same cluster passes the non-strict checks.
         assert check_cluster(cluster).ok
+
+
+class TestFsckMapShape:
+    """fsck checks the address-map tree's shape, not just its leaves."""
+
+    SPLIT = 0x2000000
+    LEFT, RIGHT = 0x100000, 0x101000   # unused system-region pages
+
+    @staticmethod
+    def install(cluster, pages):
+        storage = cluster.daemon(0).storage
+        for page_addr, entries in pages.items():
+            storage.store(StoredPage(page_addr, MapNode(entries).encode(
+                DEFAULT_PAGE_SIZE)))
+
+    @staticmethod
+    def entry(start, end, state, *data):
+        return MapEntry(AddressRange.from_bounds(start, end), state, data)
+
+    def test_grown_map_is_balanced_and_reports_its_depth(self):
+        cluster = create_cluster(num_nodes=2)
+        kz = cluster.client(node=1)
+        for _ in range(2 * MAX_ENTRIES):
+            kz.reserve(4096)
+        cluster.run(2.0)
+        report = check_cluster(cluster)
+        assert report.ok, report.render()
+        assert report.map_depth == 1
+        assert "(depth 1)" in report.render()
+
+    def test_overlapping_children_are_flagged(self, cluster):
+        e, end = self.entry, MAX_ADDRESS + 1
+        self.install(cluster, {
+            ROOT_PAGE: [e(0, self.SPLIT, EntryState.SUBTREE, self.LEFT),
+                        e(self.SPLIT, end, EntryState.SUBTREE, self.RIGHT)],
+            # The left child reaches past its parent entry's range.
+            self.LEFT: [e(0, SYSTEM_REGION.end, EntryState.RESERVED, 0),
+                        e(SYSTEM_REGION.end, self.SPLIT + 0x1000,
+                          EntryState.FREE)],
+            self.RIGHT: [e(self.SPLIT, end, EntryState.FREE)],
+        })
+        report = check_cluster(cluster)
+        assert any(f"map page {self.LEFT:#x} does not partition" in error
+                   for error in report.errors), report.render()
+
+    def test_page_reached_twice_is_flagged(self, cluster):
+        e, end = self.entry, MAX_ADDRESS + 1
+        self.install(cluster, {
+            ROOT_PAGE: [e(0, self.SPLIT, EntryState.SUBTREE, self.LEFT),
+                        e(self.SPLIT, end, EntryState.SUBTREE, self.LEFT)],
+            self.LEFT: [e(0, SYSTEM_REGION.end, EntryState.RESERVED, 0),
+                        e(SYSTEM_REGION.end, self.SPLIT, EntryState.FREE)],
+        })
+        report = check_cluster(cluster)
+        assert f"map page {self.LEFT:#x} is reached twice" in report.errors
+
+    def test_unbalanced_tree_is_flagged(self, cluster):
+        e, end = self.entry, MAX_ADDRESS + 1
+        self.install(cluster, {
+            ROOT_PAGE: [e(0, SYSTEM_REGION.end, EntryState.RESERVED, 0),
+                        e(SYSTEM_REGION.end, end, EntryState.SUBTREE,
+                          self.LEFT)],
+            self.LEFT: [e(SYSTEM_REGION.end, end, EntryState.FREE)],
+        })
+        report = check_cluster(cluster)
+        assert report.errors == ["map leaves sit at depths [0, 1], not one"]
 
 
 class TestInspect:
