@@ -10,12 +10,16 @@ per op).  A ``Transport.tap`` charges every protocol message
 to the KFS op in flight when it is sent, by message type, and splits it
 between the system region (the address map, paper Section 3.1: a
 request naming region 0, and the reply to it) and everything else.
+A wrapped ``SyncDriver.wait`` counts the protocol tasks each op waits
+for (on TCP, each is one ``AsyncioRuntime.run_future`` crossing).
 
 Claims checked as shapes: an overwrite costs about the same late in the
 run as early (the map walk stays logarithmic in the regions ever
-reserved), and the whole mix stays near the ~7 msgs/op the balanced map
-gives it.  Background work an op leaves behind is charged to whichever
-op is in flight when it runs.
+reserved); an overwrite rewrites its blocks in place, so it stays far
+below a create (no unreserve-then-reserve of the same number of
+blocks); and the whole mix stays near its ~4.6 msgs/op.
+Background work an op leaves behind is charged to whichever op is in
+flight when it runs.
 """
 
 import os
@@ -66,6 +70,14 @@ def _census():
         sent[(current[0], current[1], message.msg_type.value, on_map)] += 1
 
     sim.network.tap(tap)
+    waits = Counter()    # kind -> driver waits
+    wait = sim.driver.wait
+
+    def counting_wait(future):
+        waits[current[0]] += 1
+        return wait(future)
+
+    sim.driver.wait = counting_wait
     ops = workload.stream(1).ensure(WINDOWS * WINDOW_OPS)
     failed = 0
     for index, op in enumerate(ops[:WINDOWS * WINDOW_OPS]):
@@ -75,11 +87,11 @@ def _census():
         result = workload.execute(state, prepared)
         failed += not workload.check(state, prepared, result)
     sim.run(1.5)   # and the run's own, so no protocol task is left open
-    return sent, done, failed
+    return sent, done, waits, failed
 
 
 def test_kfs_message_census(once):
-    sent, done, failed = once(_census)
+    sent, done, waits, failed = once(_census)
     ops = {kind: sum(n for (k, _w), n in done.items() if k == kind)
            for kind in KINDS}
     total_ops = sum(ops.values())
@@ -95,18 +107,20 @@ def test_kfs_message_census(once):
     summary = Table(
         f"K1: kfs_mix message census on the sim ({total_ops} ops, seed 1; "
         "msgs/op by KFS op kind)",
-        ["op kind", "ops", "msgs/op", "map msgs/op", "other msgs/op"]
+        ["op kind", "ops", "msgs/op", "map msgs/op", "other msgs/op",
+         "driver waits/op"]
         + [f"ops {w * WINDOW_OPS}-{(w + 1) * WINDOW_OPS}"
            for w in range(WINDOWS)],
     )
     for kind in KINDS:
         summary.add(kind, ops[kind], per_op(kind), per_op(kind, on_map=True),
-                    per_op(kind, on_map=False),
+                    per_op(kind, on_map=False), waits[kind] / ops[kind],
                     *(per_op(kind, window=w) for w in range(WINDOWS)))
     all_msgs = sum(sent.values())
     map_msgs = sum(n for key, n in sent.items() if key[3])
     summary.add("all", total_ops, all_msgs / total_ops,
                 map_msgs / total_ops, (all_msgs - map_msgs) / total_ops,
+                sum(waits[kind] for kind in KINDS) / total_ops,
                 *(sum(n for key, n in sent.items() if key[1] == w)
                   / WINDOW_OPS for w in range(WINDOWS)))
     summary.show()
@@ -128,5 +142,9 @@ def test_kfs_message_census(once):
     # (the unbalanced map grew 171 -> 367 msgs/op over these windows).
     first, last = per_op("overwrite", 0), per_op("overwrite", WINDOWS - 1)
     assert last <= 1.2 * first, (first, last)
-    # Shape 2: the control plane no longer dominates the mix.
-    assert all_msgs / total_ops <= 8
+    # Shape 2: an overwrite rewrites its blocks in place instead of
+    # unreserving them and reserving as many again (41.9 msgs/op when
+    # it did).
+    assert per_op("overwrite") <= 15
+    # Shape 3: the control plane no longer dominates the mix.
+    assert all_msgs / total_ops <= 5.5

@@ -240,17 +240,26 @@ class KhazanaSession:
         return MappedRange(self, self.lock(address, length, mode))
 
     def read_at(self, address: int, length: int) -> bytes:
-        """One-shot locked read of a range."""
-        ctx = self.lock(address, length, LockMode.READ)
-        try:
-            return self.read(ctx, address, length)
-        finally:
-            self.unlock(ctx)
+        """One-shot locked read of a range (one protocol task)."""
+        return self.driver.wait(self.submit(
+            self._one_shot(AddressRange(address, length), None), "read_at"
+        ))
 
     def write_at(self, address: int, data: bytes) -> None:
-        """One-shot locked write of a range."""
-        ctx = self.lock(address, len(data), LockMode.WRITE)
+        """One-shot locked write of a range (one protocol task)."""
+        self.driver.wait(self.submit(
+            self._one_shot(AddressRange(address, len(data)), data), "write_at"
+        ))
+
+    def _one_shot(self, target: AddressRange,
+                  data: Optional[bytes]) -> Generator:
+        """Lock, read (``data`` None) or write, unlock: the caller waits
+        once instead of once per step."""
+        mode = LockMode.READ if data is None else LockMode.WRITE
+        ctx = yield from self.daemon.op_lock(target, mode, self.principal)
         try:
-            self.write(ctx, address, data)
+            if data is None:
+                return (yield from self.daemon.op_read(ctx, target))
+            return (yield from self.daemon.op_write(ctx, target, data))
         finally:
-            self.unlock(ctx)
+            yield from self.daemon.op_unlock(ctx)

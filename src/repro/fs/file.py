@@ -21,12 +21,19 @@ class KFile:
     """An open KFS file with a seek position."""
 
     def __init__(self, fs: "KhazanaFileSystem", inode: Inode,
-                 writable: bool) -> None:
+                 writable: bool, replace: bool = False) -> None:
         self._fs = fs
         self._inode = inode
         self._writable = writable
         self._position = 0
         self._closed = False
+        #: The mount's inode-write count when the open that built this
+        #: handle read the inode; None once the handle has been used.
+        self._opened_at: Optional[int] = fs.inode_writes
+        #: An open(..., "w") whose old content is still in place: a
+        #: first write at offset 0 replaces it, any other first access
+        #: (or close) truncates it in :meth:`_refresh`.
+        self._replace = replace
 
     # --- Introspection -----------------------------------------------------
 
@@ -36,7 +43,7 @@ class KFile:
 
     @property
     def size(self) -> int:
-        return self._inode.size
+        return 0 if self._replace else self._inode.size
 
     @property
     def position(self) -> int:
@@ -50,9 +57,30 @@ class KFile:
         if self._closed:
             raise ValueError("I/O operation on closed KFS file")
 
+    def _check_writable(self) -> None:
+        self._check_open()
+        if not self._writable:
+            raise PermissionError("file opened read-only")
+
     def _refresh(self) -> None:
-        """Re-read the inode so concurrent appends become visible."""
-        self._inode = self._fs._read_inode(self._inode.address)
+        """Re-read the inode so concurrent appends become visible, then
+        do a pending "w" truncation.  The first access skips the read
+        when this mount has written no inode since the open read it."""
+        if self._opened_at != self._fs.inode_writes:
+            self._inode = self._fs._read_inode(self._inode.address)
+        self._opened_at = None
+        if self._replace:
+            self._replace = False
+            self._inode = self._fs.truncate_data(self._inode, 0)
+
+    def _write_at(self, offset: int, data: bytes) -> None:
+        if self._replace and offset == 0:
+            self._replace = False   # this write replaces the old content
+            self._refresh()
+            self._inode = self._fs.replace_data(self._inode, data)
+        else:
+            self._refresh()
+            self._inode = self._fs.write_data(self._inode, offset, data)
 
     # --- Positioning ----------------------------------------------------------
 
@@ -90,13 +118,10 @@ class KFile:
 
     def write(self, data: bytes) -> int:
         """Write ``data`` at the current position."""
-        self._check_open()
-        if not self._writable:
-            raise PermissionError("file opened read-only")
+        self._check_writable()
         if not data:
             return 0
-        self._refresh()
-        self._inode = self._fs.write_data(self._inode, self._position, data)
+        self._write_at(self._position, data)
         self._position += len(data)
         return len(data)
 
@@ -108,26 +133,26 @@ class KFile:
 
     def pwrite(self, offset: int, data: bytes) -> int:
         """Positioned write; does not move the handle position."""
-        self._check_open()
-        if not self._writable:
-            raise PermissionError("file opened read-only")
-        self._refresh()
-        self._inode = self._fs.write_data(self._inode, offset, data)
+        self._check_writable()
+        self._write_at(offset, data)
         return len(data)
 
     def truncate(self, size: int) -> None:
         """Shrink or sparsely grow the file."""
-        self._check_open()
-        if not self._writable:
-            raise PermissionError("file opened read-only")
+        self._check_writable()
         self._refresh()
         self._inode = self._fs.truncate_data(self._inode, size)
         self._position = min(self._position, size)
 
     def close(self) -> None:
-        """Release the handle ("closing a file releases the region
-        containing the corresponding inode"); idempotent."""
-        self._closed = True
+        """Close the handle; idempotent.  A "w" handle closed before
+        its first write truncates the file here.  KFS holds no lock
+        between calls, so there is nothing else to release."""
+        try:
+            if self._replace:
+                self._refresh()   # does the pending truncation
+        finally:
+            self._closed = True
 
     def __enter__(self) -> "KFile":
         return self

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.client import KhazanaSession
 from repro.core.errors import KhazanaError
-from repro.core.locks import LockMode
 from repro.fs.file import KFile
 from repro.fs.inode import FileType, Inode
 from repro.fs.layout import (
@@ -65,6 +64,10 @@ class KhazanaFileSystem:
         #: and caching that address", Section 4.1).  May go stale under
         #: concurrent renames; lookups re-validate on miss.
         self._inode_cache: Dict[str, int] = {}
+        #: Inode writes (and tombstones) this mount has started; a
+        #: handle's first access skips re-reading its inode only if
+        #: this has not moved since its open.
+        self.inode_writes = 0
 
     # ------------------------------------------------------------------
     # Creation and mounting
@@ -162,6 +165,7 @@ class KhazanaFileSystem:
         consistency a deleted file is unopenable everywhere the moment
         unlink returns.
         """
+        self.inode_writes += 1
         try:
             self.session.write_at(
                 inode.address, b"\x00" * INODE_PAGE_SIZE
@@ -172,6 +176,7 @@ class KhazanaFileSystem:
             pass
 
     def _write_inode(self, inode: Inode) -> None:
+        self.inode_writes += 1
         self.session.write_at(inode.address, inode.encode())
 
     def _alloc_inode(self, file_type: FileType,
@@ -232,7 +237,7 @@ class KhazanaFileSystem:
     # ------------------------------------------------------------------
 
     def read_data(self, inode: Inode, offset: int, length: int) -> bytes:
-        """Read file bytes: lock, map, copy, unlock, per block."""
+        """Read file bytes: one locked read per block."""
         if offset >= inode.size:
             return b""
         length = min(length, inode.size - offset)
@@ -248,21 +253,17 @@ class KhazanaFileSystem:
             if index >= len(inode.blocks):
                 chunks.append(b"\x00" * take)   # sparse hole
             else:
-                block_addr = inode.blocks[index]
-                ctx = self.session.lock(block_addr, BLOCK_SIZE, LockMode.READ)
-                try:
-                    data = self.session.read(
-                        ctx, block_addr + within, take
-                    )
-                finally:
-                    self.session.unlock(ctx)
-                chunks.append(data)
+                chunks.append(self.session.read_at(
+                    inode.blocks[index] + within, take
+                ))
             position += take
             remaining -= take
         return b"".join(chunks)
 
-    def write_data(self, inode: Inode, offset: int, data: bytes) -> Inode:
-        """Write file bytes, growing the block list as needed.
+    def write_data(self, inode: Inode, offset: int, data: bytes,
+                   size: Optional[int] = None) -> Inode:
+        """Write file bytes, growing the block list as needed; the new
+        size is ``size``, or the old one grown to cover the write.
 
         Returns the updated inode (already persisted).
         """
@@ -280,19 +281,30 @@ class KhazanaFileSystem:
             index = position // BLOCK_SIZE
             within = position % BLOCK_SIZE
             take = min(len(data) - consumed, BLOCK_SIZE - within)
-            block_addr = inode.blocks[index]
-            ctx = self.session.lock(block_addr, BLOCK_SIZE, LockMode.WRITE)
-            try:
-                self.session.write(
-                    ctx, block_addr + within, data[consumed : consumed + take]
-                )
-            finally:
-                self.session.unlock(ctx)
+            self.session.write_at(inode.blocks[index] + within,
+                                  data[consumed : consumed + take])
             position += take
             consumed += take
-        inode.size = max(inode.size, end)
+        inode.size = max(inode.size, end) if size is None else size
         inode.modified_at = self.session.daemon.now
         self._write_inode(inode)
+        return inode
+
+    def replace_data(self, inode: Inode, data: bytes) -> Inode:
+        """Make ``data`` the whole file, rewriting its blocks in place
+        (zero-padded, so a later sparse extension reads zeroes) and
+        reserving only those it needs beyond them.  The inode is written
+        once, then the surplus unreserved: truncate_data's order, so no
+        inode ever names an unreserved block."""
+        if inode.layout == "extent":
+            return self.write_data(self.truncate_data(inode, 0), 0, data)
+        needed = inode.blocks_needed(len(data))
+        doomed = inode.blocks[needed:]
+        inode.blocks = inode.blocks[:needed]
+        padded = bytes(data) + b"\x00" * (needed * BLOCK_SIZE - len(data))
+        inode = self.write_data(inode, 0, padded, size=len(data))
+        for block_addr in doomed:
+            self.free_block(block_addr)
         return inode
 
     def truncate_data(self, inode: Inode, size: int) -> Inode:
@@ -321,13 +333,7 @@ class KhazanaFileSystem:
         if inode.extent == 0 or offset >= inode.extent_capacity:
             return b"\x00" * length
         readable = min(length, inode.extent_capacity - offset)
-        ctx = self.session.lock(
-            inode.extent + offset, readable, LockMode.READ
-        )
-        try:
-            data = self.session.read(ctx, inode.extent + offset, readable)
-        finally:
-            self.session.unlock(ctx)
+        data = self.session.read_at(inode.extent + offset, readable)
         return data + b"\x00" * (length - readable)
 
     def _extent_capacity_for(self, size: int) -> int:
@@ -384,13 +390,7 @@ class KhazanaFileSystem:
     def _extent_write(self, inode: Inode, offset: int, data: bytes) -> Inode:
         end = offset + len(data)
         inode = self._extent_ensure_capacity(inode, end)
-        ctx = self.session.lock(
-            inode.extent + offset, len(data), LockMode.WRITE
-        )
-        try:
-            self.session.write(ctx, inode.extent + offset, data)
-        finally:
-            self.session.unlock(ctx)
+        self.session.write_at(inode.extent + offset, data)
         inode.size = max(inode.size, end)
         inode.modified_at = self.session.daemon.now
         self._write_inode(inode)
@@ -407,16 +407,8 @@ class KhazanaFileSystem:
             zero_start = size
             zero_end = min(inode.size, new_capacity, inode.extent_capacity)
             if zero_start < zero_end:
-                length = zero_end - zero_start
-                ctx = self.session.lock(
-                    inode.extent + zero_start, length, LockMode.WRITE
-                )
-                try:
-                    self.session.write(
-                        ctx, inode.extent + zero_start, b"\x00" * length
-                    )
-                finally:
-                    self.session.unlock(ctx)
+                self.session.write_at(inode.extent + zero_start,
+                                      b"\x00" * (zero_end - zero_start))
             if new_capacity < inode.extent_capacity:
                 self.session.resize(inode.extent, new_capacity)
                 inode.extent_capacity = new_capacity
@@ -468,9 +460,11 @@ class KhazanaFileSystem:
         back-pointer (leaf name + parent inode address) still matches
         the path component being resolved, which makes concurrent
         renames and unlinks from other instances safe: a mismatch
-        falls back to reading the parent directory.
+        falls back to reading the parent directory.  The root inode is
+        read only when its body is needed: its address is known.
         """
-        inode = self._read_inode(self.root_inode_addr)
+        inode: Optional[Inode] = None
+        address = self.root_inode_addr
         walked = ""
         for part in _split_path(path):
             walked = f"{walked}/{part}"
@@ -479,15 +473,14 @@ class KhazanaFileSystem:
             if cached is not None:
                 try:
                     candidate = self._read_inode(cached)
-                    if (candidate.name == part
-                            and candidate.parent == inode.address):
+                    if candidate.name == part and candidate.parent == address:
                         child_inode = candidate
                 except (KhazanaError, LayoutError):
                     pass   # torn down or tombstoned: treat as stale
                 if child_inode is None:
                     del self._inode_cache[walked]
             if child_inode is None:
-                entries = self._read_dir(inode)
+                entries = self._read_dir(inode or self._read_inode(address))
                 child = entries.get(part)
                 if child is None:
                     raise FileSystemError(
@@ -495,8 +488,8 @@ class KhazanaFileSystem:
                     )
                 child_inode = self._read_inode(child)
                 self._inode_cache[walked] = child
-            inode = child_inode
-        return inode
+            inode, address = child_inode, child_inode.address
+        return inode or self._read_inode(address)
 
     def _namei_parent(self, path: str) -> Tuple[Inode, str]:
         parts = _split_path(path)
@@ -537,7 +530,9 @@ class KhazanaFileSystem:
         return KFile(self, inode, writable=True)
 
     def open(self, path: str, mode: str = "r") -> KFile:
-        """Open a file.  Modes: 'r', 'w' (truncate), 'a' (append)."""
+        """Open a file.  Modes: 'r', 'w' (truncate, deferred to the first
+        access or close: see :class:`KFile`; a "w" handle never used nor
+        closed leaves the old content in place), 'a' (append)."""
         if mode not in ("r", "w", "a"):
             raise FileSystemError(f"unsupported open mode {mode!r}")
         try:
@@ -548,9 +543,8 @@ class KhazanaFileSystem:
             return self.create(path)
         if inode.is_dir:
             raise FileSystemError(f"is a directory: {path!r}")
-        handle = KFile(self, inode, writable=mode != "r")
-        if mode == "w" and inode.size > 0:
-            handle.truncate(0)
+        handle = KFile(self, inode, writable=mode != "r",
+                       replace=mode == "w" and inode.size > 0)
         if mode == "a":
             handle.seek(inode.size)
         return handle
@@ -622,24 +616,23 @@ class KhazanaFileSystem:
         self.session.unreserve(inode.address)
 
     def rename(self, src: str, dst: str) -> None:
-        """Move a file or directory within the tree."""
+        """Move a file or directory to a free name (onto itself: no-op)."""
         src_parent, src_name = self._namei_parent(src)
         src_entries = self._read_dir(src_parent)
         child = src_entries.get(src_name)
         if child is None:
             raise FileSystemError(f"no such file: {src!r}")
         dst_parent, dst_name = self._namei_parent(dst)
-        if dst_parent.address == src_parent.address:
-            del src_entries[src_name]
-            src_entries[dst_name] = child
-            self._write_dir(src_parent, src_entries)
-        else:
-            dst_entries = self._read_dir(dst_parent)
-            if dst_name in dst_entries:
-                raise FileSystemError(f"destination exists: {dst!r}")
-            del src_entries[src_name]
-            self._write_dir(src_parent, src_entries)
-            dst_entries[dst_name] = child
+        same_dir = dst_parent.address == src_parent.address
+        if same_dir and dst_name == src_name:
+            return
+        dst_entries = src_entries if same_dir else self._read_dir(dst_parent)
+        if dst_name in dst_entries:
+            raise FileSystemError(f"destination exists: {dst!r}")
+        del src_entries[src_name]
+        dst_entries[dst_name] = child
+        self._write_dir(src_parent, src_entries)
+        if not same_dir:
             self._write_dir(dst_parent, dst_entries)
         # Refresh the moved inode's back-pointer so cached hints
         # elsewhere detect the rename and re-resolve.
@@ -652,9 +645,7 @@ class KhazanaFileSystem:
 
     def tree(self, path: str = "/") -> Dict[str, object]:
         """Recursive listing (for examples and debugging)."""
-        inode = self._namei(path) if path != "/" else self._read_inode(
-            self.root_inode_addr
-        )
+        inode = self._namei(path)
         if not inode.is_dir:
             return {"type": "file", "size": inode.size}
         children = {}

@@ -4,8 +4,11 @@ import pytest
 
 from repro.api import create_cluster
 from repro.core.attributes import ConsistencyLevel
+from repro.core.client import SyncDriver
+from repro.core.errors import KhazanaError
 from repro.fs import FileSystemError, FileType, KhazanaFileSystem
 from repro.fs.layout import BLOCK_SIZE, MAX_BLOCKS
+from repro.tools import check_cluster
 
 
 @pytest.fixture
@@ -174,6 +177,29 @@ class TestDirectories:
         assert fs.exists("/new.txt")
         assert not fs.exists("/old.txt")
 
+    def test_rename_onto_existing_name_in_same_directory_fails(self, fs):
+        with fs.create("/a") as f:
+            f.write(b"from a")
+        with fs.create("/b") as f:
+            f.write(b"from b")
+        with pytest.raises(FileSystemError):
+            fs.rename("/a", "/b")
+        # Neither file was touched, so the old /b is not orphaned.
+        assert fs.listdir("/") == ["a", "b"]
+        with fs.open("/a") as f:
+            assert f.read() == b"from a"
+        with fs.open("/b") as f:
+            assert f.read() == b"from b"
+
+    def test_rename_onto_itself_is_a_no_op(self, fs):
+        with fs.create("/a") as f:
+            f.write(b"same")
+        fs.rename("/a", "/a")
+        with fs.open("/a") as f:
+            assert f.read() == b"same"
+        with pytest.raises(FileSystemError):
+            fs.rename("/missing", "/missing")
+
     def test_rename_across_directories(self, fs):
         fs.mkdir("/src")
         fs.mkdir("/dst")
@@ -219,6 +245,198 @@ class TestUnlink:
     def test_unlink_missing_fails(self, fs):
         with pytest.raises(FileSystemError):
             fs.unlink("/phantom")
+
+
+class CountingDriver(SyncDriver):
+    """A SyncDriver that counts the protocol tasks it waits for."""
+
+    def __init__(self, scheduler):
+        super().__init__(scheduler)
+        self.waits = 0
+
+    def wait(self, future):
+        self.waits += 1
+        return super().wait(future)
+
+
+def _blob(size, seed):
+    return bytes((i * 7 + seed) % 251 for i in range(size))
+
+
+OLD_SIZE = 2 * BLOCK_SIZE + 100   # three blocks
+
+
+def _assert_released(cluster, addresses):
+    """Each block region in ``addresses`` is unreserved, and fsck is
+    clean (it cannot see a KFS block no inode names)."""
+    cluster.run(5.0)   # background unreserve drains
+    kz = cluster.client(node=1)
+    for address in addresses:
+        with pytest.raises(KhazanaError):
+            kz.read_at(address, 4)
+    report = check_cluster(cluster)
+    assert report.ok, report.render()
+
+
+@pytest.fixture
+def old(fs):
+    """/f.bin holding OLD_SIZE bytes; returns its inode."""
+    with fs.create("/f.bin") as f:
+        f.write(_blob(OLD_SIZE, 1))
+    return fs.stat("/f.bin")
+
+
+class TestOverwriteInPlace:
+    """open(path, "w") + write at offset 0 rewrites the file's block
+    regions instead of unreserving them and reserving fresh ones."""
+
+    @pytest.mark.parametrize("new_size", [
+        BLOCK_SIZE + 10, OLD_SIZE, 5 * BLOCK_SIZE - 3,
+    ], ids=["smaller", "equal", "larger"])
+    def test_overwrite_keeps_the_common_blocks(self, cluster, fs, old,
+                                                new_size):
+        new = _blob(new_size, 2)
+        with fs.open("/f.bin", "w") as f:
+            f.write(new)
+        st = fs.stat("/f.bin")
+        assert st.size == new_size
+        assert len(st.blocks) == st.blocks_needed(new_size)
+        kept = min(len(old.blocks), len(st.blocks))
+        assert st.blocks[:kept] == old.blocks[:kept]
+        with fs.open("/f.bin") as f:
+            assert f.read() == new
+        _assert_released(cluster, old.blocks[kept:])
+
+    def test_close_without_writing_truncates(self, fs, old):
+        fs.open("/f.bin", "w").close()
+        st = fs.stat("/f.bin")
+        assert (st.size, st.blocks) == (0, [])
+
+    def test_write_past_offset_zero_truncates_first(self, fs, old):
+        with fs.open("/f.bin", "w") as f:
+            f.seek(100)
+            f.write(b"tail")
+        with fs.open("/f.bin") as f:
+            assert f.read() == b"\x00" * 100 + b"tail"
+
+    def test_read_before_writing_sees_an_empty_file(self, fs, old):
+        with fs.open("/f.bin", "w") as f:
+            assert f.read() == b""
+            f.write(b"after")
+        with fs.open("/f.bin") as f:
+            assert f.read() == b"after"
+
+    def test_shrunk_tail_reads_back_as_zeroes(self, fs, old):
+        with fs.open("/f.bin", "w") as f:
+            f.write(b"short")
+        with fs.open("/f.bin", "a") as f:
+            f.truncate(BLOCK_SIZE)
+            assert f.pread(0, BLOCK_SIZE) == b"short" + b"\x00" * (
+                BLOCK_SIZE - 5)
+
+    def test_other_mount_reads_the_new_bytes(self, cluster, fs, old):
+        other = KhazanaFileSystem.mount(cluster.client(node=3),
+                                        fs.superblock_addr)
+        with other.open("/f.bin") as f:
+            assert f.read() == _blob(OLD_SIZE, 1)
+        new = _blob(BLOCK_SIZE + 10, 3)
+        with fs.open("/f.bin", "w") as f:
+            f.write(new)
+        with other.open("/f.bin") as f:
+            assert f.read() == new
+
+    def test_unused_w_handle_reports_size_zero(self, fs, old):
+        f = fs.open("/f.bin", "w")
+        assert f.size == 0
+        f.close()
+        assert fs.stat("/f.bin").size == 0
+
+    def test_failed_overwrite_keeps_the_old_inode(self, cluster, fs, old,
+                                                 monkeypatch):
+        # The inode is written after the blocks, so a write that fails
+        # partway leaves the old size and block list over a mix of new
+        # and old bytes, and nothing unreserved.
+        real_write_at, calls = fs.session.write_at, []
+
+        def failing_write_at(address, data):
+            calls.append(address)
+            if len(calls) == 2:
+                raise KhazanaError("injected")
+            return real_write_at(address, data)
+
+        monkeypatch.setattr(fs.session, "write_at", failing_write_at)
+        new = _blob(OLD_SIZE, 2)
+        with pytest.raises(KhazanaError):
+            fs.open("/f.bin", "w").write(new)
+        monkeypatch.undo()
+        st = fs.stat("/f.bin")
+        assert (st.size, st.blocks) == (old.size, old.blocks)
+        with fs.open("/f.bin") as f:
+            assert f.read() == (new[:BLOCK_SIZE]
+                                + _blob(OLD_SIZE, 1)[BLOCK_SIZE:])
+        _assert_released(cluster, [])
+
+    def test_warm_read_waits_once_per_inode_and_block(self, cluster, fs):
+        with fs.create("/two.bin") as f:
+            f.write(_blob(2 * BLOCK_SIZE, 4))
+        with fs.open("/two.bin") as f:
+            f.read()   # warm: path cached, pages resident
+        driver = CountingDriver(cluster.scheduler)
+        fs.session.driver = driver
+        with fs.open("/two.bin") as f:
+            assert f.read() == _blob(2 * BLOCK_SIZE, 4)
+        # The file's inode once, then one task per block: 3 waits.  A
+        # lock and an unlock wait per read, plus re-reading the root and
+        # the file's inode, made it 10.
+        assert driver.waits <= 4
+
+
+class TestHandlesAcrossWrites:
+    """A handle's first access re-reads its inode when the same mount
+    wrote an inode after the open: no handle writes back, reads or
+    frees blocks from an inode another handle has since replaced."""
+
+    def test_append_after_another_handle_grew_the_file(self, cluster, fs):
+        with fs.create("/f") as f:
+            f.write(b"x" * 100)
+        a = fs.open("/f", "a")
+        b = fs.open("/f", "a")
+        grown = _blob(10_000, 5)
+        b.write(grown)
+        a.write(b"y")   # at offset 100, a's position since its open
+        st = fs.stat("/f")
+        assert st.size == 10_100
+        assert len(st.blocks) == st.blocks_needed(10_100)
+        with fs.open("/f") as f:
+            assert f.read() == b"x" * 100 + b"y" + grown[1:]
+        _assert_released(cluster, [])
+
+    def test_reader_opened_before_an_overwrite_reads_it(self, fs, old):
+        r = fs.open("/f.bin")
+        with fs.open("/f.bin", "w") as w:
+            w.write(b"z")
+        assert r.read() == b"z"
+
+    @pytest.mark.parametrize("second", ["write", "close"])
+    def test_two_w_handles_free_what_the_other_grew(self, cluster, fs,
+                                                    old, second):
+        # Each "w" handle truncates at its first access, so the second
+        # one replaces what the first wrote, blocks it grew included.
+        w1 = fs.open("/f.bin", "w")
+        w2 = fs.open("/f.bin", "w")
+        w1.write(_blob(5 * BLOCK_SIZE, 6))
+        w1.close()
+        grown = fs.stat("/f.bin").blocks
+        if second == "write":
+            w2.write(b"small")
+        w2.close()
+        st = fs.stat("/f.bin")
+        expected = b"small" if second == "write" else b""
+        assert st.size == len(expected)
+        assert len(st.blocks) == st.blocks_needed(len(expected))
+        with fs.open("/f.bin") as f:
+            assert f.read() == expected
+        _assert_released(cluster, set(old.blocks + grown) - set(st.blocks))
 
 
 class TestDistribution:

@@ -119,13 +119,7 @@ def apply_to_kfs(fs, op):
             fs.unlink(f"/{op[1]}")
             return "ok"
         if kind == "rename":
-            src, dst = op[1], op[2]
-            if src == dst:
-                fs._namei(f"/{src}")
-                return "ok"
-            if fs.exists(f"/{dst}"):
-                return "error"
-            fs.rename(f"/{src}", f"/{dst}")
+            fs.rename(f"/{op[1]}", f"/{op[2]}")
             return "ok"
         if kind == "listdir":
             return fs.listdir("/")
