@@ -24,7 +24,7 @@ from repro.bench.workloads import (
     make_regions,
     run_access_workload,
 )
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 
 REGIONS = 32
 OPS = 160

@@ -14,7 +14,7 @@ latencies.
 from repro.api import create_cluster
 from repro.bench.metrics import Table
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.locks import LockMode
 from repro.net.message import REPLY_TYPES
 

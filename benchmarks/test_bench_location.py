@@ -11,7 +11,7 @@ regions pushes more lookups to the deeper, costlier tiers.
 from repro.api import create_cluster
 from repro.bench.metrics import Table
 from repro.bench.workloads import WorkloadSpec, AccessPattern, make_regions, run_access_workload
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 
 REGIONS = 48
 OPS = 240

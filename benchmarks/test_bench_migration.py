@@ -15,7 +15,7 @@ latency for the remainder.
 
 from repro.api import create_cluster
 from repro.bench.metrics import Table
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 
 OPS = 200
 

@@ -12,7 +12,7 @@ it is just slower.
 from repro.api import create_cluster
 from repro.bench.metrics import Table
 from repro.bench.workloads import WorkloadSpec, make_regions, run_access_workload
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 
 REGIONS = 96          # 96 pages of working set
 OPS = 400

@@ -3,12 +3,13 @@
 Two layers:
 
 - :mod:`repro.analysis.lint` — an AST-based static checker with
-  project-specific rules (KHZ001..KHZ005) covering the mistakes this
+  project-specific rules (KHZ001..KHZ013) covering the mistakes this
   codebase is most prone to: blocking calls inside the discrete-event
   simulation, unregistered message types, swallowed exceptions in
   protocol code, stale lock contexts, and exceptions raised outside
-  the :mod:`repro.core.errors` taxonomy.  Run it with
-  ``python -m repro.analysis.lint src/ tests/ examples/``.
+  the :mod:`repro.core.errors` taxonomy, plus the seam fences (one
+  declarative table).  Run it with
+  ``python -m repro.analysis.lint src/ tests/ examples/ benchmarks/``.
 
 - :mod:`repro.analysis.races` — a dynamic race/invariant detector
   built on vector clocks, hooked into the lock table, the daemons,

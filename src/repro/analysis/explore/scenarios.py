@@ -75,12 +75,12 @@ def _locked_write(session: Any, desc: Any, payload: bytes,
     target = AddressRange(desc.rid, length)
 
     def task():
-        ctx = yield from daemon.op_lock(target, LockMode.WRITE,
+        ctx = yield from daemon.data.op_lock(target, LockMode.WRITE,
                                         session.principal)
-        yield from daemon.op_write(
+        yield from daemon.data.op_write(
             ctx, AddressRange(desc.rid, len(payload)), payload
         )
-        yield from daemon.op_unlock(ctx)
+        yield from daemon.data.op_unlock(ctx)
 
     return task()
 

@@ -30,7 +30,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.sources import SourceFile
+from repro.analysis.sources import SourceFile, import_map
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -193,20 +193,6 @@ def _self_attr_binding(node: ast.AST) -> Tuple[Optional[str], Optional[str]]:
     return (None, None)
 
 
-def _import_map(tree: ast.AST) -> Dict[str, str]:
-    origins: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                origins[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                origins[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return origins
-
-
 class CallGraph:
     """Indexes over every function definition in the analyzed files."""
 
@@ -227,7 +213,7 @@ class CallGraph:
     # -- construction ----------------------------------------------------
 
     def _index_module(self, sf: SourceFile) -> None:
-        self.imports[sf.path] = _import_map(sf.tree)
+        self.imports[sf.path] = import_map(sf.tree)
         top: Dict[str, FunctionInfo] = {}
         self.module_functions[sf.path] = top
         for node in sf.tree.body:

@@ -1,15 +1,40 @@
 """Project-specific static lint for the Khazana reproduction.
 
-Run as ``python -m repro.analysis.lint src/ tests/ examples/``.
+Run as ``python -m repro.analysis.lint src/ tests/ examples/ benchmarks/``.
 
 The rules encode invariants of *this* codebase that generic linters
-cannot know:
+cannot know.  Six of them are **seam fences** of one shape — "inside
+these paths, do not use these names" — and are rows of one
+declarative table, :data:`FENCES`, checked by one walk per file:
 
-- **KHZ001 blocking-call** — protocol code (``repro/core``,
-  ``repro/consistency``, ``repro/net``, ``repro/failure``) runs inside
-  a discrete-event simulation; real ``time.sleep``, socket, file, or
-  subprocess I/O would block the single simulation thread and desync
-  virtual time.  Everything must go through the sim clock/transport.
+- **KHZ001 blocking-call** — simulation code (``repro/core``,
+  ``repro/consistency``, ``repro/net``, ``repro/failure``) may not
+  call real sleep, socket, subprocess, or file I/O: it would block
+  the single simulation thread and desync virtual time.
+- **KHZ006 private-daemon-attr** — code outside ``repro/core`` may
+  not reach into ``_``-private attributes of a daemon/kernel/host
+  object; use the :class:`~repro.core.cmhost.CMHost` surface or
+  another public kernel API.
+- **KHZ007 direct-wire** — consistency *policy* modules (outside
+  ``repro/consistency/engine/``) may not touch ``host.rpc`` or call
+  ``host.reply_request``/``host.reply_error``; wire traffic goes
+  through the :class:`~repro.consistency.engine.ProtocolEngine`.
+- **KHZ008 direct-scheduler** — nothing under ``repro/consistency/``
+  calls the raw timers ``call_at``/``call_later``/``call_soon``, so
+  every consistency-layer event carries a label the schedule
+  explorer (``repro.analysis.explore``) can see and reorder.
+- **KHZ011 runtime-dep** — wall-clock, asyncio, and socket calls stay
+  inside the two runtime-seam modules (``repro/net/aio.py``,
+  ``repro/net/tcp.py``); driver modules may own loops and clocks but
+  not sockets.  Inside KHZ001's scope only clocks and asyncio are
+  KHZ011's, so one offence never needs two suppressions.
+- **KHZ012 placement-seam** — outside ``repro/core/placement/``,
+  shipped code may not read ``config.cluster_manager_node`` or
+  import/call the rendezvous ring math; placement decisions go
+  through the :class:`~repro.core.placement.PlacementStrategy` seam.
+
+The other rules are checks of their own shape:
+
 - **KHZ002 unhandled-message / reply-class** — every non-reply
   :class:`~repro.net.message.MessageType` member must have a handler
   registered somewhere (``on(MessageType.X, ...)``); every type sent
@@ -22,31 +47,11 @@ cannot know:
   to ``unlock`` (lexical, intra-function dataflow; reassignment
   clears the mark).
 - **KHZ005 foreign-exception** — exceptions raised in consistency
-  code, ``core/daemon.py``, and ``core/locks.py`` must come from the
+  code and ``core/locks.py`` must come from the
   :mod:`repro.core.errors` taxonomy (or be built by
   ``error_from_code``/``typed_denial``), and the raised name must
   actually be bound in the module — catching the
   raise-an-unimported-name bug that only explodes on the error path.
-- **KHZ006 private-daemon-attr** — code outside ``repro/core`` may
-  not reach into ``_``-private attributes of a daemon/kernel/host
-  object.  Consistency managers, tools, analysis code, and tests must
-  use the :class:`~repro.core.cmhost.CMHost` surface or another
-  public kernel API; private state is free to move between the node
-  services without notice.
-- **KHZ007 direct-wire** — consistency *policy* modules (everything
-  under ``repro/consistency/`` outside ``repro/consistency/engine/``)
-  may not touch ``host.rpc`` or call ``host.reply_request`` /
-  ``host.reply_error`` directly; all wire traffic goes through the
-  :class:`~repro.consistency.engine.ProtocolEngine` primitives so
-  retry policies, NAK classification, counters, and task labels stay
-  uniform across protocols.
-- **KHZ008 direct-scheduler** — no code under ``repro/consistency/``
-  (policies *or* engine clients) may call the raw scheduler timer
-  surface ``call_at``/``call_later``/``call_soon``.  Timers in the
-  consistency layer must ride ``host.sleep``/``host.with_timeout`` or
-  a labelled engine spawn, so every consistency-layer event carries a
-  stable label the schedule explorer (``repro.analysis.explore``) can
-  see and reorder.
 - **KHZ009 page-copy** — the data-path hot functions (the
   read/write/residency path in ``core/dataplane.py`` and the
   twin/diff machinery in ``consistency/diffs.py``) move pages by
@@ -61,19 +66,6 @@ cannot know:
   explorer, message tracer, and race detector all key on task labels,
   and an unlabeled task falls back to an anonymous name that changes
   between runs.
-- **KHZ011 runtime-dep** — wall-clock, asyncio, and socket calls
-  (``time.time``/``time.monotonic``/``time.perf_counter``/
-  ``time.sleep``, ``asyncio.*``, ``socket.*``, ``selectors.*``) are
-  fenced inside the two runtime-seam modules (``repro/net/aio.py``,
-  ``repro/net/tcp.py``); driver modules (the cluster launcher and
-  the wall-clock benchmarks) may own loops and clocks but still may
-  not open sockets.  Everything else must stay runtime-agnostic so
-  the same protocol code runs over the simulator and over TCP.
-- **KHZ012 placement-seam** (in :mod:`repro.analysis.lint_placement`)
-  — outside ``repro/core/placement/``, shipped code may not read
-  ``config.cluster_manager_node`` or import/call the rendezvous ring
-  math; placement decisions go through the
-  :class:`~repro.core.placement.PlacementStrategy` seam.
 - **KHZ013 static-table** (in :mod:`repro.analysis.lint_protocol`)
   — ``TRANSITIONS`` tables and ``PageEvent``/``MessageType`` dispatch
   maps must stay statically extractable: pure literals, no runtime
@@ -97,42 +89,20 @@ machinery; see ``docs/analysis.md``.
 from __future__ import annotations
 
 import ast
+import fnmatch
 import re
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.sources import (   # re-exported for compatibility
-    SUPPRESS_RE,
-    SourceFile,
-    collect as _collect,
-)
-
-#: Dotted-call prefixes that block the simulation thread.
-BLOCKING_PREFIXES = (
-    "time.sleep",
-    "socket.",
-    "subprocess.",
-    "os.system",
-    "os.popen",
-    "select.select",
-    "selectors.",
-    "requests.",
-    "urllib.request.",
-    "http.client.",
-)
+from repro.analysis.sources import SourceFile, collect as _collect, import_map
 
 #: Method names whose presence in an except body counts as logging.
 LOG_METHODS = {"debug", "info", "warning", "error", "exception", "critical",
                "log", "warn"}
 
-#: Paths (posix substrings) where KHZ001 applies.
-SIM_SCOPES = ("repro/core/", "repro/consistency/", "repro/net/",
-              "repro/failure/")
-
 #: Paths where KHZ005 applies.
-TAXONOMY_SCOPES = ("repro/consistency/",)
-TAXONOMY_FILES = ("repro/core/daemon.py", "repro/core/locks.py")
+TAXONOMY_PATHS = ("repro/consistency/", "repro/core/locks.py")
 
 #: Names that construct taxonomy errors without naming a class.
 TAXONOMY_FACTORIES = {"error_from_code", "typed_denial"}
@@ -140,17 +110,8 @@ TAXONOMY_FACTORIES = {"error_from_code", "typed_denial"}
 #: Variable names that (by convention) hold a daemon/kernel object.
 DAEMONISH_NAME_RE = re.compile(r"^(?:daemon|host|kernel)\w*$")
 
-#: Path substring marking the only package allowed to touch daemon
-#: internals (KHZ006).
-KERNEL_SCOPE = "repro/core/"
-
-#: Paths where KHZ007 applies (policy side of the consistency layer).
-POLICY_SCOPE = "repro/consistency/"
-#: ... except the engine, which *is* the wire layer.
-ENGINE_SCOPE = "repro/consistency/engine/"
-
-#: Reply methods a policy must reach via engine.reply / engine.nak.
-REPLY_METHODS = ("reply_request", "reply_error")
+#: Attribute bases that look like a config object.
+CONFIGISH_NAME_RE = re.compile(r"^(?:config|cfg|conf)\w*$")
 
 #: Raw scheduler timer methods (KHZ008): consistency code must not
 #: schedule unlabelled events; use host.sleep / host.with_timeout or a
@@ -202,28 +163,13 @@ class _Reporter:
         self.findings.append(Finding(sf.path, line, rule, message))
 
 
-def _in_scope(path: str, scopes: Sequence[str] = (),
-              files: Sequence[str] = ()) -> bool:
-    return any(scope in path for scope in scopes) or any(
-        path.endswith(name) for name in files
+def _in_scope(path: str, patterns: Sequence[str]) -> bool:
+    """A pattern ending in ``/`` is a package (substring match); any
+    other pattern is a module (suffix match)."""
+    return any(
+        pattern in path if pattern.endswith("/") else path.endswith(pattern)
+        for pattern in patterns
     )
-
-
-def _import_map(tree: ast.AST) -> Dict[str, str]:
-    """Local name -> dotted origin for every import in the module."""
-    origins: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                origins[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                origins[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return origins
 
 
 def _dotted_call_name(func: ast.expr,
@@ -240,38 +186,6 @@ def _dotted_call_name(func: ast.expr,
     if root is None:
         return None
     return ".".join([root] + list(reversed(parts)))
-
-
-# ---------------------------------------------------------------------------
-# KHZ001: no blocking calls in simulation code
-# ---------------------------------------------------------------------------
-
-def check_blocking_calls(sf: SourceFile, reporter: _Reporter) -> None:
-    if not _in_scope(sf.path, scopes=SIM_SCOPES):
-        return
-    origins = _import_map(sf.tree)
-    for node in ast.walk(sf.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Name) and node.func.id == "open":
-            reporter.flag(
-                sf, node.lineno, "KHZ001", "blocking-call",
-                "real file I/O (open) in simulation code; use the "
-                "storage hierarchy",
-            )
-            continue
-        dotted = _dotted_call_name(node.func, origins)
-        if dotted is None:
-            continue
-        for prefix in BLOCKING_PREFIXES:
-            if dotted == prefix or (prefix.endswith(".")
-                                    and dotted.startswith(prefix)):
-                reporter.flag(
-                    sf, node.lineno, "KHZ001", "blocking-call",
-                    f"blocking call {dotted} in simulation code; use "
-                    "the sim clock/transport instead",
-                )
-                break
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +433,7 @@ def _local_taxonomy_subclasses(tree: ast.AST,
 
 def check_error_taxonomy(sf: SourceFile, reporter: _Reporter,
                          taxonomy: Set[str]) -> None:
-    if not _in_scope(sf.path, scopes=TAXONOMY_SCOPES, files=TAXONOMY_FILES):
+    if not _in_scope(sf.path, TAXONOMY_PATHS):
         return
     bound = _bound_names(sf.tree)
     local = _local_taxonomy_subclasses(sf.tree, taxonomy)
@@ -551,98 +465,6 @@ def check_error_taxonomy(sf: SourceFile, reporter: _Reporter,
                 sf, node.lineno, "KHZ005", "foreign-exception",
                 f"raise {name}(...) but {name} is never imported in "
                 "this module — NameError on the error path",
-            )
-
-
-# ---------------------------------------------------------------------------
-# KHZ006: private daemon attribute access outside repro/core
-# ---------------------------------------------------------------------------
-
-def _names_a_daemon(expr: ast.expr) -> bool:
-    """Heuristic: does this expression evaluate to a daemon/kernel?
-
-    Covers the three shapes that occur in practice: a local named
-    ``daemon``/``host``/``kernel`` (with suffixes, e.g. ``daemon2``),
-    an attribute of that name (``self.daemon``, ``cm.host``), and the
-    test-harness accessor ``cluster.daemon(0)``.
-    """
-    if isinstance(expr, ast.Name):
-        return bool(DAEMONISH_NAME_RE.match(expr.id))
-    if isinstance(expr, ast.Attribute):
-        return expr.attr in ("daemon", "host", "kernel")
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if isinstance(func, ast.Attribute):
-            return func.attr == "daemon"
-        if isinstance(func, ast.Name):
-            return func.id == "daemon"
-    return False
-
-
-def check_private_daemon_access(sf: SourceFile,
-                                reporter: _Reporter) -> None:
-    if KERNEL_SCOPE in sf.path:
-        return   # the kernel and its services own this state
-    for node in ast.walk(sf.tree):
-        if not isinstance(node, ast.Attribute):
-            continue
-        attr = node.attr
-        if not attr.startswith("_") or attr.startswith("__"):
-            continue
-        if _names_a_daemon(node.value):
-            reporter.flag(
-                sf, node.lineno, "KHZ006", "private-daemon-attr",
-                f"access to private daemon attribute .{attr} outside "
-                "repro/core; use the CMHost protocol or a public "
-                "kernel API instead",
-            )
-
-
-# ---------------------------------------------------------------------------
-# KHZ007: policy modules reach the wire only through the engine
-# ---------------------------------------------------------------------------
-
-def check_direct_wire(sf: SourceFile, reporter: _Reporter) -> None:
-    if POLICY_SCOPE not in sf.path or ENGINE_SCOPE in sf.path:
-        return
-    for node in ast.walk(sf.tree):
-        if (isinstance(node, ast.Attribute)
-                and node.attr == "rpc"
-                and _names_a_daemon(node.value)):
-            reporter.flag(
-                sf, node.lineno, "KHZ007", "direct-wire",
-                "policy code touches host.rpc directly; go through "
-                "engine.request/engine.send so retry policies and "
-                "counters stay uniform",
-            )
-        elif (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in REPLY_METHODS
-                and _names_a_daemon(node.func.value)):
-            reporter.flag(
-                sf, node.lineno, "KHZ007", "direct-wire",
-                f"policy code calls host.{node.func.attr} directly; "
-                "go through engine.reply/engine.nak",
-            )
-
-
-# ---------------------------------------------------------------------------
-# KHZ008: consistency code never touches the raw scheduler timers
-# ---------------------------------------------------------------------------
-
-def check_direct_scheduler(sf: SourceFile, reporter: _Reporter) -> None:
-    if POLICY_SCOPE not in sf.path:
-        return
-    for node in ast.walk(sf.tree):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in SCHEDULER_METHODS):
-            reporter.flag(
-                sf, node.lineno, "KHZ008", "direct-scheduler",
-                f"consistency code calls .{node.func.attr} on the "
-                "scheduler directly; use host.sleep/host.with_timeout "
-                "or a labelled engine spawn so the event carries a "
-                "label the schedule explorer can see",
             )
 
 
@@ -729,8 +551,12 @@ def check_spawn_labels(sf: SourceFile, reporter: _Reporter) -> None:
 
 
 # ---------------------------------------------------------------------------
-# KHZ011: wall-clock, asyncio and socket use stays in the runtime seam
+# Seam fences: KHZ001/006/007/008/011/012 as rows of one table
 # ---------------------------------------------------------------------------
+
+#: Simulation code: single-threaded over virtual time (KHZ001).
+SIM_SCOPES = ("repro/core/", "repro/consistency/", "repro/net/",
+              "repro/failure/")
 
 #: The only modules allowed to touch the real clock, asyncio, or
 #: sockets directly: they *implement* the Runtime/Transport seam.
@@ -743,67 +569,186 @@ RUNTIME_MODULES = ("repro/net/aio.py", "repro/net/tcp.py")
 DRIVER_MODULES = ("repro/tools/cluster.py", "repro/bench/hotpath.py",
                   "repro/bench/placement.py")
 
-#: Dotted-call prefixes that bind code to a real runtime (KHZ011).
-RUNTIME_PREFIXES = (
-    "time.time",
-    "time.monotonic",
-    "time.perf_counter",
-    "time.sleep",
-    "asyncio.",
-    "socket.",
-    "selectors.",
+#: Rendezvous primitives fenced inside the placement package (KHZ012).
+#: ``DirectorTable`` and the ``bucket_of``/``BUCKET_BYTES`` geometry
+#: stay importable: the churn benchmark measures the table itself.
+RING_MATH = tuple(
+    f"repro.core.placement.ring.{name}"
+    for name in ("mix64", "rendezvous_weight", "rank_members", "director_of")
 )
 
-#: The subset drivers may not use even though they own a loop.
-SOCKET_PREFIXES = ("socket.", "selectors.")
-
-#: In KHZ001 territory (SIM_SCOPES) the blocking-call rule already
-#: polices sleep/socket/selectors with its own slug; KHZ011 adds only
-#: what KHZ001 cannot see (clock reads and asyncio), so one offence
-#: never needs two suppressions.
-_SIM_ONLY_PREFIXES = tuple(
-    prefix for prefix in RUNTIME_PREFIXES
-    if prefix not in BLOCKING_PREFIXES
-)
+_RUNTIME_DEP = ("{name} binds this module to a real runtime; go through "
+                "the Runtime seam (repro/net/aio.py, repro/net/tcp.py) or "
+                "a driver module instead")
+_RING_ADVICE = ("outside repro/core/placement/; ask the strategy "
+                "(choose_homes/home_order) instead of recomputing homes")
 
 
-def check_runtime_deps(sf: SourceFile, reporter: _Reporter) -> None:
-    """KHZ011: protocol and library code must be runtime-agnostic.
+@dataclass(frozen=True)
+class Fence:
+    """One seam fence: inside ``paths`` (every file when empty) minus
+    ``exempt``, no use of the ``kind`` below may name a ``names`` glob.
 
-    The whole point of the :class:`~repro.net.runtime.Runtime` seam is
-    that NodeKernel, the protocol engine, and every CM policy run
-    unmodified over the simulator *and* the asyncio backend.  A stray
-    ``time.time()`` or ``asyncio.sleep`` outside the seam quietly
-    breaks that: virtual-time runs stop being deterministic, and the
-    sim stops being a correctness oracle for the real deployment.
+    Kinds — what a use is and which name it reports:
+
+    - ``call``: a call, by its dotted target resolved through the
+      imports (``time.sleep``; ``snooze`` after ``from time import
+      sleep as snooze``);
+    - ``import``: ``from M import n``, as ``M.n``;
+    - ``daemon-attr``: ``recv.n`` (any context) on a daemon-ish
+      receiver;
+    - ``method`` / ``daemon-method``: a call ``recv.n(...)`` on any
+      receiver / on a daemon-ish one;
+    - ``config-read``: ``recv.n`` read off a config-ish receiver
+      (writing the field stays legal).
     """
-    if "repro/" not in sf.path:
+
+    rule: str
+    slug: str
+    paths: Tuple[str, ...]
+    exempt: Tuple[str, ...]
+    kind: str
+    names: Tuple[str, ...]
+    message: str       # formatted with the offending ``name``
+
+    def applies_to(self, path: str) -> bool:
+        return ((not self.paths or _in_scope(path, self.paths))
+                and not _in_scope(path, self.exempt))
+
+
+FENCES: Tuple[Fence, ...] = (
+    Fence("KHZ001", "blocking-call", SIM_SCOPES, (), "call",
+          ("open", "time.sleep", "socket.*", "subprocess.*", "os.system",
+           "os.popen", "select.select", "selectors.*", "requests.*",
+           "urllib.request.*", "http.client.*"),
+          "blocking call {name} in simulation code; use the sim "
+          "clock/transport (or the storage hierarchy for file I/O)"),
+    Fence("KHZ006", "private-daemon-attr", (), ("repro/core/",),
+          "daemon-attr", ("_[!_]*",),
+          "access to private daemon attribute .{name} outside "
+          "repro/core; use the CMHost protocol or a public kernel API "
+          "instead"),
+    Fence("KHZ007", "direct-wire", ("repro/consistency/",),
+          ("repro/consistency/engine/",), "daemon-attr", ("rpc",),
+          "policy code touches host.{name} directly; go through "
+          "engine.request/engine.send so retry policies and counters "
+          "stay uniform"),
+    Fence("KHZ007", "direct-wire", ("repro/consistency/",),
+          ("repro/consistency/engine/",), "daemon-method",
+          ("reply_request", "reply_error"),
+          "policy code calls host.{name} directly; go through "
+          "engine.reply/engine.nak"),
+    Fence("KHZ008", "direct-scheduler", ("repro/consistency/",), (),
+          "method", SCHEDULER_METHODS,
+          "consistency code calls .{name} on the scheduler directly; use "
+          "host.sleep/host.with_timeout or a labelled engine spawn so "
+          "the event carries a label the schedule explorer can see"),
+    # KHZ011's three tiers.  Drivers own clocks and loops; simulation
+    # code's sleeps and sockets are KHZ001's.
+    Fence("KHZ011", "runtime-dep", ("repro/",),
+          RUNTIME_MODULES + DRIVER_MODULES, "call",
+          ("time.time", "time.monotonic", "time.perf_counter",
+           "asyncio.*"), _RUNTIME_DEP),
+    Fence("KHZ011", "runtime-dep", ("repro/",),
+          RUNTIME_MODULES + DRIVER_MODULES + SIM_SCOPES, "call",
+          ("time.sleep",), _RUNTIME_DEP),
+    Fence("KHZ011", "runtime-dep", ("repro/",),
+          RUNTIME_MODULES + SIM_SCOPES, "call",
+          ("socket.*", "selectors.*"), _RUNTIME_DEP),
+    Fence("KHZ012", "placement-seam", ("repro/",),
+          ("repro/core/placement/",), "call", RING_MATH,
+          "calling ring math {name} " + _RING_ADVICE),
+    Fence("KHZ012", "placement-seam", ("repro/",),
+          ("repro/core/placement/",), "import", RING_MATH,
+          "importing ring math {name} " + _RING_ADVICE),
+    Fence("KHZ012", "placement-seam", ("repro/",),
+          ("repro/core/placement/",), "config-read",
+          ("cluster_manager_node",),
+          "reading config.{name} outside repro/core/placement/; go "
+          "through kernel.cluster_manager_node or placement.manager_node "
+          "so the strategy owns the answer"),
+)
+
+
+#: Each row's name globs, compiled once.
+_NAME_PATTERNS = {
+    fence: re.compile("|".join(fnmatch.translate(g) for g in fence.names))
+    for fence in FENCES
+}
+
+
+def _names_a_daemon(expr: ast.expr) -> bool:
+    """Heuristic: does this expression evaluate to a daemon/kernel?
+
+    Covers the three shapes that occur in practice: a local named
+    ``daemon``/``host``/``kernel`` (with suffixes, e.g. ``daemon2``),
+    an attribute of that name (``self.daemon``, ``cm.host``), and the
+    test-harness accessor ``cluster.daemon(0)``.
+    """
+    if isinstance(expr, ast.Name):
+        return bool(DAEMONISH_NAME_RE.match(expr.id))
+    if isinstance(expr, ast.Attribute):
+        return expr.attr in ("daemon", "host", "kernel")
+    if isinstance(expr, ast.Call):
+        func = expr.func
+        if isinstance(func, ast.Attribute):
+            return func.attr == "daemon"
+        if isinstance(func, ast.Name):
+            return func.id == "daemon"
+    return False
+
+
+def _names_a_config(expr: ast.expr) -> bool:
+    """Does this expression look like it holds a DaemonConfig?"""
+    if isinstance(expr, ast.Name):
+        return CONFIGISH_NAME_RE.match(expr.id) is not None
+    if isinstance(expr, ast.Attribute):
+        return CONFIGISH_NAME_RE.match(expr.attr) is not None
+    return False
+
+
+def _uses(kind: str, node: ast.AST,
+          origins: Dict[str, str]) -> Tuple[str, ...]:
+    """The names ``node`` uses in the way ``kind`` means (see Fence)."""
+    if kind == "call":
+        if isinstance(node, ast.Call):
+            dotted = _dotted_call_name(node.func, origins)
+            if dotted is not None:
+                return (dotted,)
+    elif kind == "import":
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return tuple(f"{node.module}.{alias.name}"
+                         for alias in node.names)
+    elif kind in ("method", "daemon-method"):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and (kind == "method" or _names_a_daemon(node.func.value))):
+            return (node.func.attr,)
+    elif kind == "daemon-attr":
+        if isinstance(node, ast.Attribute) and _names_a_daemon(node.value):
+            return (node.attr,)
+    elif kind == "config-read":
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and _names_a_config(node.value)):
+            return (node.attr,)
+    return ()
+
+
+def check_fences(sf: SourceFile, reporter: _Reporter) -> None:
+    """Every :data:`FENCES` row that applies to ``sf``, in one walk."""
+    rows = [fence for fence in FENCES if fence.applies_to(sf.path)]
+    if not rows:
         return
-    if _in_scope(sf.path, files=RUNTIME_MODULES):
-        return
-    if _in_scope(sf.path, files=DRIVER_MODULES):
-        prefixes = SOCKET_PREFIXES
-    elif _in_scope(sf.path, scopes=SIM_SCOPES):
-        prefixes = _SIM_ONLY_PREFIXES
-    else:
-        prefixes = RUNTIME_PREFIXES
-    origins = _import_map(sf.tree)
+    kinds = {fence.kind for fence in rows}
+    origins = import_map(sf.tree) if "call" in kinds else {}
     for node in ast.walk(sf.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = _dotted_call_name(node.func, origins)
-        if dotted is None:
-            continue
-        for prefix in prefixes:
-            if dotted == prefix or (prefix.endswith(".")
-                                    and dotted.startswith(prefix)):
-                reporter.flag(
-                    sf, node.lineno, "KHZ011", "runtime-dep",
-                    f"{dotted} binds this module to a real runtime; "
-                    "go through the Runtime seam (repro/net/aio.py, "
-                    "repro/net/tcp.py) or a driver module instead",
-                )
-                break
+        used = {kind: _uses(kind, node, origins) for kind in kinds}
+        for fence in rows:
+            for name in used[fence.kind]:
+                if _NAME_PATTERNS[fence].match(name):
+                    reporter.flag(sf, node.lineno, fence.rule, fence.slug,
+                                  fence.message.format(name=name))
 
 
 # ---------------------------------------------------------------------------
@@ -812,24 +757,17 @@ def check_runtime_deps(sf: SourceFile, reporter: _Reporter) -> None:
 
 def lint_files(files: Sequence[SourceFile]) -> List[Finding]:
     """Run every rule over parsed files; returns sorted findings."""
-    # Local import: lint_placement borrows this module's AST helpers.
-    from repro.analysis.lint_placement import check_placement_seam
     from repro.analysis.lint_protocol import check_static_tables
 
     reporter = _Reporter()
     taxonomy = _taxonomy_names()
     for sf in files:
-        check_blocking_calls(sf, reporter)
+        check_fences(sf, reporter)
         check_broad_except(sf, reporter)
         check_stale_contexts(sf, reporter)
         check_error_taxonomy(sf, reporter, taxonomy)
-        check_private_daemon_access(sf, reporter)
-        check_direct_wire(sf, reporter)
-        check_direct_scheduler(sf, reporter)
         check_page_copies(sf, reporter)
         check_spawn_labels(sf, reporter)
-        check_runtime_deps(sf, reporter)
-        check_placement_seam(sf, reporter)
         check_static_tables(sf, reporter)
     check_message_completeness(files, reporter)
     return sorted(reporter.findings, key=lambda f: (f.path, f.line, f.rule))

@@ -23,8 +23,8 @@ Scope: files under ``repro/`` (the shipped package) only; tests and
 fixtures may build mutated tables on purpose.  Suppress a deliberate
 exception with ``# khz: allow-static-table(reason)``.
 
-Like KHZ012, this rule lives outside :mod:`repro.analysis.lint`
-purely for size: that module sits just under the structure guard's
+This rule lives outside :mod:`repro.analysis.lint` purely for size:
+folding it in would push that module past the structure guard's
 per-module line ceiling.
 """
 

@@ -10,9 +10,9 @@ invocation no matter how many passes look at it, and a re-run inside
 one process (e.g. the test suite linting the tree repeatedly) reuses
 the cached tree as long as the file has not changed on disk.
 
-``repro.analysis.lint`` re-exports :class:`SourceFile` and
-``SUPPRESS_RE`` for backward compatibility; new code should import
-them from here.
+It also owns :func:`import_map`, the one resolution of a module's
+local names to their dotted origins that the lint fences and the flow
+call graph share.
 """
 
 from __future__ import annotations
@@ -49,6 +49,23 @@ class SourceFile:
                 )
         return cls(path=path, source=source, tree=tree,
                    suppressions=suppressions)
+
+
+def import_map(tree: ast.AST) -> Dict[str, str]:
+    """Local name -> dotted origin for every import in the module."""
+    origins: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                origins[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                origins[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}"
+                )
+    return origins
 
 
 #: resolved path -> (mtime_ns, size, parsed file).

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.analysis.races import RaceDetector
 from repro.core.client import KhazanaSession, SyncDriver
-from repro.core.daemon import DaemonConfig, KhazanaDaemon
+from repro.core.kernel import DaemonConfig, NodeKernel
 from repro.net.clock import EventScheduler
 from repro.net.runtime import SimRuntime
 from repro.net.sim import SimNetwork, Topology
@@ -77,9 +77,9 @@ class Cluster:
         if any(self._config_for(n).detect_races for n in node_ids):
             self.race_detector = RaceDetector()
             self.race_detector.attach_network(self.network)
-        self.daemons: Dict[int, KhazanaDaemon] = {}
+        self.daemons: Dict[int, NodeKernel] = {}
         for node_id in node_ids:
-            self.daemons[node_id] = KhazanaDaemon(
+            self.daemons[node_id] = NodeKernel(
                 node_id, self.runtime,
                 config=self._config_for(node_id),
                 probe=self.race_detector,
@@ -184,7 +184,7 @@ class Cluster:
         """Reconnect a previously crashed node (disk state intact)."""
         self.network.recover(node)
 
-    def add_node(self, node: Optional[int] = None) -> KhazanaDaemon:
+    def add_node(self, node: Optional[int] = None) -> NodeKernel:
         """Bring a brand-new node into the running system.
 
         "Machines can dynamically enter and leave Khazana and
@@ -200,7 +200,7 @@ class Cluster:
             raise ValueError(f"node {node} already exists")
         if self.clusters is not None:
             self.clusters[0].append(node)
-        fresh = KhazanaDaemon(
+        fresh = NodeKernel(
             node, self.runtime,
             config=self._config_for(node),
             probe=self.race_detector,
@@ -235,7 +235,7 @@ class Cluster:
             # listeners (copyset scrubbing, replica repair) fire now.
             other.detector.declare_dead(node)
 
-    def restart_node(self, node: int) -> KhazanaDaemon:
+    def restart_node(self, node: int) -> NodeKernel:
         """Replace a (crashed) daemon with a fresh incarnation.
 
         With a ``spill_dir`` configured the new daemon recovers its
@@ -247,7 +247,7 @@ class Cluster:
         old = self.daemons[node]
         old.stop()
         self.network.recover(node)
-        fresh = KhazanaDaemon(
+        fresh = NodeKernel(
             node, self.runtime,
             config=self._config_for(node),
             probe=self.race_detector,
@@ -272,7 +272,7 @@ class Cluster:
     def node_ids(self) -> List[int]:
         return sorted(self.daemons)
 
-    def daemon(self, node: int) -> KhazanaDaemon:
+    def daemon(self, node: int) -> NodeKernel:
         return self.daemons[node]
 
 

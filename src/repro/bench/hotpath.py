@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import create_cluster
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.locks import LockMode
 
 PAGE = 4096

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import create_cluster
 from repro.bench.hotpath import _calibrate
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.placement.ring import BUCKET_BYTES, DirectorTable
 
 #: Per-benchmark size parameters: (full, quick).

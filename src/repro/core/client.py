@@ -113,12 +113,13 @@ class KhazanaSession:
                       attrs: Optional[RegionAttributes] = None) -> Future:
         attrs = attrs if attrs is not None else RegionAttributes()
         return self.submit(
-            self.daemon.op_reserve(size, attrs, self.principal), "reserve"
+            self.daemon.space.op_reserve(size, attrs, self.principal),
+            "reserve",
         )
 
     def lock_async(self, address: int, length: int, mode: LockMode) -> Future:
         return self.submit(
-            self.daemon.op_lock(
+            self.daemon.data.op_lock(
                 AddressRange(address, length), mode, self.principal
             ),
             "lock",
@@ -134,7 +135,7 @@ class KhazanaSession:
     def unreserve(self, rid: int) -> None:
         """Unreserve a region (storage reclaim happens in background)."""
         self.driver.wait(
-            self.submit(self.daemon.op_unreserve(rid), "unreserve")
+            self.submit(self.daemon.space.op_unreserve(rid), "unreserve")
         )
 
     def allocate(self, rid: int, offset: Optional[int] = None,
@@ -145,18 +146,16 @@ class KhazanaSession:
             if offset is None or length is None:
                 raise ValueError("allocate needs both offset and length")
             subrange = AddressRange(rid + offset, length)
-        self.driver.wait(
-            self.submit(self.daemon.op_allocate(rid, subrange), "allocate")
-        )
+        self.driver.wait(self.submit(
+            self.daemon.space.op_allocate(rid, subrange), "allocate"
+        ))
 
     def free(self, rid: int, offset: int, length: int) -> None:
         """Free physical storage backing part of a region."""
-        self.driver.wait(
-            self.submit(
-                self.daemon.op_free(rid, AddressRange(rid + offset, length)),
-                "free",
-            )
-        )
+        self.driver.wait(self.submit(
+            self.daemon.space.op_free(rid, AddressRange(rid + offset, length)),
+            "free",
+        ))
 
     def lock(self, address: int, length: int, mode: LockMode) -> LockContext:
         """Lock a range; returns the lock context for read/write calls."""
@@ -164,7 +163,9 @@ class KhazanaSession:
 
     def unlock(self, ctx: LockContext) -> None:
         """Release a lock context."""
-        self.driver.wait(self.submit(self.daemon.op_unlock(ctx), "unlock"))
+        self.driver.wait(
+            self.submit(self.daemon.data.op_unlock(ctx), "unlock")
+        )
 
     def read(self, ctx: LockContext, address: int, length: int) -> bytes:
         """Read bytes under a lock context.
@@ -173,12 +174,12 @@ class KhazanaSession:
         path; anything else (cold page, probe active, odd arguments)
         submits the full protocol task.
         """
-        fast = self.daemon.read_fast(ctx, address, length)
+        fast = self.daemon.data.try_read_fast(ctx, address, length)
         if fast is not None:
             return fast
         return self.driver.wait(
             self.submit(
-                self.daemon.op_read(ctx, AddressRange(address, length)),
+                self.daemon.data.op_read(ctx, AddressRange(address, length)),
                 "read",
             )
         )
@@ -190,11 +191,11 @@ class KhazanaSession:
         fully overwritten) pages run synchronously, others take the
         protocol path.
         """
-        if self.daemon.write_fast(ctx, address, data):
+        if self.daemon.data.try_write_fast(ctx, address, data):
             return
         self.driver.wait(
             self.submit(
-                self.daemon.op_write(
+                self.daemon.data.op_write(
                     ctx, AddressRange(address, len(data)), data
                 ),
                 "write",
@@ -206,7 +207,7 @@ class KhazanaSession:
         layout: "resize the region whenever the file size changes")."""
         return self.driver.wait(
             self.submit(
-                self.daemon.op_resize_region(rid, new_size), "resize"
+                self.daemon.space.op_resize_region(rid, new_size), "resize"
             )
         )
 
@@ -214,21 +215,22 @@ class KhazanaSession:
         """Move a region's primary home to another node."""
         return self.driver.wait(
             self.submit(
-                self.daemon.op_migrate_region(rid, new_home), "migrate"
+                self.daemon.space.op_migrate_region(rid, new_home), "migrate"
             )
         )
 
     def get_attributes(self, rid: int) -> RegionAttributes:
         """Fetch a region's attributes."""
         return self.driver.wait(
-            self.submit(self.daemon.op_get_attributes(rid), "get_attrs")
+            self.submit(self.daemon.space.op_get_attributes(rid), "get_attrs")
         )
 
     def set_attributes(self, rid: int, attrs: RegionAttributes) -> RegionDescriptor:
         """Replace a region's attributes (requires admin rights)."""
         return self.driver.wait(
             self.submit(
-                self.daemon.op_set_attributes(rid, attrs, self.principal),
+                self.daemon.space.op_set_attributes(rid, attrs,
+                                                    self.principal),
                 "set_attrs",
             )
         )
@@ -256,10 +258,10 @@ class KhazanaSession:
         """Lock, read (``data`` None) or write, unlock: the caller waits
         once instead of once per step."""
         mode = LockMode.READ if data is None else LockMode.WRITE
-        ctx = yield from self.daemon.op_lock(target, mode, self.principal)
+        ctx = yield from self.daemon.data.op_lock(target, mode, self.principal)
         try:
             if data is None:
-                return (yield from self.daemon.op_read(ctx, target))
-            return (yield from self.daemon.op_write(ctx, target, data))
+                return (yield from self.daemon.data.op_read(ctx, target))
+            return (yield from self.daemon.data.op_write(ctx, target, data))
         finally:
-            yield from self.daemon.op_unlock(ctx)
+            yield from self.daemon.data.op_unlock(ctx)

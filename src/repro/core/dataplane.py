@@ -80,7 +80,7 @@ class DataPlane:
         """Lock part of a region; returns a :class:`LockContext`."""
         kernel = self.kernel
         kernel.stats.bump("lock")
-        desc = yield from kernel.location.locate_region(target.start)
+        desc = yield from kernel.placement.locate_region(target.start)
         if not desc.range.contains_range(target):
             raise InvalidRange(
                 f"lock range {target} crosses the boundary of region "
@@ -90,7 +90,7 @@ class DataPlane:
             # The cached descriptor may predate allocation; confirm
             # with a home node before failing (stale hints are normal,
             # Section 3.2).
-            desc = yield from kernel.location.refresh_descriptor(desc)
+            desc = yield from kernel.placement.refresh_descriptor(desc)
             if not desc.allocated:
                 raise NotAllocated(
                     f"region {desc.rid:#x} has no allocated storage"

@@ -64,6 +64,10 @@ from repro.storage.store import StoredPage
 
 ProtocolGen = Generator[Future, Any, Any]
 
+#: Seconds between housekeeping rounds (CM ticks, free-space reports,
+#: journal checkpoints).
+HOUSEKEEPING_PERIOD = 1.0
+
 logger = logging.getLogger(__name__)
 
 
@@ -86,8 +90,6 @@ class DaemonConfig:
     bootstrap_node: int = 0
     #: Give up waiting for a lock after this many virtual seconds.
     lock_wait_timeout: float = 60.0
-    #: Housekeeping period (CM ticks, free-space reports).
-    housekeeping_period: float = 1.0
     #: Run the failure detector / replica maintainer.
     enable_failure_handling: bool = True
     #: Region-directory capacity (ablation A1 shrinks this to 1).
@@ -272,9 +274,6 @@ class NodeKernel:
         #: and migration advisor — ring placement wires membership
         #: into the former and re-homing through the latter.
         self.placement = create_placement(self)
-        #: Historical name for the placement strategy's lookup surface
-        #: (the pre-seam LocationService).
-        self.location = self.placement
         #: The live-member view (None under tiered placement).
         self.membership = self.placement.membership
         self.space = SpaceService(self)
@@ -383,18 +382,6 @@ class NodeKernel:
         """This node's clock: virtual seconds on the sim backend,
         monotonic wall seconds on the asyncio backend."""
         return self.runtime.now
-
-    @property
-    def scheduler(self):
-        """The runtime's raw timer backend (compatibility alias).
-
-        On the sim backend this is the deployment's
-        :class:`~repro.net.clock.EventScheduler`; on the asyncio
-        backend, the runtime itself (same timer surface).  New code
-        should schedule through :attr:`runtime` and read the clock via
-        :attr:`now`.
-        """
-        return self.runtime.timers
 
     @property
     def cluster_manager_node(self) -> Optional[int]:
@@ -516,7 +503,7 @@ class NodeKernel:
                 self.migration_advisor.forget_region(desc.rid)
 
     # ------------------------------------------------------------------
-    # CMHost facade (delegates into the services)
+    # CMHost surface (delegates into the services)
     # ------------------------------------------------------------------
 
     def reply_request(self, msg: Message, msg_type: MessageType,
@@ -553,7 +540,7 @@ class NodeKernel:
         if not self._alive:
             return
         self.runtime.call_later(
-            self.config.housekeeping_period, self._housekeeping,
+            HOUSEKEEPING_PERIOD, self._housekeeping,
             label=f"n{self.node_id}:housekeeping",
         )
 

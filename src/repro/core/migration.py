@@ -110,7 +110,7 @@ class MigrationAdvisor:
         self._migrating.add(rid)
         self.migrations_started += 1
         outcome = self.daemon.spawn(
-            self.daemon.migrate_region_local(desc, target),
+            self.daemon.space.migrate_region_local(desc, target),
             label=f"rehome:{rid:#x}",
         )
 
@@ -140,7 +140,7 @@ class MigrationAdvisor:
             self._migrating.add(rid)
             self.migrations_started += 1
             outcome = self.daemon.spawn(
-                self.daemon.migrate_region_local(desc, target),
+                self.daemon.space.migrate_region_local(desc, target),
                 label=f"auto-migrate:{rid:#x}",
             )
 

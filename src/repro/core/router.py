@@ -304,7 +304,7 @@ class MessageRouter:
         kernel = self.kernel
         reg = self.register
         reg(MessageType.REGION_LOOKUP,
-            kernel.location.handle_region_lookup, dedup=True)
+            kernel.placement.handle_region_lookup, dedup=True)
         reg(MessageType.DESCRIPTOR_FETCH,
             kernel.space.handle_descriptor_fetch, dedup=True)
         reg(MessageType.DESCRIPTOR_UPDATE,

@@ -91,7 +91,7 @@ class SpaceService:
                     payload={"descriptor": desc.to_wire()},
                 )
             )
-        kernel.location.advertise_caching(desc)
+        kernel.placement.advertise_caching(desc)
         return desc
 
     def _refill_pool(self, size: int) -> ProtocolGen:
@@ -128,7 +128,7 @@ class SpaceService:
         """Release a region and reclaim its storage (release-type)."""
         kernel = self.kernel
         kernel.stats.bump("unreserve")
-        desc = yield from kernel.location.locate_region(rid)
+        desc = yield from kernel.placement.locate_region(rid)
         if desc.rid != rid:
             raise InvalidRange(
                 f"{rid:#x} is inside region {desc.rid:#x}, not its start"
@@ -170,7 +170,7 @@ class SpaceService:
         """Allocate physical storage for a region (or part of one)."""
         kernel = self.kernel
         kernel.stats.bump("allocate")
-        desc = yield from kernel.location.locate_region(rid)
+        desc = yield from kernel.placement.locate_region(rid)
         target = subrange if subrange is not None else desc.range
         if not desc.range.contains_range(target):
             raise InvalidRange(f"{target} not inside region {desc.range}")
@@ -212,7 +212,7 @@ class SpaceService:
                 )
             # Refresh the cluster manager's hint so later lookups from
             # other nodes see the allocated descriptor.
-            kernel.location.readvertise(new_desc)
+            kernel.placement.readvertise(new_desc)
         return None
 
     def _allocate_local(self, desc: RegionDescriptor,
@@ -231,7 +231,7 @@ class SpaceService:
         """Release physical storage for part of a region (release-type)."""
         kernel = self.kernel
         kernel.stats.bump("free")
-        desc = yield from kernel.location.locate_region(rid)
+        desc = yield from kernel.placement.locate_region(rid)
         if not desc.range.contains_range(subrange):
             raise InvalidRange(f"{subrange} not inside region {desc.range}")
         payload = {"rid": rid, "start": subrange.start,
@@ -269,7 +269,7 @@ class SpaceService:
         """
         kernel = self.kernel
         kernel.stats.bump("resize")
-        desc = yield from kernel.location.locate_region(rid)
+        desc = yield from kernel.placement.locate_region(rid)
         if desc.rid != rid:
             raise InvalidRange(
                 f"{rid:#x} is inside region {desc.rid:#x}, not its start"
@@ -332,7 +332,7 @@ class SpaceService:
                     payload={"descriptor": new_desc.to_wire()},
                 )
             )
-        kernel.location.readvertise(new_desc)
+        kernel.placement.readvertise(new_desc)
         final = kernel.homed_regions.get(rid, new_desc)
         return final
 
@@ -345,7 +345,7 @@ class SpaceService:
         """
         kernel = self.kernel
         kernel.stats.bump("migrate")
-        desc = yield from kernel.location.locate_region(rid)
+        desc = yield from kernel.placement.locate_region(rid)
         if desc.rid != rid:
             raise InvalidRange(
                 f"{rid:#x} is inside region {desc.rid:#x}, not its start"
@@ -452,7 +452,7 @@ class SpaceService:
         """Fetch a region's current attributes (get-attributes op)."""
         kernel = self.kernel
         kernel.stats.bump("get_attrs")
-        desc = yield from kernel.location.locate_region(
+        desc = yield from kernel.placement.locate_region(
             rid, skip_directory=True
         )
         return desc.attrs
@@ -462,7 +462,7 @@ class SpaceService:
         """Update a region's attributes (set-attributes op)."""
         kernel = self.kernel
         kernel.stats.bump("set_attrs")
-        desc = yield from kernel.location.locate_region(rid)
+        desc = yield from kernel.placement.locate_region(rid)
         if not desc.attrs.acl.allows(principal, Right.ADMIN):
             raise AccessDenied(
                 f"principal {principal!r} lacks admin rights on region "

@@ -313,6 +313,15 @@ class KhazanaFileSystem:
             return self._extent_truncate(inode, size)
         inode.check_capacity(size)
         needed = inode.blocks_needed(size)
+        tail_end = min(inode.size, needed * BLOCK_SIZE)
+        if size < tail_end and needed <= len(inode.blocks):
+            # Zero the kept last block past the new end, so a later
+            # sparse extension reads zeroes, not the old bytes.  (A
+            # hole, never written, has no block and reads zeroes.)
+            self.session.write_at(
+                inode.blocks[needed - 1] + size % BLOCK_SIZE,
+                b"\x00" * (tail_end - size),
+            )
         doomed = inode.blocks[needed:]
         inode.blocks = inode.blocks[:needed]
         inode.size = size

@@ -73,7 +73,7 @@ class RpcEndpoint:
 
     Dispatches unsolicited messages to a handler registered per message
     type, and matches replies to outstanding requests.  Owned by a
-    :class:`~repro.core.daemon.KhazanaDaemon`.
+    :class:`~repro.core.kernel.NodeKernel`.
     """
 
     def __init__(

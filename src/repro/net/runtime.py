@@ -34,7 +34,7 @@ Everything above this seam is backend-agnostic; lint rule KHZ011
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 from repro.net.clock import EventScheduler
 from repro.net.tasks import Future
@@ -108,20 +108,6 @@ class Runtime(abc.ABC):
         suspending.
         """
 
-    @property
-    def timers(self) -> object:
-        """The raw timer object for tools that need the backend itself.
-
-        The sim backend returns its :class:`EventScheduler` (the
-        explorer and the sync client driver step it directly); the
-        asyncio backend returns the runtime, whose timer surface is
-        the same.
-        """
-        return self
-
-    def node_ids(self) -> List[int]:
-        return self.transport.node_ids()
-
 
 class SimRuntime(Runtime):
     """The discrete-event backend: virtual time over a simulated net.
@@ -166,7 +152,3 @@ class SimRuntime(Runtime):
         self.scheduler.call_later(seconds, lambda: future.set_result(None),
                                   label=label)
         return future
-
-    @property
-    def timers(self) -> EventScheduler:
-        return self.scheduler

@@ -221,9 +221,8 @@ class ObjectRuntime:
         daemon = self.session.daemon
         try:
             desc = self.session.driver.wait(
-                daemon.spawn(
-                    daemon.locate_region(ref.address), label="obj-locate"
-                )
+                daemon.spawn(daemon.placement.locate_region(ref.address),
+                             label="obj-locate")
             )
         except (KhazanaError, RpcTimeout, RemoteError):
             # Location is advisory: an unlocatable object just falls
@@ -243,20 +242,21 @@ class ObjectRuntime:
         mode = LockMode.READ if is_readonly(method) else LockMode.WRITE
         daemon = self.session.daemon
         target = AddressRange(ref.address, ref.region_size)
-        ctx = yield from daemon.op_lock(target, mode, self.session.principal)
+        ctx = yield from daemon.data.op_lock(target, mode,
+                                             self.session.principal)
         try:
-            raw = yield from daemon.op_read(ctx, target)
+            raw = yield from daemon.data.op_read(ctx, target)
             doc = decode_state(raw)
             state = doc.setdefault("state", {})
             instance = cls()
             result = method(instance, state, *args, **kwargs)
             if mode is LockMode.WRITE:
-                yield from daemon.op_write(
+                yield from daemon.data.op_write(
                     ctx, target, encode_state(doc, ref.region_size)
                 )
             return result
         finally:
-            yield from daemon.op_unlock(ctx)
+            yield from daemon.data.op_unlock(ctx)
 
     def _invoke_remote(self, ref: ObjectRef, method_name: str,
                        args: Tuple, kwargs: Dict[str, Any]) -> Any:

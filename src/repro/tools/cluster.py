@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.addressing import DEFAULT_PAGE_SIZE
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.client import KhazanaSession
-from repro.core.daemon import DaemonConfig, KhazanaDaemon
+from repro.core.kernel import DaemonConfig, NodeKernel
 from repro.core.locks import LockMode
 from repro.core.region import RegionDescriptor
 from repro.net.aio import AsyncioDriver, AsyncioRuntime
@@ -132,7 +132,7 @@ def build_node(
     book: Dict[int, Tuple[str, int]],
     runtime: Optional[AsyncioRuntime] = None,
     config: Optional[DaemonConfig] = None,
-) -> Tuple[AsyncioRuntime, KhazanaDaemon]:
+) -> Tuple[AsyncioRuntime, NodeKernel]:
     """One daemon on the asyncio backend, listening on its book entry.
 
     With ``runtime`` given, the daemon joins that runtime's loop (the
@@ -144,7 +144,7 @@ def build_node(
     transport = TcpTransport(book, runtime.loop)
     runtime.transport = transport
     runtime.loop.run_until_complete(transport.listen(node_id))
-    daemon = KhazanaDaemon(
+    daemon = NodeKernel(
         node_id, runtime, config=config if config is not None
         else node_config()
     )
@@ -162,7 +162,7 @@ def build_node(
 # dict; the launcher reassembles the dicts into a SnapshotCluster and
 # runs the *unchanged* fsck pass over it.
 
-def snapshot_node(daemon: KhazanaDaemon) -> Dict[str, Any]:
+def snapshot_node(daemon: NodeKernel) -> Dict[str, Any]:
     """This daemon's fsck-relevant state as a wire-encodable dict
     (an ``APP_REPLY`` payload: string keys only, so pages travel as
     ``[address, data]`` pairs)."""
@@ -286,7 +286,7 @@ class SnapshotCluster:
 # Daemon process (--serve)
 # ---------------------------------------------------------------------------
 
-def register_control(daemon: KhazanaDaemon, runtime: AsyncioRuntime) -> None:
+def register_control(daemon: NodeKernel, runtime: AsyncioRuntime) -> None:
     """Wire the launcher's control plane onto ``APP_REQUEST``."""
 
     def handle(msg) -> None:
@@ -331,7 +331,7 @@ def serve(args: argparse.Namespace) -> int:
 _CONTROL_POLICY = RetryPolicy(timeout=0.5, retries=4)
 
 
-def _control(runtime: AsyncioRuntime, daemon: KhazanaDaemon, peer: int,
+def _control(runtime: AsyncioRuntime, daemon: NodeKernel, peer: int,
              op: str, timeout: float = 20.0) -> Dict[str, Any]:
     reply = runtime.run_future(
         daemon.rpc.request(peer, MessageType.APP_REQUEST, {"control": op},

@@ -36,11 +36,11 @@ from typing import Any, List, Optional, Set
 from repro.analysis import invariants
 from repro.core.address_map import (
     ROOT_PAGE,
+    SYSTEM_RID,
     EntryState,
     MapNode,
 )
 from repro.core.addressing import MAX_ADDRESS, AddressRange
-from repro.core.daemon import SYSTEM_RID
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.core.daemon import SYSTEM_RID
+from repro.core.address_map import SYSTEM_RID
 
 
 def cluster_summary(cluster) -> Dict[str, Any]:

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Cluster, create_cluster
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 
 DETECT_RACES = os.environ.get("KHAZANA_DETECT_RACES", "") not in ("", "0")
 

@@ -8,9 +8,13 @@ tests pin down the rule AND the suppression syntax.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint import (
+    FENCES,
     SourceFile,
     lint_files,
     lint_source,
@@ -434,4 +438,53 @@ class TestStaticTables:
 class TestTree:
     def test_shipped_tree_is_clean(self):
         # The repo's own source must lint clean — the CI gate.
-        assert main(["src/", "tests/", "examples/"]) == 0
+        assert main(["src/", "tests/", "examples/", "benchmarks/"]) == 0
+
+
+#: One use per Fence kind, naming ``{name}`` (see repro.analysis.lint).
+FENCE_SNIPPETS = {
+    "call": "from {module} import {attr} as target\n\ntarget()\n",
+    "import": "from {module} import {attr}\n",
+    "daemon-attr": "def f(daemon):\n    return daemon.{name}\n",
+    "method": "def f(runtime):\n    runtime.{name}()\n",
+    "daemon-method": "def f(host):\n    host.{name}()\n",
+    "config-read": "def f(config):\n    return config.{name}\n",
+}
+
+
+def _probe_path(pattern: str) -> str:
+    """A file path inside a fence path pattern (package or module)."""
+    if pattern.endswith("/"):
+        return f"src/{pattern}fence_probe.py"
+    return f"src/{pattern}"
+
+
+def _fence_snippet(fence):
+    """A concrete name the row's first glob matches, and a use of it."""
+    name = re.sub(r"\[!?[^]]*\]", "x", fence.names[0]).replace("*", "probe")
+    module, _, attr = name.rpartition(".")
+    template = FENCE_SNIPPETS[fence.kind]
+    if fence.kind == "call" and not module:
+        template = "{name}()\n"
+    return name, template.format(name=name, module=module, attr=attr)
+
+
+@pytest.mark.parametrize(
+    "fence", FENCES,
+    ids=[f"{f.rule}-{f.kind}-{f.names[0]}" for f in FENCES],
+)
+def test_every_fence_row_is_live(fence):
+    name, source = _fence_snippet(fence)
+    inside = (_probe_path(fence.paths[0]) if fence.paths
+              else "tests/fence_probe.py")
+    assert fence.applies_to(inside)
+    # The row's own message: another row of the same rule cannot stand in.
+    assert fence.message.format(name=name) in {
+        f.message for f in lint_source(source, path=inside)
+        if f.rule == fence.rule
+    }
+    quiet = [_probe_path(p) for p in fence.exempt] or ["elsewhere/probe.py"]
+    for path in quiet:
+        assert not fence.applies_to(path)
+        found = {f.rule for f in lint_source(source, path=path)}
+        assert fence.rule not in found, path

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Cluster, create_cluster, create_hierarchy
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.net.sim import LAN_LATENCY, WAN_LATENCY, Topology
 
 

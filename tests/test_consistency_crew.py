@@ -131,10 +131,10 @@ def _locked_write(session, desc):
     target = AddressRange(desc.rid, 4096)
 
     def task():
-        ctx = yield from daemon.op_lock(target, LockMode.WRITE,
+        ctx = yield from daemon.data.op_lock(target, LockMode.WRITE,
                                         session.principal)
-        yield from daemon.op_write(ctx, AddressRange(desc.rid, 3), b"new")
-        yield from daemon.op_unlock(ctx)
+        yield from daemon.data.op_write(ctx, AddressRange(desc.rid, 3), b"new")
+        yield from daemon.data.op_unlock(ctx)
 
     return task()
 

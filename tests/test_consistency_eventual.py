@@ -6,7 +6,7 @@ import pytest
 from repro.api import create_cluster
 from repro.consistency.eventual import DEFAULT_STALENESS_BOUND
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.net.message import Message, MessageType
 
 

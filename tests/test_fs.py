@@ -114,6 +114,24 @@ class TestFilesBasic:
         assert st.size == BLOCK_SIZE
         assert len(st.blocks) == 1
 
+    def test_truncate_shrink_then_grow_reads_zeroes(self, fs):
+        # The kept last block must not keep its bytes past the new end:
+        # a later sparse extension reads them back as zeroes.
+        with fs.create("/shrink.bin") as f:
+            f.write(b"x" * BLOCK_SIZE)
+            f.truncate(100)
+            f.truncate(BLOCK_SIZE)
+            assert f.pread(0, BLOCK_SIZE) == (
+                b"x" * 100 + b"\x00" * (BLOCK_SIZE - 100)
+            )
+
+    def test_truncate_shrinks_into_a_hole(self, fs):
+        with fs.create("/hole.bin") as f:
+            f.truncate(2 * BLOCK_SIZE)
+            f.truncate(100)
+            f.truncate(BLOCK_SIZE)
+            assert f.pread(0, BLOCK_SIZE) == b"\x00" * BLOCK_SIZE
+
     def test_file_size_limit_enforced(self, fs):
         with fs.create("/cap.bin") as f:
             with pytest.raises(Exception):

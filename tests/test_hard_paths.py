@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import create_cluster
 from repro.core.attributes import RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.errors import LockDenied
 from repro.core.locks import LockMode
 from repro.bench.workloads import make_regions

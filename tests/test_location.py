@@ -4,7 +4,7 @@ region directory -> cluster manager -> address map -> cluster walk."""
 import pytest
 
 from repro.core.attributes import RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.errors import RegionNotFound
 from repro.api import create_cluster, create_hierarchy
 

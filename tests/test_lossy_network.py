@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.net.sim import Topology
 from repro.fs import KhazanaFileSystem
 

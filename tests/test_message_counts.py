@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import create_cluster
 from repro.core import region
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from tests.test_protocol_conformance import PROTOCOLS, RING_CHURN_SCENARIOS
 
 #: (placement, scenario, protocol) -> total messages sent.

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import create_cluster
 from repro.core.attributes import RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.errors import InvalidRange
 from repro.core.migration import MIN_SAMPLES
 

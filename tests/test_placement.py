@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.api import create_cluster
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.errors import RegionNotFound
 from repro.core.placement import (
     HashRingPlacement,
@@ -148,7 +148,6 @@ class TestSeam:
         for node in cluster.node_ids():
             daemon = cluster.daemon(node)
             assert isinstance(daemon.placement, TieredPlacement)
-            assert daemon.location is daemon.placement
             assert daemon.membership is None
 
     def test_ring_strategy_selected_by_config(self, ring_cluster):

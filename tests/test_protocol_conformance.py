@@ -16,7 +16,7 @@ from repro.api import create_cluster
 from repro.consistency.engine.state import add_trace_hook, remove_trace_hook
 from repro.core.addressing import AddressRange
 from repro.core.attributes import RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.errors import InvalidLockContext
 from repro.core.locks import LockMode
 
@@ -66,12 +66,12 @@ def locked_write(session, desc, payload, length=PAGE):
     target = AddressRange(desc.rid, length)
 
     def task():
-        ctx = yield from daemon.op_lock(target, LockMode.WRITE,
+        ctx = yield from daemon.data.op_lock(target, LockMode.WRITE,
                                         session.principal)
-        yield from daemon.op_write(
+        yield from daemon.data.op_write(
             ctx, AddressRange(desc.rid, len(payload)), payload
         )
-        yield from daemon.op_unlock(ctx)
+        yield from daemon.data.op_unlock(ctx)
 
     return task()
 

@@ -6,7 +6,7 @@ from repro.analysis.races import RaceDetector, Violation
 from repro.api import create_cluster
 from repro.core.addressing import AddressRange
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.core.locks import LockContext, LockMode
 
 

@@ -16,7 +16,7 @@ import pytest
 from repro.api import create_cluster
 from repro.core.attributes import ConsistencyLevel
 from repro.core.client import KhazanaSession
-from repro.core.daemon import DaemonConfig
+from repro.core.kernel import DaemonConfig
 from repro.fs.filesystem import KhazanaFileSystem
 from repro.net.aio import AsyncioDriver, AsyncioRuntime
 from repro.net.clock import EventScheduler
@@ -43,10 +43,6 @@ class TestSimRuntime:
         runtime, _ = _sim_runtime()
         assert isinstance(runtime, Runtime)
         assert runtime.name == "sim"
-
-    def test_timers_property_exposes_the_raw_scheduler(self):
-        runtime, scheduler = _sim_runtime()
-        assert runtime.timers is scheduler
 
     def test_clock_delegates(self):
         runtime, scheduler = _sim_runtime()

@@ -279,7 +279,7 @@ class TestPlacementReport:
         assert "ring_spread" not in report
 
     def test_ring_rows_show_membership_and_spread(self):
-        from repro.core.daemon import DaemonConfig
+        from repro.core.kernel import DaemonConfig
 
         cluster = create_cluster(
             num_nodes=4, config=DaemonConfig(placement="ring")
