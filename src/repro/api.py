@@ -256,6 +256,11 @@ class Cluster:
         self.daemons[node] = fresh
         return fresh
 
+    def shutdown(self) -> None:
+        """Stop every daemon, closing durable nodes' page logs."""
+        for daemon in self.daemons.values():
+            daemon.stop()
+
     def partition(self, group_a, group_b) -> None:
         self.network.partition(set(group_a), set(group_b))
 

@@ -42,6 +42,7 @@ from repro.core.errors import (
     NotReserved,
 )
 from repro.core.locks import LockMode
+from repro.storage.store import unpad
 
 #: The well-known system region holding the address-map tree: the
 #: first 16 MiB of the global address space (4096 tree pages).
@@ -140,7 +141,7 @@ class MapNode:
 
     @classmethod
     def decode(cls, data: bytes) -> "MapNode":
-        blob = data.rstrip(b"\x00")
+        blob = unpad(data)
         if not blob:
             return cls(entries=[])
         doc = json.loads(blob.decode("ascii"))

@@ -31,6 +31,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.allocator import DEFAULT_CHUNK_SIZE
 from repro.core.region import RegionDescriptor
+from repro.core.region_directory import RangeIndex
 from repro.net.message import Message, MessageType
 from repro.net.tasks import Future
 
@@ -58,6 +59,7 @@ class ClusterManagerRole:
         self._region_hints: "OrderedDict[int, Tuple[RegionDescriptor, Set[int]]]" = (
             OrderedDict()
         )
+        self._hint_ranges = RangeIndex()
         self._free_space: Dict[int, FreeSpaceHint] = {}
         self.space_requests_served = 0
         self.hint_queries = 0
@@ -184,12 +186,14 @@ class ClusterManagerRole:
             if descriptor.version >= known.version:
                 known = descriptor
             nodes.add(node_id)
-            self._region_hints[descriptor.rid] = (known, nodes)
         else:
-            self._region_hints[descriptor.rid] = (descriptor, {node_id})
-        self._region_hints.move_to_end(descriptor.rid)
+            known, nodes = descriptor, {node_id}
+        for stale in self._hint_ranges.add(known.rid, known.range.end):
+            del self._region_hints[stale]
+        self._region_hints[known.rid] = (known, nodes)
+        self._region_hints.move_to_end(known.rid)
         while len(self._region_hints) > HINT_CAPACITY:
-            self._region_hints.popitem(last=False)
+            self._hint_ranges.discard(self._region_hints.popitem(last=False)[0])
 
     def note_region_dropped(self, rid: int, node_id: int) -> None:
         entry = self._region_hints.get(rid)
@@ -198,15 +202,20 @@ class ClusterManagerRole:
         descriptor, nodes = entry
         nodes.discard(node_id)
         if not nodes:
-            del self._region_hints[rid]
+            self._forget(rid)
+
+    def _forget(self, rid: int) -> None:
+        del self._region_hints[rid]
+        self._hint_ranges.discard(rid)
 
     def lookup_hint(
         self, address: int
     ) -> Optional[Tuple[RegionDescriptor, Set[int]]]:
-        for rid, (descriptor, nodes) in self._region_hints.items():
-            if descriptor.range.contains(address) and nodes:
-                return descriptor, set(nodes)
-        return None
+        rid = self._hint_ranges.covering(address)
+        if rid is None:
+            return None
+        descriptor, nodes = self._region_hints[rid]   # never empty
+        return descriptor, set(nodes)
 
     def forget_node(self, node_id: int) -> None:
         """Drop a crashed member from every hint."""
@@ -216,7 +225,7 @@ class ClusterManagerRole:
             if not nodes:
                 doomed.append(rid)
         for rid in doomed:
-            del self._region_hints[rid]
+            self._forget(rid)
         self._free_space.pop(node_id, None)
 
     def free_space_hints(self) -> List[FreeSpaceHint]:

@@ -371,6 +371,7 @@ class NodeKernel:
         self.detector.stop()
         self.replica_maintainer.stop()
         self.rpc.shutdown()
+        self.storage.disk.close()
 
     @property
     def alive(self) -> bool:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
+from repro.storage.store import unpad
+
 #: File data block size: "each block of the filesystem is allocated
 #: into a separate 4-kilobyte region" (Section 4.1).
 BLOCK_SIZE = 4096
@@ -47,7 +49,7 @@ def encode_struct(doc: Dict[str, Any], size: int) -> bytes:
 
 def decode_struct(data: bytes) -> Dict[str, Any]:
     """Inverse of :func:`encode_struct`; empty pages decode to {}."""
-    blob = data.rstrip(b"\x00")
+    blob = unpad(data)
     if not blob:
         return {}
     try:

@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Tuple
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.client import KhazanaSession
 from repro.core.locks import LockMode
+from repro.storage.store import unpad
 
 CONTEXT_SIZE = 4096
 MAGIC = "KNS1"
@@ -52,7 +53,7 @@ def _encode(doc: Dict[str, Any]) -> bytes:
 
 
 def _decode(data: bytes) -> Dict[str, Any]:
-    blob = data.rstrip(b"\x00")
+    blob = unpad(data)
     if not blob:
         return {"magic": MAGIC, "bindings": {}, "children": {}}
     doc = json.loads(blob.decode("utf-8"))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict
 
+from repro.storage.store import unpad
+
 
 class ObjectError(Exception):
     """Errors raised by the object runtime."""
@@ -73,7 +75,7 @@ def encode_state(state: Dict[str, Any], size: int) -> bytes:
 
 
 def decode_state(data: bytes) -> Dict[str, Any]:
-    blob = data.rstrip(b"\x00")
+    blob = unpad(data)
     if not blob:
         return {}
     try:

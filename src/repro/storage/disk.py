@@ -6,9 +6,9 @@ Two implementations are provided:
   profile of a disk but no actual I/O.  This is the default for tests
   and benchmarks, keeping experiments deterministic (the substitution
   is recorded in DESIGN.md).
-- :class:`FileBackedDiskStore` — genuinely persistent, one file per
-  page under a spill directory, used by the persistence examples and
-  tests to demonstrate that Khazana state survives daemon restarts.
+- :class:`FileBackedDiskStore` — genuinely persistent: one append-only
+  page log per node directory, used by durable daemons so that Khazana
+  state survives daemon restarts.
 
 Both price every access with the same model (:func:`access_cost`, a
 late-90s disk).  The price is a property of the model, not time spent:
@@ -21,7 +21,9 @@ backend does not (the file write it just did was the cost).
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+import struct
+import zlib
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageExhausted
 from repro.storage.store import PageStore, StoredPage
@@ -29,6 +31,19 @@ from repro.storage.store import PageStore, StoredPage
 #: Late-90s commodity disk: ~10ms average positioning, ~10 MB/s media.
 DISK_SEEK_SECONDS = 0.010
 DISK_BYTES_PER_SECOND = 10_000_000
+
+#: File name of a node's page log inside its spill directory.
+LOG_FILE = "pages.log"
+
+#: Record header after its CRC32: data length, flags, 16-byte address.
+_CRC = struct.Struct("<I")
+_HEAD = struct.Struct("<IB16s")
+HEADER_BYTES = _CRC.size + _HEAD.size
+FLAG_DIRTY = 1
+FLAG_TOMBSTONE = 2
+
+#: Compact once the log exceeds twice its live records plus this slack.
+COMPACT_SLACK_BYTES = 1 << 20
 
 
 def access_cost(size_bytes: int) -> float:
@@ -79,35 +94,39 @@ class DiskStore(PageStore):
         return list(self._pages.keys())
 
 
+def _record(address: int, data: bytes, flags: int) -> bytes:
+    head = _HEAD.pack(len(data), flags, address.to_bytes(16, "big"))
+    crc = zlib.crc32(data, zlib.crc32(head))
+    return b"".join((_CRC.pack(crc), head, data))
+
+
 class FileBackedDiskStore(PageStore):
-    """Persistent page store: one file per page in ``directory``.
+    """Persistent page store: one append-only log in ``directory``.
 
-    File names encode the global page address in hex, so a restarted
-    daemon can rebuild its page directory by scanning the directory —
-    this is what makes Khazana state *persistent* across daemon
-    restarts (paper Section 1: "local storage, both volatile (RAM) and
-    persistent (disk)").
-
-    Dirty bits are encoded in the filename suffix so that write-back
-    state also survives a crash.
+    ``put`` appends one record (``CRC32 | length | flags | 16-byte
+    address | bytes``) in a single unbuffered write, ``remove`` a
+    tombstone; an in-memory index makes ``get`` one ``pread``.  A
+    restarted daemon replays the log (paper Section 1: "local storage,
+    both volatile (RAM) and persistent (disk)"), cutting off a short or
+    CRC-failing tail.  Nothing is fsynced: a returned write survives a
+    process crash, not a power loss.  When dead records outweigh live
+    ones, the live ones are copied to a fresh log renamed over the old.
     """
 
-    _CLEAN_SUFFIX = ".page"
-    _DIRTY_SUFFIX = ".page.dirty"
+    persistent = True
 
     def __init__(self, directory: str, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self._capacity = capacity_bytes
-        self._directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._index: Dict[int, str] = {}   # address -> file path
-        self._used = 0
-        self._scan()
-
-    @property
-    def directory(self) -> str:
-        return self._directory
+        self._path = os.path.join(directory, LOG_FILE)
+        #: address -> (offset of the record, data length, dirty)
+        self._index: Dict[int, Tuple[int, int, bool]] = {}
+        self._used = 0          # live page bytes (the capacity measure)
+        self._live = 0          # live record bytes, headers included
+        self._log = open(self._path, "a+b", buffering=0)
+        self._end = self._replay()
 
     @property
     def capacity_bytes(self) -> int:
@@ -116,61 +135,85 @@ class FileBackedDiskStore(PageStore):
     def used_bytes(self) -> int:
         return self._used
 
-    def _scan(self) -> None:
-        """Rebuild the index from files left by a previous incarnation."""
-        for name in os.listdir(self._directory):
-            if name.endswith(self._DIRTY_SUFFIX):
-                stem = name[: -len(self._DIRTY_SUFFIX)]
-            elif name.endswith(self._CLEAN_SUFFIX):
-                stem = name[: -len(self._CLEAN_SUFFIX)]
-            else:
-                continue
-            try:
-                address = int(stem, 16)
-            except ValueError:
-                continue
-            path = os.path.join(self._directory, name)
-            self._index[address] = path
-            self._used += os.path.getsize(path)
+    def _replay(self) -> int:
+        """Rebuild the index from the log; return the offset of its end."""
+        fd, offset = self._log.fileno(), 0
+        size = os.fstat(fd).st_size
+        while offset + HEADER_BYTES <= size:
+            header = os.pread(fd, HEADER_BYTES, offset)
+            (crc,) = _CRC.unpack_from(header)
+            length, flags, raw = _HEAD.unpack_from(header, _CRC.size)
+            if offset + HEADER_BYTES + length > size:
+                break
+            data = os.pread(fd, length, offset + HEADER_BYTES)
+            if zlib.crc32(data, zlib.crc32(header[_CRC.size:])) != crc:
+                break
+            self._apply(int.from_bytes(raw, "big"), offset, length, flags)
+            offset += HEADER_BYTES + length
+        self._log.truncate(offset)
+        return offset
 
-    def _path_for(self, address: int, dirty: bool) -> str:
-        suffix = self._DIRTY_SUFFIX if dirty else self._CLEAN_SUFFIX
-        return os.path.join(self._directory, f"{address:032x}{suffix}")
+    def _apply(self, address: int, offset: int, length: int, flags: int) -> None:
+        old = self._index.get(address)
+        if old is not None:
+            self._used -= old[1]
+            self._live -= HEADER_BYTES + old[1]
+        if flags & FLAG_TOMBSTONE:
+            self._index.pop(address, None)
+        else:
+            self._index[address] = (offset, length, bool(flags & FLAG_DIRTY))
+            self._used += length
+            self._live += HEADER_BYTES + length
+
+    def _append(self, address: int, data: bytes, flags: int) -> None:
+        record = _record(address, data, flags)
+        if self._log.write(record) != len(record):
+            self._log.truncate(self._end)
+            raise OSError(f"short write to {self._path}")
+        self._apply(address, self._end, len(data), flags)
+        self._end += len(record)
+        self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        if self._end <= 2 * self._live + COMPACT_SLACK_BYTES:
+            return
+        tmp = self._path + ".tmp"
+        fd = self._log.fileno()
+        index: Dict[int, Tuple[int, int, bool]] = {}
+        offset = 0
+        with open(tmp, "wb", buffering=0) as out:
+            for address, (at, length, dirty) in self._index.items():
+                out.write(os.pread(fd, HEADER_BYTES + length, at))
+                index[address] = (offset, length, dirty)
+                offset += HEADER_BYTES + length
+        os.replace(tmp, self._path)
+        self._log.close()
+        self._log = open(self._path, "a+b", buffering=0)
+        self._index = index
+        self._end = offset
 
     def get(self, address: int) -> Optional[StoredPage]:
-        path = self._index.get(address)
-        if path is None:
+        entry = self._index.get(address)
+        if entry is None:
             return None
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return StoredPage(
-            address=address, data=data, dirty=path.endswith(self._DIRTY_SUFFIX)
-        )
+        at, length, dirty = entry
+        data = os.pread(self._log.fileno(), length, at + HEADER_BYTES)
+        return StoredPage(address=address, data=data, dirty=dirty)
 
     def put(self, page: StoredPage) -> None:
-        old_path = self._index.get(page.address)
-        old_size = os.path.getsize(old_path) if old_path else 0
-        delta = page.size - old_size
+        old = self._index.get(page.address)
+        delta = page.size - (old[1] if old is not None else 0)
         if self._used + delta > self._capacity:
             raise StorageExhausted(
                 f"disk store full: need {delta} bytes, {self.free_bytes()} free"
             )
-        path = self._path_for(page.address, page.dirty)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(page.data)
-        os.replace(tmp, path)
-        if old_path and old_path != path:
-            os.remove(old_path)
-        self._index[page.address] = path
-        self._used += delta
+        self._append(page.address, page.data,
+                     FLAG_DIRTY if page.dirty else 0)
 
     def remove(self, address: int) -> Optional[StoredPage]:
         page = self.get(address)
-        path = self._index.pop(address, None)
-        if path is not None:
-            self._used -= os.path.getsize(path)
-            os.remove(path)
+        if page is not None:
+            self._append(address, b"", FLAG_TOMBSTONE)
         return page
 
     def contains(self, address: int) -> bool:
@@ -178,3 +221,6 @@ class FileBackedDiskStore(PageStore):
 
     def addresses(self) -> List[int]:
         return list(self._index.keys())
+
+    def close(self) -> None:
+        self._log.close()

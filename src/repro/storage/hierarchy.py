@@ -161,13 +161,15 @@ class StorageHierarchy:
 
     def write_through(self, page: StoredPage) -> float:
         """Store and immediately persist to disk (used for metadata the
-        node homes, which must survive a restart)."""
-        cost = self.store(page)
+        node homes, which must survive a restart).  The disk ``put``
+        replaces any older disk copy, so none is removed first."""
+        cost = self._make_room_in_memory(page.size, exclude=page.address)
+        self.memory.put(page)
         persisted = StoredPage(page.address, page.data, dirty=page.dirty)
         room_cost = self._make_room_on_disk(persisted.size, exclude=page.address)
         self.disk.put(persisted)
         io = access_cost(persisted.size)
-        self.stats.simulated_io_seconds += room_cost + io
+        self.stats.simulated_io_seconds += cost + room_cost + io
         return cost + room_cost + io
 
     # --- Removal ---------------------------------------------------------------
@@ -217,12 +219,14 @@ class StorageHierarchy:
 
     def _promote(self, page: StoredPage) -> None:
         """Move a disk hit up into RAM (best effort: skipped when RAM is
-        entirely pinned)."""
+        entirely pinned).  A persistent disk keeps its copy: at a
+        durable home it is the only one a crash leaves behind."""
         try:
             self._make_room_in_memory(page.size, exclude=page.address)
         except StorageExhausted:
             return
-        self.disk.remove(page.address)
+        if not self.disk.persistent:
+            self.disk.remove(page.address)
         self.memory.put(page)
 
     def _make_room_in_memory(self, size: int, exclude: int) -> float:

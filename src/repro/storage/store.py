@@ -19,6 +19,14 @@ from typing import Iterator, List, Optional, Union
 PageBytes = Union[bytes, bytearray, memoryview]
 
 
+def unpad(data: bytes) -> bytes:
+    """The document in a NUL-padded page: ``data`` up to its first NUL
+    (``json.dumps`` output is ASCII and escapes NUL).  One memchr, where
+    ``rstrip(b"\x00")`` tests every byte of the padding."""
+    end = data.find(0)
+    return data if end < 0 else data[:end]
+
+
 @dataclass
 class StoredPage:
     """One page held by a store level."""
@@ -34,6 +42,10 @@ class StoredPage:
 
 class PageStore(abc.ABC):
     """A single level of the local storage hierarchy (RAM, disk, ...)."""
+
+    #: True when the level outlives its process.  The hierarchy then
+    #: keeps this level's copy of a page it promotes into RAM.
+    persistent = False
 
     @abc.abstractmethod
     def get(self, address: int) -> Optional[StoredPage]:
@@ -65,6 +77,9 @@ class PageStore(abc.ABC):
     @abc.abstractmethod
     def capacity_bytes(self) -> int:
         """Maximum bytes this level may hold."""
+
+    def close(self) -> None:
+        """Release the level's OS resources (nothing for in-memory ones)."""
 
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()

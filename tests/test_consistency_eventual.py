@@ -169,3 +169,4 @@ class TestHomeInstallOrder:
         assert [m.msg_type for m in acks] == [MessageType.UPDATE_ACK] * 2
         assert home.storage.peek(desc.rid).data[:1] == b"N"
         assert home.page_directory.get(desc.rid).version == 2
+        cluster.shutdown()

@@ -1,10 +1,17 @@
 """Tests for the per-node region directory and page directory."""
 
+from collections import OrderedDict
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import cluster as cluster_mod
 from repro.core.addressing import AddressRange
 from repro.core.attributes import RegionAttributes
 from repro.core.page_directory import PageDirectory
 from repro.core.region import RegionDescriptor
-from repro.core.region_directory import RegionDirectory
+from repro.core.region_directory import RangeIndex, RegionDirectory
 
 
 def desc(start, length=0x4000, homes=(1,), version=None):
@@ -76,6 +83,158 @@ class TestRegionDirectory:
         assert rd.hit_rate() == 0.5
         rd.reset_stats()
         assert rd.hit_rate() == 0.0
+
+
+SLOT = 0x10000
+
+
+class _ScanDirectory:
+    """The region directory as a linear scan: the model for the index."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.lru = OrderedDict()
+
+    def insert(self, d):
+        old = self.lru.get(d.rid)
+        if old is None or old.version <= d.version:
+            self.lru[d.rid] = d
+        self.lru.move_to_end(d.rid)
+        while len(self.lru) > self.capacity:
+            self.lru.popitem(last=False)
+
+    def find_covering(self, address):
+        for rid, d in self.lru.items():
+            if d.range.contains(address):
+                self.lru.move_to_end(rid)
+                return d
+        return None
+
+
+class _ScanHints:
+    """The cluster manager's hint cache as a linear scan."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.lru = OrderedDict()
+
+    def cached(self, d, node):
+        known, nodes = self.lru.get(d.rid, (d, set()))
+        if d.version >= known.version:
+            known = d
+        nodes.add(node)
+        self.lru[d.rid] = (known, nodes)
+        self.lru.move_to_end(d.rid)
+        while len(self.lru) > self.capacity:
+            self.lru.popitem(last=False)
+
+    def dropped(self, rid, node):
+        if rid in self.lru:
+            self.lru[rid][1].discard(node)
+            if not self.lru[rid][1]:
+                del self.lru[rid]
+
+    def lookup(self, address):
+        for d, nodes in self.lru.values():
+            if d.range.contains(address) and nodes:
+                return d, set(nodes)
+        return None
+
+
+#: Disjoint ranges: slot ``s`` starts at ``(s + 1) * SLOT`` and is at
+#: most one slot long, so only ranges with the same start overlap.
+_op = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 7),
+              st.sampled_from([0x1000, 0x8000, SLOT]), st.integers(0, 3)),
+    st.tuples(st.just("drop"), st.integers(0, 7), st.integers(1, 2)),
+    st.tuples(st.just("find"), st.one_of(
+        st.integers(0, 10 * SLOT),
+        st.integers(0, 10 * SLOT // 0x1000).map(lambda k: k * 0x1000),
+        st.integers(1, 8).map(lambda k: k * SLOT))),
+)
+
+
+class TestRangeIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_op, max_size=60))
+    def test_find_covering_agrees_with_a_linear_scan(self, ops):
+        rd, model = RegionDirectory(capacity=3), _ScanDirectory(3)
+        for op in ops:
+            if op[0] == "insert":
+                d = desc((op[1] + 1) * SLOT, op[2], version=op[3])
+                rd.insert(d)
+                model.insert(d)
+            elif op[0] == "drop":
+                rd.invalidate((op[1] + 1) * SLOT)
+                model.lru.pop((op[1] + 1) * SLOT, None)
+            else:
+                assert rd.find_covering(op[1]) is model.find_covering(op[1])
+            assert rd.entries() == list(model.lru.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_op, max_size=60))
+    def test_lookup_hint_agrees_with_a_linear_scan(self, ops):
+        with mock.patch.object(cluster_mod, "HINT_CAPACITY", 3):
+            role, model = cluster_mod.ClusterManagerRole(None), _ScanHints(3)
+            for op in ops:
+                if op[0] == "insert":
+                    d = desc((op[1] + 1) * SLOT, op[2], version=op[3])
+                    role.note_region_cached(d, op[3] % 2 + 1)
+                    model.cached(d, op[3] % 2 + 1)
+                elif op[0] == "drop":
+                    role.note_region_dropped((op[1] + 1) * SLOT, op[2])
+                    model.dropped((op[1] + 1) * SLOT, op[2])
+                else:
+                    got, want = role.lookup_hint(op[1]), model.lookup(op[1])
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got[0] is want[0] and got[1] == want[1]
+                assert role.hinted_regions() == len(model.lru)
+
+    def test_an_insert_evicts_every_overlapping_entry(self):
+        rd = RegionDirectory()
+        rd.insert(desc(0x10000, 0x4000))
+        rd.insert(desc(0x14000, 0x4000))
+        rd.insert(desc(0x20000, 0x4000))
+        # A newer region spans both of the first two: they are stale.
+        wide = desc(0x12000, 0x8000)
+        rd.insert(wide)
+        assert rd.get(0x10000) is None and rd.get(0x14000) is None
+        assert rd.find_covering(0x11000) is None
+        assert rd.find_covering(0x16000) is wide
+        assert rd.find_covering(0x21000).rid == 0x20000
+        assert len(rd) == 2
+
+        role = cluster_mod.ClusterManagerRole(None)
+        role.note_region_cached(desc(0x10000, 0x4000), 1)
+        role.note_region_cached(desc(0x20000, 0x4000), 2)
+        role.note_region_cached(desc(0x13000, 0x10000), 3)
+        assert role.hinted_regions() == 1
+        found, nodes = role.lookup_hint(0x20000)
+        assert found.rid == 0x13000 and nodes == {3}
+
+    def test_capacity_eviction_drops_the_range_too(self):
+        rd = RegionDirectory(capacity=2)
+        for start in (0x10000, 0x20000, 0x30000):
+            rd.insert(desc(start, 0x1000))
+        assert rd.find_covering(0x10000) is None
+        with mock.patch.object(cluster_mod, "HINT_CAPACITY", 2):
+            role = cluster_mod.ClusterManagerRole(None)
+            for start in (0x10000, 0x20000, 0x30000):
+                role.note_region_cached(desc(start, 0x1000), 1)
+            assert role.lookup_hint(0x10000) is None
+
+    def test_range_index_reports_what_it_evicted(self):
+        index = RangeIndex()
+        assert index.add(0x1000, 0x2000) == []
+        assert index.add(0x3000, 0x4000) == []
+        assert index.add(0x1000, 0x1800) == []          # same start: replaced
+        assert index.covering(0x1800) is None          # ends are exclusive
+        assert index.add(0x1800, 0x3001) == [0x3000]
+        assert index.covering(0x17FF) == 0x1000
+        assert index.covering(0x3000) == 0x1800
+        index.discard(0x1000)
+        assert index.covering(0x1000) is None
 
 
 class TestPageDirectory:

@@ -135,7 +135,8 @@ class TestHintRetraction:
         role = cluster.daemon(0).cluster_role
         # Cold hints force node 3 through the map tier, which is the
         # path that advertises node 3 as a cacher.
-        role._region_hints.clear()
+        for rid in list(role._region_hints):
+            role._forget(rid)
         kz3 = cluster.client(node=3)
         kz3.read_at(desc.rid, 4)   # node 3 now caches and hints
         cluster.run(1.0)

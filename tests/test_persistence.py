@@ -10,6 +10,7 @@ regions it homes.
 import pytest
 
 from repro.api import create_cluster
+from repro.core.addressing import DEFAULT_PAGE_SIZE as PAGE
 from repro.core.attributes import RegionAttributes
 from repro.core.kernel import DaemonConfig
 from repro.storage.persistence import MetadataJournal
@@ -18,7 +19,9 @@ from repro.storage.persistence import MetadataJournal
 @pytest.fixture
 def durable_cluster(tmp_path):
     config = DaemonConfig(spill_dir=str(tmp_path / "spill"))
-    return create_cluster(num_nodes=4, config=config)
+    cluster = create_cluster(num_nodes=4, config=config)
+    yield cluster
+    cluster.shutdown()
 
 
 class TestJournal:
@@ -137,3 +140,27 @@ class TestRestart:
         cm3 = cluster.daemon(3).consistency_manager("crew")
         cm3.page_state.pop(desc.rid, None)
         assert kz3.read_at(desc.rid, 3) == b"new"
+
+    def test_disk_hit_at_a_durable_home_keeps_the_disk_copy(self, tmp_path):
+        """Reading a page that RAM pressure left on disk only promotes
+        it into RAM; the durable home's disk copy must stay, or the
+        crash below loses an acknowledged write."""
+        cluster = create_cluster(num_nodes=2, config=DaemonConfig(
+            spill_dir=str(tmp_path / "spill"), memory_bytes=4 * PAGE))
+        kz = cluster.client(node=1)
+        desc = kz.reserve(8 * PAGE)
+        kz.allocate(desc.rid)
+        for i in range(8):
+            kz.write_at(desc.rid + i * PAGE, bytes([i + 1]) * 16)
+        home = cluster.daemon(1)
+        assert not home.storage.memory.contains(desc.rid)   # on disk only
+        assert kz.read_at(desc.rid, 16) == b"\x01" * 16     # disk hit
+        cluster.run(2.0)
+        cluster.crash(1)
+        cluster.run(8.0)
+        cluster.restart_node(1)
+        cluster.run(2.0)
+        for i in range(8):
+            got = cluster.client(node=1).read_at(desc.rid + i * PAGE, 16)
+            assert got == bytes([i + 1]) * 16
+        cluster.shutdown()

@@ -195,7 +195,8 @@ class TestSimSpendsModelledCost:
         cluster.run(1.0)
         fired = []
         cluster.scheduler.observer = lambda event: fired.append(event.label)
-        return cluster, cluster.daemon(0), desc, fired
+        yield cluster, cluster.daemon(0), desc, fired
+        cluster.shutdown()
 
     def test_disk_hit_advances_now_by_the_returned_cost(self, homed_page):
         cluster, daemon, desc, fired = homed_page
@@ -266,6 +267,7 @@ class TestAsyncioSpendsNothing:
         assert expected["kept"] == b"overwritten " * 700
         assert expected["first"] == expected["second"] == ["kept"]
         sim_fsck = fsck.check_cluster(sim)
+        sim.shutdown()
 
         labels, runtimes, daemons, book = [], [], [], {}
         loop = None

@@ -1,12 +1,34 @@
 """Tests for the local storage hierarchy (paper Section 3.4)."""
 
-import pytest
+import contextlib
+import json
+import os
+import tempfile
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import create_cluster
+from repro.core.address_map import EntryState, MapEntry, MapNode, initial_root_node
+from repro.core.addressing import AddressRange
 from repro.core.errors import StorageExhausted
-from repro.storage.disk import DiskStore, FileBackedDiskStore, access_cost
+from repro.core.kernel import DaemonConfig
+from repro.fs.layout import LayoutError, decode_struct, encode_struct
+from repro.naming import service as naming
+from repro.objects.model import ObjectError, decode_state, encode_state
+from repro.storage import disk
+from repro.storage.disk import (
+    HEADER_BYTES,
+    LOG_FILE,
+    DiskStore,
+    FileBackedDiskStore,
+    access_cost,
+)
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.memory import MemoryStore
-from repro.storage.store import StoredPage
+from repro.storage.store import StoredPage, unpad
 
 PAGE = 4096
 
@@ -121,35 +143,211 @@ class TestDiskStore:
         assert access_cost(2 * PAGE) > access_cost(PAGE) > 0
 
 
+@contextlib.contextmanager
+def opened(directory, capacity=16 * PAGE):
+    """A page log that is closed again, whatever the test does."""
+    store = FileBackedDiskStore(directory, capacity)
+    try:
+        yield store
+    finally:
+        store.close()
+
+
+def log_size(directory):
+    return os.path.getsize(os.path.join(directory, LOG_FILE))
+
+
 class TestFileBackedDiskStore:
     def test_persistence_across_instances(self, tmp_path):
         d = str(tmp_path / "spill")
-        store = FileBackedDiskStore(d, 16 * PAGE)
-        store.put(page(0x1000, b"p", dirty=True))
-        store.put(page(0x2000, b"q"))
-        # A "restarted daemon" re-scans the same directory.
-        revived = FileBackedDiskStore(d, 16 * PAGE)
-        assert sorted(revived.addresses()) == [0x1000, 0x2000]
-        got = revived.get(0x1000)
-        assert got.data[:1] == b"p"
-        assert got.dirty is True
-        assert revived.get(0x2000).dirty is False
+        with opened(d) as store:
+            store.put(page(0x1000, b"p", dirty=True))
+            store.put(page(0x2000, b"q"))
+        # A "restarted daemon" replays the same log.
+        with opened(d) as revived:
+            assert sorted(revived.addresses()) == [0x1000, 0x2000]
+            got = revived.get(0x1000)
+            assert got.data[:1] == b"p"
+            assert got.dirty is True
+            assert revived.get(0x2000).dirty is False
 
-    def test_dirty_transition_renames(self, tmp_path):
+    def test_dirty_transition_survives_reopen(self, tmp_path):
         d = str(tmp_path / "spill")
-        store = FileBackedDiskStore(d, 16 * PAGE)
-        store.put(page(0x1000, b"a", dirty=True))
-        store.put(page(0x1000, b"b", dirty=False))
-        revived = FileBackedDiskStore(d, 16 * PAGE)
-        assert revived.get(0x1000).dirty is False
-        assert revived.used_bytes() == PAGE
+        with opened(d) as store:
+            store.put(page(0x1000, b"a", dirty=True))
+            store.put(page(0x1000, b"b", dirty=False))
+        with opened(d) as revived:
+            assert revived.get(0x1000).dirty is False
+            assert revived.get(0x1000).data[:1] == b"b"
+            assert revived.used_bytes() == PAGE
 
     def test_remove_deletes_file(self, tmp_path):
         d = str(tmp_path / "spill")
-        store = FileBackedDiskStore(d, 16 * PAGE)
-        store.put(page(0x1000))
-        store.remove(0x1000)
-        assert FileBackedDiskStore(d, 16 * PAGE).addresses() == []
+        with opened(d) as store:
+            store.put(page(0x1000))
+            store.remove(0x1000)
+        with opened(d) as revived:
+            assert revived.addresses() == []
+
+    def test_torn_tail_at_every_byte_cut_keeps_earlier_records(self, tmp_path):
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            store.put(page(0x1000, b"a"))
+            store.put(page(0x2000, b"b", dirty=True))
+            kept = log_size(d)
+            store.put(StoredPage(0x3000, b"last record"))
+        with open(os.path.join(d, LOG_FILE), "rb") as fh:
+            whole = fh.read()
+        assert len(whole) == kept + HEADER_BYTES + len(b"last record")
+        for cut in range(kept, len(whole)):
+            with open(os.path.join(d, LOG_FILE), "wb") as fh:
+                fh.write(whole[:cut])
+            with opened(d) as revived:
+                assert sorted(revived.addresses()) == [0x1000, 0x2000]
+                assert revived.get(0x2000).data == b"b" * PAGE
+                assert revived.get(0x2000).dirty is True
+                assert revived.used_bytes() == 2 * PAGE
+            assert log_size(d) == kept
+
+    def test_flipped_crc_bit_cuts_the_log_at_that_record(self, tmp_path):
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            store.put(page(0x1000, b"a"))
+            first = log_size(d)
+            store.put(page(0x2000, b"b"))
+            store.put(page(0x3000, b"c"))
+        with open(os.path.join(d, LOG_FILE), "r+b") as fh:
+            fh.seek(first)
+            crc = fh.read(1)
+            fh.seek(first)
+            fh.write(bytes([crc[0] ^ 0x01]))
+        with opened(d) as revived:
+            assert revived.addresses() == [0x1000]
+            assert revived.get(0x1000).data == b"a" * PAGE
+        assert log_size(d) == first
+
+    def test_tombstone_is_replayed_after_reopen(self, tmp_path):
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            store.put(page(0x1000, b"a"))
+            store.put(page(0x2000, b"b"))
+            assert store.remove(0x1000).data == b"a" * PAGE
+            assert store.remove(0x1000) is None     # no second tombstone
+        with opened(d) as revived:
+            assert revived.addresses() == [0x2000]
+            assert revived.get(0x1000) is None
+            assert revived.used_bytes() == PAGE
+            revived.put(page(0x1000, b"z"))      # and it can come back
+        with opened(d) as again:
+            assert again.get(0x1000).data == b"z" * PAGE
+
+    def test_used_bytes_after_replay(self, tmp_path):
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            store.put(StoredPage(0x1000, b"x" * 100))
+            store.put(StoredPage(0x2000, b"y" * PAGE))
+            store.put(StoredPage(0x1000, b"x" * 300))
+            store.put(StoredPage(0x3000, b"w" * 50))
+            store.remove(0x3000)
+            used = store.used_bytes()
+        assert used == 300 + PAGE
+        with opened(d) as revived:
+            assert revived.used_bytes() == used
+            assert revived.free_bytes() == 16 * PAGE - used
+            with pytest.raises(StorageExhausted):
+                revived.put(StoredPage(0x4000, b"v" * (16 * PAGE - used + 1)))
+
+    def test_compaction_keeps_live_set_and_dirty_bits(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(disk, "COMPACT_SLACK_BYTES", 0)
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            for round_ in range(5):
+                for i in range(4):
+                    store.put(page(i * PAGE, bytes([round_ * 4 + i]),
+                                   dirty=bool(i % 2)))
+            store.remove(3 * PAGE)
+            live = 3 * (HEADER_BYTES + PAGE)
+            # Dead records never reach twice the live ones.
+            assert log_size(d) <= 2 * live
+            expected = {a: store.get(a) for a in store.addresses()}
+        assert sorted(expected) == [0, PAGE, 2 * PAGE]
+        assert not os.path.exists(os.path.join(d, LOG_FILE + ".tmp"))
+        with opened(d) as revived:
+            assert sorted(revived.addresses()) == sorted(expected)
+            for address, want in expected.items():
+                got = revived.get(address)
+                assert (got.data, got.dirty) == (want.data, want.dirty)
+            assert revived.get(PAGE).data == bytes([17]) * PAGE
+            assert revived.get(PAGE).dirty is True
+            assert revived.used_bytes() == 3 * PAGE
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 5), st.integers(1, 255),
+                  st.integers(1, 3000), st.booleans()),
+        st.tuples(st.just("remove"), st.integers(0, 5)),
+        st.tuples(st.just("reopen"))), max_size=40))
+    def test_matches_the_in_memory_model(self, ops):
+        """Random put/remove/reopen sequences: the log answers exactly
+        what the in-memory DiskStore does, compaction included."""
+        capacity = 4 * 3000
+        model = DiskStore(capacity)
+        with tempfile.TemporaryDirectory() as d, \
+                mock.patch.object(disk, "COMPACT_SLACK_BYTES", 2048):
+            store = FileBackedDiskStore(d, capacity)
+            try:
+                for op in ops:
+                    if op[0] == "reopen":
+                        store.close()
+                        store = FileBackedDiskStore(d, capacity)
+                    elif op[0] == "remove":
+                        got = store.remove(op[1] * PAGE)
+                        want = model.remove(op[1] * PAGE)
+                        assert (got is None) == (want is None)
+                    else:
+                        _, slot, fill, size, dirty = op
+                        new = StoredPage(slot * PAGE, bytes([fill]) * size,
+                                         dirty)
+                        outcomes = []
+                        for level in (model, store):
+                            try:
+                                level.put(new)
+                                outcomes.append(True)
+                            except StorageExhausted:
+                                outcomes.append(False)
+                        assert outcomes[0] == outcomes[1]
+                    assert sorted(store.addresses()) == sorted(model.addresses())
+                    assert store.used_bytes() == model.used_bytes()
+                    for address in model.addresses():
+                        got, want = store.get(address), model.get(address)
+                        assert (bytes(got.data), got.dirty) == (
+                            bytes(want.data), want.dirty)
+            finally:
+                store.close()
+
+    def test_a_stopped_node_never_appends_again(self, tmp_path):
+        cluster = create_cluster(num_nodes=2, config=DaemonConfig(
+            spill_dir=str(tmp_path / "spill")))
+        kz = cluster.client(node=1)
+        desc = kz.reserve(PAGE)
+        kz.allocate(desc.rid)
+        kz.write_at(desc.rid, b"before stop")
+        node_dir = os.path.join(str(tmp_path / "spill"), "node1")
+        old = cluster.daemon(1)
+        cluster.run(2.0)
+        cluster.crash(1)
+        cluster.run(8.0)
+        cluster.restart_node(1)          # stops the old incarnation
+        size = log_size(node_dir)
+        with pytest.raises(ValueError):
+            old.storage.write_through(page(desc.rid, b"z"))
+        with pytest.raises(ValueError):
+            old.storage.disk.remove(desc.rid)
+        assert log_size(node_dir) == size
+        cluster.run(2.0)
+        assert cluster.client(node=1).read_at(desc.rid, 11) == b"before stop"
+        cluster.shutdown()
 
 
 class TestHierarchy:
@@ -289,3 +487,72 @@ class TestHierarchy:
         assert returned == pytest.approx(h.stats.simulated_io_seconds,
                                          rel=1e-12)
         assert returned > 0
+
+
+def _rstrip_decode(data):
+    """The decoders' former reading of a padded page."""
+    blob = data.rstrip(b"\x00")
+    return json.loads(blob.decode("utf-8")) if blob else None
+
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-2**40, 2**40),
+                       st.text(max_size=20))
+_json_doc = st.dictionaries(
+    st.text(max_size=10),
+    st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+                 max_leaves=12),
+    max_size=6)
+
+
+class TestPaddedPageDecoders:
+    """The four NUL-padded JSON decoders stop at the first NUL (one
+    memchr) instead of stripping the padding byte by byte."""
+
+    def test_unpad(self):
+        assert unpad(b"") == b""
+        assert unpad(b"abc") == b"abc"
+        assert unpad(b"abc\x00\x00") == b"abc"
+        assert unpad(b"\x00abc") == b""
+        assert unpad(bytearray(b"ab\x00c")) == b"ab"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_doc)
+    def test_same_result_as_before_on_every_encoded_page(self, doc):
+        page = encode_struct(doc, 16384)
+        assert decode_struct(page) == (_rstrip_decode(page) or {}) == doc
+        state = encode_state(doc, 16384)
+        assert decode_state(state) == (_rstrip_decode(state) or {}) == doc
+        context = dict(doc, magic=naming.MAGIC)
+        page = naming._encode(context)
+        assert naming._decode(page) == _rstrip_decode(page) == context
+
+    def test_map_nodes_decode_as_before(self):
+        nodes = [initial_root_node(), MapNode([]), MapNode(
+            [MapEntry(AddressRange(1 << 40, 1 << 20), EntryState.RESERVED,
+                      (1, 2)),
+             MapEntry(AddressRange((1 << 40) + (1 << 20), 1 << 20),
+                      EntryState.FREE, ())], next_free_page=8192)]
+        for node in nodes:
+            page = node.encode(4096)
+            decoded = MapNode.decode(page)
+            assert [e.to_wire() for e in decoded.entries] == (
+                (_rstrip_decode(page) or {}).get("entries", []))
+            assert decoded.next_free_page == node.next_free_page
+
+    def test_empty_pages_decode_to_empty_documents(self):
+        assert decode_struct(bytes(4096)) == {}
+        assert decode_state(bytes(64)) == {}
+        assert MapNode.decode(bytes(4096)).entries == []
+        assert naming._decode(bytes(4096))["bindings"] == {}
+
+    def test_a_nul_inside_the_json_still_raises(self):
+        broken = b'{"size":\x0012}' + bytes(100)
+        with pytest.raises(LayoutError):
+            decode_struct(broken)
+        with pytest.raises(ObjectError):
+            decode_state(broken)
+        with pytest.raises(json.JSONDecodeError):
+            MapNode.decode(b'{"entries":[\x00]}' + bytes(100))
+        with pytest.raises(json.JSONDecodeError):
+            naming._decode(broken)
