@@ -9,7 +9,8 @@ with it which of two racing hints lands first, a fraction of a message
 per op).  A ``Transport.tap`` charges every protocol message
 to the KFS op in flight when it is sent, by message type, and splits it
 between the system region (the address map, paper Section 3.1: a
-request naming region 0, and the reply to it) and everything else.
+request naming region 0 or a ``MAP_MUTATE`` shipped to the map's
+home, and the reply to it) and everything else.
 A wrapped ``SyncDriver.wait`` counts the protocol tasks each op waits
 for (on TCP, each is one ``AsyncioRuntime.run_future`` crossing).
 
@@ -17,7 +18,9 @@ Claims checked as shapes: an overwrite costs about the same late in the
 run as early (the map walk stays logarithmic in the regions ever
 reserved); an overwrite rewrites its blocks in place, so it stays far
 below a create (no unreserve-then-reserve of the same number of
-blocks); and the whole mix stays near its ~4.6 msgs/op.
+blocks); a map mutation is one round trip to the map's home, so a
+create (an inode and its blocks, each reserved) stays near its ~18
+msgs/op; and the whole mix stays near its ~2.9 msgs/op.
 Background work an op leaves behind is charged to whichever op is in
 flight when it runs.
 """
@@ -29,6 +32,7 @@ from collections import Counter
 from repro.api import create_cluster
 from repro.bench.metrics import Table
 from repro.core.address_map import SYSTEM_RID
+from repro.net.message import MessageType
 from repro.tools.cluster import node_config
 
 BENCH_E2E = os.path.join(os.path.dirname(os.path.dirname(
@@ -64,7 +68,8 @@ def _census():
         if message.reply_to is not None:
             on_map = requests.pop((message.dst, message.reply_to), False)
         else:
-            on_map = message.payload.get("rid") == SYSTEM_RID
+            on_map = (message.payload.get("rid") == SYSTEM_RID
+                      or message.msg_type is MessageType.MAP_MUTATE)
             if message.request_id is not None:
                 requests[(message.src, message.request_id)] = on_map
         sent[(current[0], current[1], message.msg_type.value, on_map)] += 1
@@ -146,5 +151,10 @@ def test_kfs_message_census(once):
     # unreserving them and reserving as many again (41.9 msgs/op when
     # it did).
     assert per_op("overwrite") <= 15
-    # Shape 3: the control plane no longer dominates the mix.
-    assert all_msgs / total_ops <= 5.5
+    # Shape 3: a map mutation is one MAP_MUTATE round trip to the
+    # map's home, not a remote walk of token and push traffic (41.6
+    # msgs/op per create when it was).
+    assert per_op("create") <= 20
+    # Shape 4: the control plane no longer dominates the mix (4.57
+    # msgs/op with the remote walk).
+    assert all_msgs / total_ops <= 3.2

@@ -12,12 +12,13 @@ point is that the explorer perturbs the order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, List, Mapping
 
 from repro.core.addressing import AddressRange
 from repro.core.attributes import RegionAttributes
 from repro.core.errors import InvalidLockContext
 from repro.core.locks import LockMode
+from repro.tools import fsck
 
 PAGE = 4096
 
@@ -287,6 +288,39 @@ def eviction_writeback(cluster: Any, protocol: str) -> None:
         _expect(data == b"A" * 8, "evicted dirty page lost its bytes")
 
 
+def concurrent_reserves(cluster: Any, protocol: str) -> None:
+    """Both nodes reserve, allocate and unreserve at once, so the map
+    home's own mutations interleave with the ones shipped to it."""
+    attrs = RegionAttributes(consistency_protocol=protocol)
+    reserved: List[Any] = []
+    kept: List[Any] = []
+
+    def cycle(session: Any):
+        space, mine = session.daemon.space, []
+        for _ in range(3):
+            desc = yield from space.op_reserve(PAGE, attrs, session.principal)
+            reserved.append(desc.range)
+            yield from space.op_allocate(desc.rid)
+            mine.append(desc)
+        yield from space.op_unreserve(mine[0].rid)
+        kept.extend(desc.range for desc in mine[1:])
+
+    sessions = [cluster.client(node=node) for node in cluster.node_ids()[:2]]
+    futures = [s.submit(cycle(s), "reserves") for s in sessions]
+    cluster.run(30.0)
+    outcomes = [f.exception() if f.done else "unfinished" for f in futures]
+    _expect(outcomes == [None] * 2, f"a reserve cycle failed: {outcomes}")
+    _expect(all(not a.overlaps(b) for i, a in enumerate(reserved)
+                for b in reserved[i + 1:]), "two reserves overlap")
+    home = cluster.client(node=0)
+    entries = home.driver.wait(home.submit(
+        home.daemon.address_map.enumerate_reserved(), "map"))
+    _expect(set(kept) <= {e.range for e in entries},
+            "a reserved region is missing from the map home's map")
+    report = fsck.check_cluster(cluster, strict=True)
+    _expect(report.ok, report.render())
+
+
 SCENARIOS: Dict[str, Scenario] = {
     s.name: s for s in (
         Scenario("single_page", single_page),
@@ -298,6 +332,7 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario("home_outage", home_outage, min_nodes=3),
         Scenario("eviction_writeback", eviction_writeback, min_nodes=4,
                  cluster_kwargs={"memory_pages": 4, "disk_pages": 8}),
+        Scenario("concurrent_reserves", concurrent_reserves),
     )
 }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.api import Cluster
 from repro.bench.metrics import LatencyRecorder
@@ -147,35 +147,3 @@ def run_access_workload(
             continue
         result.latency.record(cluster.now - start)
     return result
-
-
-def interleave_sessions(
-    cluster: Cluster,
-    sessions: Sequence[KhazanaSession],
-    regions: Sequence[RegionDescriptor],
-    spec: WorkloadSpec,
-) -> Dict[int, WorkloadResult]:
-    """Round-robin the workload across several client sessions.
-
-    Approximates concurrent clients: each operation runs to completion
-    (the simulator is single-threaded), but cache and sharing state
-    evolves exactly as if the clients alternated.
-    """
-    results = {s.node_id: WorkloadResult() for s in sessions}
-    per_session = max(1, spec.operations // max(1, len(sessions)))
-    for index, session in enumerate(sessions):
-        sub = WorkloadSpec(
-            operations=per_session,
-            write_fraction=spec.write_fraction,
-            pattern=spec.pattern,
-            zipf_skew=spec.zipf_skew,
-            io_size=spec.io_size,
-            seed=spec.seed + index * 7919,
-        )
-        outcome = run_access_workload(cluster, session, regions, sub)
-        previous = results[session.node_id]
-        previous.reads += outcome.reads
-        previous.writes += outcome.writes
-        previous.errors += outcome.errors
-        previous.latency.samples.extend(outcome.latency.samples)
-    return results

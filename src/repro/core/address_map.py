@@ -206,6 +206,27 @@ class MapIO(abc.ABC):
     def unlock_page(self, ctx: Any) -> ProtocolGen:
         """Release a context (release-type: must not raise to caller)."""
 
+    #: True where mutations run at the map's home rather than here.
+    ships_mutations: bool = False
+
+    def ship_mutation(self, op: str, target: AddressRange,
+                      data: Tuple[int, ...],
+                      new_length: Optional[int]) -> ProtocolGen:
+        """Run :meth:`AddressMap.apply` at the map's home and wait."""
+        raise NotImplementedError
+
+
+#: A leaf rewrite: ``edit(node, entry)`` changes ``node`` in place.
+Edit = Callable[[MapNode, MapEntry], None]
+
+#: Carving mutation -> (entry states it may carve, the state it writes).
+_CARVES = {
+    "reserve": ((EntryState.FREE, EntryState.DELEGATED), EntryState.RESERVED),
+    "delegate": ((EntryState.FREE,), EntryState.DELEGATED),
+    "release": ((EntryState.RESERVED,), EntryState.FREE),
+    "update_homes": ((EntryState.RESERVED,), EntryState.RESERVED),
+}
+
 
 def initial_root_node() -> MapNode:
     """Tree contents at cluster bootstrap.
@@ -229,10 +250,10 @@ def initial_root_node() -> MapNode:
 class AddressMap:
     """Generator-based operations on the distributed tree.
 
-    Mutating operations take a write lock on the root page first; the
-    root write token therefore serialises all map mutations, while
-    lookups run against (possibly stale) local replicas under read
-    locks — exactly the relaxed-consistency posture of Section 3.1.
+    Mutations run at the map's home (:meth:`apply`) under a write lock
+    on the root page, which serialises them; lookups run against
+    (possibly stale) local replicas under read locks — exactly the
+    relaxed-consistency posture of Section 3.1.
     """
 
     def __init__(self, io: MapIO) -> None:
@@ -311,31 +332,16 @@ class AddressMap:
         The range must lie entirely within a single FREE or DELEGATED
         entry (reservations are carved from free space or from a chunk
         delegated to the reserving node)."""
-        yield from self._carve(
-            target,
-            acceptable=(EntryState.FREE, EntryState.DELEGATED),
-            new_state=EntryState.RESERVED,
-            new_data=tuple(home_nodes),
-        )
+        yield from self.apply("reserve", target, tuple(home_nodes))
 
     def delegate(self, target: AddressRange, node_id: int) -> ProtocolGen:
         """Hand a chunk of FREE space to ``node_id`` to manage locally
         (the cluster manager calls this to satisfy SPACE_REQUESTs)."""
-        yield from self._carve(
-            target,
-            acceptable=(EntryState.FREE,),
-            new_state=EntryState.DELEGATED,
-            new_data=(node_id,),
-        )
+        yield from self.apply("delegate", target, (node_id,))
 
     def release(self, target: AddressRange) -> ProtocolGen:
         """Return a RESERVED range to FREE (unreserve)."""
-        yield from self._carve(
-            target,
-            acceptable=(EntryState.RESERVED,),
-            new_state=EntryState.FREE,
-            new_data=(),
-        )
+        yield from self.apply("release", target, ())
 
     def extend(self, target: AddressRange, new_length: int,
                requester: Optional[int] = None) -> ProtocolGen:
@@ -348,6 +354,34 @@ class AddressMap:
         boundaries raises ``AddressSpaceExhausted`` and the caller
         falls back to copying into a fresh reservation.
         """
+        yield from self.apply("extend", target, (), new_length, requester)
+
+    def update_homes(self, target: AddressRange,
+                     home_nodes: Tuple[int, ...]) -> ProtocolGen:
+        """Refresh the home-node list of an existing reservation."""
+        yield from self.apply("update_homes", target, tuple(home_nodes))
+
+    def apply(self, op: str, target: AddressRange, data: Tuple[int, ...],
+              new_length: Optional[int] = None, requester: Optional[int] = None,
+              shipped: bool = False) -> ProtocolGen:
+        """Run mutation ``op`` as one walk under the root write lock, at
+        the map's home (every lock home-local); elsewhere ship it there
+        (:meth:`MapIO.ship_mutation`).  A ``shipped`` one may be a
+        retransmit that outlived its cached reply: a change already in
+        place (same-homes reserve, release of FREE space) is a no-op."""
+        if self.io.ships_mutations and not shipped:
+            yield from self.io.ship_mutation(op, target, data, new_length)
+            return
+        if op == "extend":
+            edit = self._extend_edit(target, new_length, requester, shipped)
+        else:
+            acceptable, new_state = _CARVES[op]
+            edit = self._carve_edit(target, acceptable, new_state,
+                                    tuple(data), shipped)
+        yield from self._mutate(target, edit)
+
+    def _extend_edit(self, target: AddressRange, new_length: int,
+                     requester: Optional[int], replay: bool) -> Edit:
         if new_length <= target.length:
             raise InvalidRange(
                 f"extend needs a larger size, got {new_length} <= "
@@ -356,6 +390,9 @@ class AddressMap:
         grown = AddressRange(target.start, new_length)
 
         def edit(node: MapNode, entry: MapEntry) -> None:
+            if replay and entry.state is EntryState.RESERVED \
+                    and entry.range == grown:
+                return
             if entry.state is not EntryState.RESERVED or entry.range != target:
                 raise NotReserved(
                     f"extend target {target} does not match map entry "
@@ -401,17 +438,7 @@ class AddressMap:
                 )
             node.coalesce_free()
 
-        yield from self._mutate(target, edit)
-
-    def update_homes(self, target: AddressRange,
-                     home_nodes: Tuple[int, ...]) -> ProtocolGen:
-        """Refresh the home-node list of an existing reservation."""
-        yield from self._carve(
-            target,
-            acceptable=(EntryState.RESERVED,),
-            new_state=EntryState.RESERVED,
-            new_data=tuple(home_nodes),
-        )
+        return edit
 
     # --- Internals ------------------------------------------------------------
 
@@ -423,13 +450,9 @@ class AddressMap:
             yield from self.io.unlock_page(ctx)
         return MapNode.decode(raw)
 
-    def _carve(
-        self,
-        target: AddressRange,
-        acceptable: Tuple[EntryState, ...],
-        new_state: EntryState,
-        new_data: Tuple[int, ...],
-    ) -> ProtocolGen:
+    def _carve_edit(self, target: AddressRange,
+                    acceptable: Tuple[EntryState, ...], new_state: EntryState,
+                    new_data: Tuple[int, ...], replay: bool) -> Edit:
         """Rewrite the entry containing ``target``, splitting as needed."""
 
         def edit(node: MapNode, entry: MapEntry) -> None:
@@ -438,6 +461,8 @@ class AddressMap:
                     f"range {target} straddles address-map entries "
                     f"(entry is {entry.range})"
                 )
+            if replay and entry.state is new_state and entry.data == new_data:
+                return
             if entry.state not in acceptable:
                 if new_state is EntryState.RESERVED:
                     raise AlreadyReserved(
@@ -453,10 +478,9 @@ class AddressMap:
             node.replace_entry(entry, pieces)
             node.coalesce_free()
 
-        yield from self._mutate(target, edit)
+        return edit
 
-    def _mutate(self, target: AddressRange,
-                edit: Callable[[MapNode, MapEntry], None]) -> ProtocolGen:
+    def _mutate(self, target: AddressRange, edit: Edit) -> ProtocolGen:
         """Apply ``edit(leaf, entry)`` to the leaf entry covering
         ``target.start`` and write back every page whose bytes changed.
 
@@ -478,7 +502,7 @@ class AddressMap:
             yield from self.io.unlock_page(root_ctx)
 
     def _walk(self, node: MapNode, root: MapNode, target: AddressRange,
-              edit: Callable[[MapNode, MapEntry], None]) -> ProtocolGen:
+              edit: Edit) -> ProtocolGen:
         entry = node.entry_covering(target.start)
         if entry is None:
             raise NotReserved(

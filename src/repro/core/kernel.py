@@ -41,7 +41,7 @@ from repro.core.allocator import LocalSpacePool
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.cluster import ClusterManagerRole
 from repro.core.dataplane import DataPlane
-from repro.core.errors import KhazanaError
+from repro.core.errors import KhazanaError, NodeUnavailable, error_from_code
 from repro.core.locks import LockMode, LockTable
 from repro.core.page_directory import PageDirectory
 from repro.core.placement import create_placement
@@ -54,7 +54,7 @@ from repro.failure.detector import FailureDetector
 from repro.failure.replicas import ReplicaMaintainer
 from repro.failure.retry import RetryQueue
 from repro.net.message import Message, MessageType
-from repro.net.rpc import RpcEndpoint
+from repro.net.rpc import RemoteError, RetryPolicy, RpcEndpoint, RpcTimeout
 from repro.net.runtime import Runtime
 from repro.net.tasks import Future, TaskRunner
 from repro.storage.hierarchy import StorageHierarchy
@@ -164,11 +164,13 @@ class DaemonStats:
 
 class _KernelMapIO(MapIO):
     """Adapter giving the address map access to system-region pages
-    through this node's ordinary lock/read/write path."""
+    through this node's ordinary lock/read/write path; a node other
+    than the map's home ships mutations there as ``MAP_MUTATE``."""
 
     def __init__(self, kernel: "NodeKernel") -> None:
         self.kernel = kernel
         self.page_size = DEFAULT_PAGE_SIZE
+        self.ships_mutations = kernel.node_id != kernel.config.bootstrap_node
 
     def lock_page(self, page_addr: int, mode: LockMode) -> ProtocolGen:
         ctx = yield from self.kernel.data.op_lock(
@@ -191,6 +193,36 @@ class _KernelMapIO(MapIO):
 
     def unlock_page(self, ctx: Any) -> ProtocolGen:
         yield from self.kernel.data.op_unlock(ctx)
+
+    def ship_mutation(self, op: str, target: AddressRange,
+                      data: Tuple[int, ...],
+                      new_length: Optional[int]) -> ProtocolGen:
+        home = self.kernel.config.bootstrap_node
+        try:
+            yield self.kernel.rpc.request(
+                home, MessageType.MAP_MUTATE,
+                {"op": op, "start": target.start, "length": target.length,
+                 "data": list(data), "new_length": new_length},
+                # The token protocol's schedule: at the home a mutation
+                # queues behind the others on the root write lock.
+                policy=RetryPolicy(timeout=10.0, retries=2, backoff=1.5),
+            )
+        except RpcTimeout as error:
+            raise NodeUnavailable(f"map home {home}: {error}") from error
+        except RemoteError as error:
+            raise error_from_code(error.code, error.detail) from error
+
+    def handle_mutate(self, msg: Message) -> None:
+        """MAP_MUTATE at the map's home: run the walk here, reply."""
+        p = msg.payload
+
+        def mutate() -> ProtocolGen:
+            yield from self.kernel.address_map.apply(
+                p["op"], AddressRange(p["start"], p["length"]), p["data"],
+                p["new_length"], msg.src, shipped=True)
+            self.kernel.reply_request(msg, MessageType.MAP_REPLY)
+
+        self.kernel.spawn_handler(msg, mutate(), label="map-mutate")
 
 
 class NodeKernel:

@@ -327,6 +327,8 @@ class MessageRouter:
             self.cm_dispatch("handle_sharer_register"), cm=True)
         reg(MessageType.SHARER_UNREGISTER,
             self.cm_dispatch("handle_sharer_unregister"), cm=True)
+        reg(MessageType.MAP_MUTATE, kernel.address_map.io.handle_mutate,
+            dedup=True)
         reg(MessageType.REPLICA_CREATE,
             kernel.space.handle_replica_create, dedup=True)
         reg(MessageType.REGION_MIGRATE,

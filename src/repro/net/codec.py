@@ -96,6 +96,8 @@ WIRE_IDS: Dict[MessageType, int] = {
     MessageType.MEMBER_UPDATE: 45,
     MessageType.APP_REQUEST: 46,
     MessageType.APP_REPLY: 47,
+    MessageType.MAP_MUTATE: 48,
+    MessageType.MAP_REPLY: 49,
 }
 
 _TYPE_BY_ID: Dict[int, MessageType] = {

@@ -45,6 +45,8 @@ class MessageType(str, enum.Enum):
     ALLOC_REPLY = "alloc_reply"
     FREE_REQUEST = "free_request"            # release backing store
     FREE_REPLY = "free_reply"
+    MAP_MUTATE = "map_mutate"                # run a map mutation at its home
+    MAP_REPLY = "map_reply"
 
     # --- Consistency protocols (paper Section 3.3, Figure 2).  Every
     # page request carries a list — ``pages`` (lock/fetch) or
@@ -96,6 +98,7 @@ REPLY_TYPES = frozenset(
         MessageType.DESCRIPTOR_REPLY,
         MessageType.ALLOC_REPLY,
         MessageType.FREE_REPLY,
+        MessageType.MAP_REPLY,
         MessageType.LOCK_REPLY,
         MessageType.PAGE_DATA,
         MessageType.INVALIDATE_ACK,

@@ -12,7 +12,10 @@ import pytest
 from repro.api import Cluster
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.kernel import DaemonConfig
+from repro.core.router import Interceptor
+from repro.net.message import MessageType
 from repro.net.sim import Topology
+from repro.tools import fsck
 from repro.fs import KhazanaFileSystem
 
 
@@ -51,7 +54,9 @@ class TestCoreUnderLoss:
             assert reader.read_at(desc.rid, 6) == f"gen-{i:02d}".encode()
 
     def test_duplicate_requests_do_not_double_reserve(self):
-        """Retransmitted SPACE_REQUESTs must not double-delegate."""
+        """Retransmitted SPACE_REQUESTs must not double-delegate, and a
+        retransmitted MAP_MUTATE whose cached reply the map's home has
+        already evicted must find its change in place, not fail."""
         cluster = lossy_cluster(loss=0.3, seed=11)
         descs = []
         for node in (1, 2):
@@ -61,6 +66,50 @@ class TestCoreUnderLoss:
         for i, a in enumerate(descs):
             for b in descs[i + 1:]:
                 assert not a.range.overlaps(b.range)
+
+        # Evicted reply: the home drops each op's first MAP_REPLY and
+        # forgets every cached reply, so the requester's retransmit
+        # runs the mutation a second time.
+        cluster = lossy_cluster(loss=0.0)
+        home = cluster.daemon(0)
+        send, dropped, mutates = home.rpc.send, [], []
+
+        def evicting_send(message):
+            if message.msg_type is MessageType.MAP_REPLY \
+                    and message.reply_to not in dropped:
+                dropped.append(message.reply_to)
+                home.router.reply_cache.clear()
+                return
+            send(message)
+
+        class MutateRecorder(Interceptor):
+            def handle(self, msg, route, proceed):
+                if msg.msg_type is MessageType.MAP_MUTATE:
+                    mutates.append(msg.payload["op"])
+                proceed()
+
+        home.rpc.send = evicting_send
+        # After dedup: records the requests that reach the handler.
+        home.router.interceptors.insert(1, MutateRecorder(home.router))
+        kz = cluster.client(node=1)
+        desc = kz.reserve(4096)
+        assert mutates == ["reserve", "reserve"]   # one retransmit
+        desc = kz.resize(desc.rid, 8192)
+        assert mutates[2:] == ["extend", "extend"]
+        session = cluster.client(node=0)
+        reserved = session.driver.wait(session.submit(
+            home.address_map.enumerate_reserved(), "enumerate"))
+        assert [e.range for e in reserved
+                if e.range.overlaps(desc.range)] == [desc.range]
+        kz.unreserve(desc.rid)
+        cluster.run(60.0)
+        assert mutates[4:] == ["release", "release"]
+        assert not cluster.daemon(1).retry_queue.pending
+        reserved = session.driver.wait(session.submit(
+            home.address_map.enumerate_reserved(), "enumerate"))
+        assert all(not e.range.overlaps(desc.range) for e in reserved)
+        report = fsck.check_cluster(cluster, strict=True)
+        assert report.ok, report.render()
 
     def test_multiple_protocols_under_loss(self):
         cluster = lossy_cluster(loss=0.15, seed=5)

@@ -19,46 +19,46 @@ from tests.test_protocol_conformance import PROTOCOLS, RING_CHURN_SCENARIOS
 
 #: (placement, scenario, protocol) -> total messages sent.
 MESSAGES_SENT = {
-    ("tiered", "conflicting_writers", "crew"): 823,
-    ("tiered", "conflicting_writers", "release"): 822,
-    ("tiered", "conflicting_writers", "eventual"): 821,
-    ("tiered", "conflicting_writers", "mobile"): 886,
-    ("tiered", "failure_mid_acquire", "crew"): 5573,
-    ("tiered", "failure_mid_acquire", "release"): 5571,
-    ("tiered", "failure_mid_acquire", "eventual"): 922,
-    ("tiered", "failure_mid_acquire", "mobile"): 601,
-    ("tiered", "multi_page_batch", "crew"): 123,
-    ("tiered", "multi_page_batch", "release"): 121,
-    ("tiered", "multi_page_batch", "eventual"): 125,
-    ("tiered", "multi_page_batch", "mobile"): 152,
-    ("tiered", "single_page", "crew"): 62,
-    ("tiered", "single_page", "release"): 62,
-    ("tiered", "single_page", "eventual"): 62,
-    ("tiered", "single_page", "mobile"): 62,
-    ("tiered", "unlock_after_close", "crew"): 8,
-    ("tiered", "unlock_after_close", "release"): 8,
-    ("tiered", "unlock_after_close", "eventual"): 8,
-    ("tiered", "unlock_after_close", "mobile"): 8,
-    ("ring", "conflicting_writers", "crew"): 713,
-    ("ring", "conflicting_writers", "release"): 712,
-    ("ring", "conflicting_writers", "eventual"): 711,
-    ("ring", "conflicting_writers", "mobile"): 779,
-    ("ring", "failure_mid_acquire", "crew"): 2463,
-    ("ring", "failure_mid_acquire", "release"): 2461,
-    ("ring", "failure_mid_acquire", "eventual"): 517,
-    ("ring", "failure_mid_acquire", "mobile"): 438,
-    ("ring", "multi_page_batch", "crew"): 129,
-    ("ring", "multi_page_batch", "release"): 127,
-    ("ring", "multi_page_batch", "eventual"): 131,
-    ("ring", "multi_page_batch", "mobile"): 158,
-    ("ring", "single_page", "crew"): 79,
-    ("ring", "single_page", "release"): 79,
-    ("ring", "single_page", "eventual"): 79,
-    ("ring", "single_page", "mobile"): 79,
-    ("ring", "unlock_after_close", "crew"): 31,
-    ("ring", "unlock_after_close", "release"): 31,
-    ("ring", "unlock_after_close", "eventual"): 31,
-    ("ring", "unlock_after_close", "mobile"): 31,
+    ("tiered", "conflicting_writers", "crew"): 821,
+    ("tiered", "conflicting_writers", "release"): 820,
+    ("tiered", "conflicting_writers", "eventual"): 819,
+    ("tiered", "conflicting_writers", "mobile"): 884,
+    ("tiered", "failure_mid_acquire", "crew"): 5571,
+    ("tiered", "failure_mid_acquire", "release"): 5569,
+    ("tiered", "failure_mid_acquire", "eventual"): 920,
+    ("tiered", "failure_mid_acquire", "mobile"): 599,
+    ("tiered", "multi_page_batch", "crew"): 121,
+    ("tiered", "multi_page_batch", "release"): 119,
+    ("tiered", "multi_page_batch", "eventual"): 123,
+    ("tiered", "multi_page_batch", "mobile"): 150,
+    ("tiered", "single_page", "crew"): 60,
+    ("tiered", "single_page", "release"): 60,
+    ("tiered", "single_page", "eventual"): 60,
+    ("tiered", "single_page", "mobile"): 60,
+    ("tiered", "unlock_after_close", "crew"): 6,
+    ("tiered", "unlock_after_close", "release"): 6,
+    ("tiered", "unlock_after_close", "eventual"): 6,
+    ("tiered", "unlock_after_close", "mobile"): 6,
+    ("ring", "conflicting_writers", "crew"): 711,
+    ("ring", "conflicting_writers", "release"): 710,
+    ("ring", "conflicting_writers", "eventual"): 709,
+    ("ring", "conflicting_writers", "mobile"): 777,
+    ("ring", "failure_mid_acquire", "crew"): 2459,
+    ("ring", "failure_mid_acquire", "release"): 2457,
+    ("ring", "failure_mid_acquire", "eventual"): 513,
+    ("ring", "failure_mid_acquire", "mobile"): 434,
+    ("ring", "multi_page_batch", "crew"): 127,
+    ("ring", "multi_page_batch", "release"): 125,
+    ("ring", "multi_page_batch", "eventual"): 129,
+    ("ring", "multi_page_batch", "mobile"): 156,
+    ("ring", "single_page", "crew"): 77,
+    ("ring", "single_page", "release"): 77,
+    ("ring", "single_page", "eventual"): 77,
+    ("ring", "single_page", "mobile"): 77,
+    ("ring", "unlock_after_close", "crew"): 29,
+    ("ring", "unlock_after_close", "release"): 29,
+    ("ring", "unlock_after_close", "eventual"): 29,
+    ("ring", "unlock_after_close", "mobile"): 29,
 }
 
 

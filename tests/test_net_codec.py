@@ -131,6 +131,11 @@ EXAMPLE_PAYLOADS = {
         "rid": 1 << 30, "start": (1 << 30) + PAGE, "length": PAGE,
     },
     MessageType.FREE_REPLY: {},
+    MessageType.MAP_MUTATE: {
+        "op": "reserve", "start": 1 << 30, "length": PAGE,
+        "data": [1, 2], "new_length": None,
+    },
+    MessageType.MAP_REPLY: {},
     # --- replication, migration, failure detection
     MessageType.REPLICA_CREATE: {
         "rid": 1 << 30, "page": 1 << 30, "data": b"r" * PAGE,
@@ -331,8 +336,8 @@ class TestWireIds:
         ids = sorted(WIRE_IDS.values())
         assert len(set(ids)) == len(ids)
         # Nothing renumbered: the live ids and the retired ones tile
-        # 1..47 exactly, the retired ones stay unused.
-        assert sorted(ids + list(RETIRED_IDS)) == list(range(1, 48))
+        # 1..49 exactly, the retired ones stay unused.
+        assert sorted(ids + list(RETIRED_IDS)) == list(range(1, 50))
 
     @pytest.mark.parametrize("wire_id", sorted(RETIRED_IDS),
                              ids=[RETIRED_IDS[i] for i in sorted(RETIRED_IDS)])
