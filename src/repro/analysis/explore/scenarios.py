@@ -313,8 +313,7 @@ def concurrent_reserves(cluster: Any, protocol: str) -> None:
     _expect(all(not a.overlaps(b) for i, a in enumerate(reserved)
                 for b in reserved[i + 1:]), "two reserves overlap")
     home = cluster.client(node=0)
-    entries = home.driver.wait(home.submit(
-        home.daemon.address_map.enumerate_reserved(), "map"))
+    entries = home.call(home.daemon.address_map.enumerate_reserved(), "map")
     _expect(set(kept) <= {e.range for e in entries},
             "a reserved region is missing from the map home's map")
     report = fsck.check_cluster(cluster, strict=True)

@@ -292,7 +292,13 @@ class ReleaseManager(ConsistencyManager):
             data = apply_diff(base, [(int(o), bytes(d)) for o, d in diff])
         if data is None:
             return
-        yield from self.host.store_local_page(desc, page_addr, data, dirty=False)
+        if writer == self.host.node_id and diff is None:
+            # A home-local WRITE release carries the page op_write just
+            # stored (and wrote through) here: do not write it twice.
+            self.host.storage.mark_clean(page_addr)
+        else:
+            yield from self.host.store_local_page(desc, page_addr, data,
+                                                  dirty=False)
         version = self._versions.get(page_addr, 0) + 1
         self._versions[page_addr] = version
         entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=True)

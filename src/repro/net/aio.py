@@ -125,8 +125,8 @@ class AsyncioRuntime(Runtime):
         The synchronous-client bridge: a protocol future is mirrored
         into an asyncio future, and the loop runs (dispatching socket
         reads and timers, which is what makes progress happen) until
-        the mirror fires.  Raises ``TimeoutError`` after ``timeout``
-        wall seconds.
+        the mirror fires.  A loop timer fails the mirror with
+        ``TimeoutError`` after ``timeout`` wall seconds.
         """
         mirror = self.loop.create_future()
 
@@ -139,20 +139,19 @@ class AsyncioRuntime(Runtime):
             else:
                 mirror.set_result(done.result())
 
-        future.add_callback(on_done)
-        waiter = mirror if timeout is None else self._with_deadline(
-            mirror, timeout
-        )
-        return self.loop.run_until_complete(waiter)
+        def expire() -> None:
+            if not mirror.done():
+                mirror.set_exception(TimeoutError(
+                    f"operation did not complete within {timeout}s"))
 
-    async def _with_deadline(self, mirror: "asyncio.Future[Any]",
-                             timeout: float) -> Any:
+        future.add_callback(on_done)
+        deadline = (None if timeout is None
+                    else self.loop.call_later(timeout, expire))
         try:
-            return await asyncio.wait_for(mirror, timeout)
-        except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"operation did not complete within {timeout}s of wall time"
-            ) from None
+            return self.loop.run_until_complete(mirror)
+        finally:
+            if deadline is not None:
+                deadline.cancel()
 
     def run_forever(self) -> None:
         """Serve until something calls :meth:`stop` (daemon processes)."""

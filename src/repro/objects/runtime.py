@@ -191,13 +191,16 @@ class ObjectRuntime:
         """Synchronous method invocation through the policy."""
         policy = policy or self.policy
         if self._should_run_locally(ref, policy):
-            self.stats["local_invocations"] += 1
-            outcome = self.session.daemon.spawn(
-                self._invoke_local(ref, method_name, args, kwargs),
-                label=f"obj-invoke:{method_name}",
-            )
-            return self.session.driver.wait(outcome)
+            return self._run_local(ref, method_name, args, kwargs)
         return self._invoke_remote(ref, method_name, args, kwargs)
+
+    def _run_local(self, ref: ObjectRef, method_name: str,
+                   args: Tuple, kwargs: Dict[str, Any]) -> Any:
+        self.stats["local_invocations"] += 1
+        return self.session.call(
+            self._invoke_local(ref, method_name, args, kwargs),
+            f"obj-invoke:{method_name}",
+        )
 
     def _should_run_locally(self, ref: ObjectRef,
                             policy: InvocationPolicy) -> bool:
@@ -218,11 +221,10 @@ class ObjectRuntime:
         desc = self.session.daemon.region_directory.find_covering(ref.address)
         if desc is not None:
             return desc.primary_home
-        daemon = self.session.daemon
         try:
-            desc = self.session.driver.wait(
-                daemon.spawn(daemon.placement.locate_region(ref.address),
-                             label="obj-locate")
+            desc = self.session.call(
+                self.session.daemon.placement.locate_region(ref.address),
+                "obj-locate",
             )
         except (KhazanaError, RpcTimeout, RemoteError):
             # Location is advisory: an unlocatable object just falls
@@ -287,12 +289,7 @@ class ObjectRuntime:
                 # local replica — exactly the trade the policy exists
                 # to make.
                 self.stats["remote_invocations"] -= 1
-                self.stats["local_invocations"] += 1
-                outcome = self.session.daemon.spawn(
-                    self._invoke_local(ref, method_name, args, kwargs),
-                    label=f"obj-invoke:{method_name}",
-                )
-                return self.session.driver.wait(outcome)
+                return self._run_local(ref, method_name, args, kwargs)
             raise ObjectError(f"remote invocation failed: {error}") from error
         except RpcTimeout as error:
             raise ObjectError(

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import create_cluster
 from repro.consistency.release import apply_diff, compute_diff
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
+from repro.core.kernel import DaemonConfig
 from repro.core.locks import LockMode
 from repro.net.message import Message, MessageType
 
@@ -97,6 +99,34 @@ class TestReleaseProtocol:
         kz1.unlock(ctx)
         cluster.run(1.0)
         assert kz3.read_at(desc.rid, 3) == b"mid"
+
+    def test_home_local_write_writes_each_page_through_once(self, tmp_path):
+        """A durable home's own WRITE release: op_write stores the page
+        (writing it through); the release bumps the version and frees
+        the token without storing the same bytes again."""
+        cluster = create_cluster(num_nodes=2, config=DaemonConfig(
+            enable_failure_handling=False, spill_dir=str(tmp_path)))
+        try:
+            kz, desc = make_region(cluster, node=0, size=2 * 4096)
+            assert desc.primary_home == 0
+            storage = cluster.daemon(0).storage
+            inner, written = storage.write_through, []
+
+            def counting(page):
+                written.append(page.address)
+                return inner(page)
+
+            storage.write_through = counting
+            ctx = kz.lock(desc.rid, 2 * 4096, LockMode.WRITE)
+            written.clear()   # the lock's first touch materialised them
+            kz.write(ctx, desc.rid, b"w" * 8192)
+            kz.unlock(ctx)
+            assert written == [desc.rid, desc.rid + 4096]
+            assert storage.dirty_addresses() == []
+            kz.write_at(desc.rid, b"again")
+            assert cluster.client(node=1).read_at(desc.rid, 6) == b"againw"
+        finally:
+            cluster.shutdown()
 
     def test_write_tokens_serialise_writers(self, cluster):
         kz1, desc = make_region(cluster, node=1)
