@@ -105,6 +105,9 @@ def multi_page_batch(cluster: Any, protocol: str) -> None:
     kz1, desc = _region(cluster, protocol, size=size)
     kz1.write_at(desc.rid, b"a" * size)
     cluster.run(2.0)
+    # Node 0 replicates both pages, so with three nodes the remote
+    # writer's release fans out two pages to a live replica.
+    cluster.client(node=0).read_at(desc.rid, size)
 
     remote = cluster.client(node=_other_node(cluster, 1))
     ctx = remote.lock(desc.rid, size, LockMode.WRITE)

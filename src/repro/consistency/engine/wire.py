@@ -12,7 +12,8 @@ uniform across protocols.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterable, List,
+                    Optional, Tuple)
 
 from repro.consistency.engine.batch import BatchPlanner, PageMeta
 from repro.consistency.engine.counters import EngineCounters
@@ -216,14 +217,20 @@ class ProtocolEngine:
         if pushes:
             yield gather_settled(pushes, label=label)
 
-    def fanout_update(self, entry: Any, payload: Dict[str, Any],
-                      exclude: Any) -> None:
-        """One-way UPDATE_PUSH to every copyset member except those in
-        ``exclude`` (replicas that miss one catch up at next fetch)."""
-        for sharer in entry.copyset_excluding(self.host.node_id):
-            if sharer in exclude:
-                continue
-            self.send(sharer, MessageType.UPDATE_PUSH, payload)
+    def fanout(self, rid: int,
+               items: Iterable[Tuple[Dict[str, Any], Iterable[int]]]) -> None:
+        """One-way UPDATE_PUSH of one region's update items, each paired
+        with its recipients: one push per replica site, carrying that
+        site's items in ascending page order; sites are served in the
+        order they are first seen.  A replica that misses a push keeps
+        its stale copy until a later update or fetch."""
+        per_site: Dict[int, List[Dict[str, Any]]] = {}
+        for item, sites in sorted(items, key=lambda pair: pair[0]["page"]):
+            for site in sites:
+                per_site.setdefault(site, []).append(item)
+        for site, updates in per_site.items():
+            self.send(site, MessageType.UPDATE_PUSH,
+                      {"rid": rid, "updates": updates})
 
     def serve_token_grants(
         self,

@@ -270,24 +270,25 @@ class EventualManager(ConsistencyManager):
     # ------------------------------------------------------------------
 
     def tick(self) -> None:
-        """Push batched updates from the home to replica sites."""
+        """Push the pages written since the last tick to replica
+        sites: one push per sharer and region."""
         if not self._dirty_fanout:
             return
         pages, self._dirty_fanout = self._dirty_fanout, set()
+        per_region: Dict[int, List[Any]] = {}
         for page_addr in sorted(pages):
             page = self.host.storage.peek(page_addr)
             entry = self.host.page_directory.get(page_addr)
             if page is None or entry is None:
                 continue
             version, writer = self._versions.get(page_addr, (0, 0))
-            for sharer in entry.copyset_excluding(self.host.node_id):
-                self.engine.send(
-                    sharer,
-                    MessageType.UPDATE_PUSH,
-                    {"rid": entry.rid, "updates": [
-                        {"page": page_addr, "data": page.data,
-                         "version": version, "writer": writer}]},
-                )
+            per_region.setdefault(entry.rid, []).append((
+                {"page": page_addr, "data": page.data,
+                 "version": version, "writer": writer},
+                entry.copyset_excluding(self.host.node_id),
+            ))
+        for rid, items in per_region.items():
+            self.engine.fanout(rid, items)
 
     def on_node_failure(self, node_id: int) -> None:
         self.host.page_directory.forget_node(node_id)

@@ -190,20 +190,17 @@ class MobileManager(ConsistencyManager):
         UPDATE_PUSH per peer, carrying the pages that peer replicates.
         Unreachable peers catch up via the anti-entropy tick once
         connectivity returns."""
-        per_peer: Dict[int, List[Dict[str, Any]]] = {}
+        items = []
         for page_addr in pages:
             if page_addr not in ctx.dirty_pages:
                 continue
             page = self.host.storage.peek(page_addr)
             if page is None:
                 continue
-            update = {"page": page_addr, "data": page.data,
-                      "stamp": list(self._stamp_write(page_addr))}
-            for peer in self._peers_for(desc, page_addr):
-                per_peer.setdefault(peer, []).append(update)
-        for peer, updates in per_peer.items():
-            self.engine.send(peer, MessageType.UPDATE_PUSH,
-                             {"rid": desc.rid, "updates": updates})
+            items.append(({"page": page_addr, "data": page.data,
+                           "stamp": list(self._stamp_write(page_addr))},
+                          self._peers_for(desc, page_addr)))
+        self.engine.fanout(desc.rid, items)
         return
         yield  # pragma: no cover - generator form required
 
@@ -260,14 +257,10 @@ class MobileManager(ConsistencyManager):
         peers = targets if targets is not None else self._peers_for(
             desc, page_addr
         )
-        for peer in peers:
-            self.engine.send(
-                peer,
-                MessageType.UPDATE_PUSH,
-                {"rid": desc.rid, "updates": [
-                    {"page": page_addr, "data": page.data,
-                     "stamp": list(stamp)}]},
-            )
+        self.engine.fanout(desc.rid, [(
+            {"page": page_addr, "data": page.data, "stamp": list(stamp)},
+            peers,
+        )])
 
     def tick(self) -> None:
         """One anti-entropy round: rotate gossip across known pages."""

@@ -181,6 +181,8 @@ class ReleaseManager(ConsistencyManager):
             [self._apply_pushed(desc, update, me) for update in updates],
             op="release-pipeline",
         )
+        self.engine.fanout(desc.rid, [push for ok, push in settled
+                                      if ok and push is not None])
         for update, (ok, _error) in zip(updates, settled):
             if not ok:
                 # A token release must not be lost (3.5).
@@ -189,8 +191,8 @@ class ReleaseManager(ConsistencyManager):
                     "retrying in the background", me, update["page"],
                 )
                 self.host.retry_queue.enqueue(
-                    lambda update=update: self._apply_pushed(desc, update,
-                                                             me),
+                    lambda update=update: self._apply_pushes(
+                        desc, [update], me),
                     label=f"release-token:{update['page']:#x}",
                 )
 
@@ -248,21 +250,35 @@ class ReleaseManager(ConsistencyManager):
 
     def _apply_pushed(self, desc: RegionDescriptor, update: Dict[str, Any],
                       writer: int) -> ProtocolGen:
-        """One pushed update at the home, plus its token release."""
+        """One pushed update at the home, plus its token release;
+        resolves to the page's fan-out ``(item, replica sites)``, or
+        None when nothing was written."""
         page_addr = int(update["page"])
-        yield from self._apply_update_at_home(
+        push = yield from self._apply_update_at_home(
             desc, page_addr, diff=update.get("diff"),
             data=update.get("data"), writer=writer,
         )
         if update.get("release_token"):
             self.engine.ledger.release(page_addr, writer)
+        return push
+
+    def _apply_pushes(self, desc: RegionDescriptor,
+                      updates: List[Dict[str, Any]],
+                      writer: int) -> ProtocolGen:
+        """Apply one release's updates in order, then fan them out in one
+        push per replica site (a failure is retried per page)."""
+        pushes = []
+        for update in updates:
+            push = yield from self._apply_pushed(desc, update, writer)
+            if push is not None:
+                pushes.append(push)
+        self.engine.fanout(desc.rid, pushes)
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
         updates = msg.payload["updates"]
         if self.host.node_id == desc.primary_home:
             def apply() -> ProtocolGen:
-                for update in updates:
-                    yield from self._apply_pushed(desc, update, msg.src)
+                yield from self._apply_pushes(desc, updates, msg.src)
                 self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
             self.engine.spawn_handler(msg, apply(), "apply")
@@ -304,14 +320,10 @@ class ReleaseManager(ConsistencyManager):
         entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=True)
         entry.allocated = True
         entry.version = version
-        # Propagate to every replica site except the writer (one-way;
-        # replicas that miss an update catch up at their next fetch).
-        self.engine.fanout_update(
-            entry,
-            {"rid": desc.rid, "updates": [
-                {"page": page_addr, "data": data, "version": version}]},
-            exclude=(writer,),
-        )
+        # Every replica site but the writer gets the new bytes.
+        return ({"page": page_addr, "data": data, "version": version},
+                [n for n in entry.copyset_excluding(self.host.node_id)
+                 if n != writer])
 
     def _apply_replica_update(self, desc: RegionDescriptor,
                               update: Dict[str, Any]) -> None:

@@ -142,17 +142,17 @@ class DataPlane:
                              mode: LockMode) -> ProtocolGen:
         """Block until no live local context conflicts with ``mode``."""
         kernel = self.kernel
-        deadline_exc = LockDenied(
-            f"timed out waiting {kernel.config.lock_wait_timeout}s for a "
-            f"conflicting local lock on page {page_addr:#x}"
-        )
         while kernel.lock_table.conflicts(page_addr, mode):
             kernel.stats.lock_waits += 1
             gate = Future(label=f"lockwait:{page_addr:#x}")
             self._page_waiters.setdefault(page_addr, deque()).append(gate)
             try:
                 yield kernel.with_timeout(
-                    gate, kernel.config.lock_wait_timeout, deadline_exc
+                    gate, kernel.config.lock_wait_timeout, LockDenied(
+                        f"timed out waiting {kernel.config.lock_wait_timeout}"
+                        f"s for a conflicting local lock on page "
+                        f"{page_addr:#x}"
+                    ),
                 )
             except LockDenied:
                 kernel.stats.lock_timeouts += 1

@@ -41,6 +41,8 @@ _HEAD = struct.Struct("<IB16s")
 HEADER_BYTES = _CRC.size + _HEAD.size
 FLAG_DIRTY = 1
 FLAG_TOMBSTONE = 2
+#: Header-only record: the page indexed at its address is now clean.
+FLAG_CLEAN = 4
 
 #: Compact once the log exceeds twice its live records plus this slack.
 COMPACT_SLACK_BYTES = 1 << 20
@@ -93,6 +95,9 @@ class DiskStore(PageStore):
     def addresses(self) -> List[int]:
         return list(self._pages.keys())
 
+    def __len__(self) -> int:
+        return len(self._pages)
+
 
 def _record(address: int, data: bytes, flags: int) -> bytes:
     head = _HEAD.pack(len(data), flags, address.to_bytes(16, "big"))
@@ -105,12 +110,13 @@ class FileBackedDiskStore(PageStore):
 
     ``put`` appends one record (``CRC32 | length | flags | 16-byte
     address | bytes``) in a single unbuffered write, ``remove`` a
-    tombstone; an in-memory index makes ``get`` one ``pread``.  A
-    restarted daemon replays the log (paper Section 1: "local storage,
-    both volatile (RAM) and persistent (disk)"), cutting off a short or
-    CRC-failing tail.  Nothing is fsynced: a returned write survives a
-    process crash, not a power loss.  When dead records outweigh live
-    ones, the live ones are copied to a fresh log renamed over the old.
+    tombstone and ``mark_clean`` a header-only clean record; an
+    in-memory index makes ``get`` one ``pread``.  A restarted daemon
+    replays the log (paper Section 1: "local storage, both volatile
+    (RAM) and persistent (disk)"), cutting off a short or CRC-failing
+    tail.  Nothing is fsynced: a returned write survives a process
+    crash, not a power loss.  When dead records outweigh live ones, the
+    live ones are re-framed into a fresh log renamed over the old.
     """
 
     persistent = True
@@ -155,6 +161,10 @@ class FileBackedDiskStore(PageStore):
 
     def _apply(self, address: int, offset: int, length: int, flags: int) -> None:
         old = self._index.get(address)
+        if flags & FLAG_CLEAN:
+            if old is not None:
+                self._index[address] = (old[0], old[1], False)
+            return
         if old is not None:
             self._used -= old[1]
             self._live -= HEADER_BYTES + old[1]
@@ -183,7 +193,9 @@ class FileBackedDiskStore(PageStore):
         offset = 0
         with open(tmp, "wb", buffering=0) as out:
             for address, (at, length, dirty) in self._index.items():
-                out.write(os.pread(fd, HEADER_BYTES + length, at))
+                out.write(_record(address,
+                                  os.pread(fd, length, at + HEADER_BYTES),
+                                  FLAG_DIRTY if dirty else 0))
                 index[address] = (offset, length, dirty)
                 offset += HEADER_BYTES + length
         os.replace(tmp, self._path)
@@ -212,15 +224,26 @@ class FileBackedDiskStore(PageStore):
 
     def remove(self, address: int) -> Optional[StoredPage]:
         page = self.get(address)
-        if page is not None:
-            self._append(address, b"", FLAG_TOMBSTONE)
+        self.discard(address)
         return page
+
+    def discard(self, address: int) -> None:
+        if address in self._index:
+            self._append(address, b"", FLAG_TOMBSTONE)
+
+    def mark_clean(self, address: int) -> None:
+        entry = self._index.get(address)
+        if entry is not None and entry[2]:
+            self._append(address, b"", FLAG_CLEAN)
 
     def contains(self, address: int) -> bool:
         return address in self._index
 
     def addresses(self) -> List[int]:
         return list(self._index.keys())
+
+    def __len__(self) -> int:
+        return len(self._index)
 
     def close(self) -> None:
         self._log.close()

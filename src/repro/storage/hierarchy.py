@@ -129,7 +129,7 @@ class StorageHierarchy:
         if not self.memory.has_room_for(delta):
             return False
         # Stale duplicate on disk would shadow the fresh RAM copy later.
-        self.disk.remove(page.address)
+        self.disk.discard(page.address)
         self.memory.put(page)
         return True
 
@@ -153,7 +153,7 @@ class StorageHierarchy:
         pinned/unevictable pages.
         """
         # Stale duplicate on disk would shadow the fresh RAM copy later.
-        self.disk.remove(page.address)
+        self.disk.discard(page.address)
         cost = self._make_room_in_memory(page.size, exclude=page.address)
         self.memory.put(page)
         self.stats.simulated_io_seconds += cost
@@ -188,10 +188,7 @@ class StorageHierarchy:
         page = self.memory.peek(address)
         if page is not None:
             page.dirty = False
-        disk_page = self.disk.get(address)
-        if disk_page is not None and disk_page.dirty:
-            disk_page.dirty = False
-            self.disk.put(disk_page)
+        self.disk.mark_clean(address)
 
     # --- Introspection ------------------------------------------------------------
 
@@ -199,18 +196,8 @@ class StorageHierarchy:
         return sorted(set(self.memory.addresses()) | set(self.disk.addresses()))
 
     def dirty_addresses(self) -> List[int]:
-        dirty = []
-        for address in self.memory.addresses():
-            page = self.memory.peek(address)
-            if page is not None and page.dirty:
-                dirty.append(address)
-        for address in self.disk.addresses():
-            if address in dirty:
-                continue
-            page = self.disk.get(address)
-            if page is not None and page.dirty:
-                dirty.append(address)
-        return sorted(dirty)
+        # A page at both levels is the same at each: RAM's copy decides.
+        return [a for a in self.resident_addresses() if self.peek(a).dirty]
 
     def used_bytes(self) -> int:
         return self.memory.used_bytes() + self.disk.used_bytes()
@@ -243,7 +230,10 @@ class StorageHierarchy:
             if victim is None:
                 continue
             cost += self._make_room_on_disk(victim.size, exclude=exclude)
-            self.disk.put(victim)
+            # A page at both levels is the same at each (every RAM store
+            # drops or replaces the disk copy): never write it twice.
+            if not self.disk.contains(victim.address):
+                self.disk.put(victim)
             self.stats.victimized_to_disk += 1
             cost += access_cost(victim.size)
         if not self.memory.has_room_for(size):
@@ -281,7 +271,7 @@ class StorageHierarchy:
                     f"consistency protocol vetoed eviction of page "
                     f"{victim_addr:#x}"
                 )
-            self.disk.remove(victim_addr)
+            self.disk.discard(victim_addr)
             self.stats.evicted_from_disk += 1
             cost += access_cost(victim.size)
         if not self.disk.has_room_for(size):

@@ -81,6 +81,17 @@ class PageStore(abc.ABC):
     def close(self) -> None:
         """Release the level's OS resources (nothing for in-memory ones)."""
 
+    def discard(self, address: int) -> None:
+        """Remove the page, if held, without reading it back."""
+        self.remove(address)
+
+    def mark_clean(self, address: int) -> None:
+        """Clear the dirty bit of the page held here, if any (an
+        in-memory level holds the page object itself)."""
+        page = self.get(address)
+        if page is not None:
+            page.dirty = False
+
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()
 

@@ -29,7 +29,7 @@ MESSAGES_SENT = {
     ("tiered", "failure_mid_acquire", "mobile"): 599,
     ("tiered", "multi_page_batch", "crew"): 121,
     ("tiered", "multi_page_batch", "release"): 119,
-    ("tiered", "multi_page_batch", "eventual"): 123,
+    ("tiered", "multi_page_batch", "eventual"): 120,
     ("tiered", "multi_page_batch", "mobile"): 150,
     ("tiered", "single_page", "crew"): 60,
     ("tiered", "single_page", "release"): 60,
@@ -49,7 +49,7 @@ MESSAGES_SENT = {
     ("ring", "failure_mid_acquire", "mobile"): 434,
     ("ring", "multi_page_batch", "crew"): 127,
     ("ring", "multi_page_batch", "release"): 125,
-    ("ring", "multi_page_batch", "eventual"): 129,
+    ("ring", "multi_page_batch", "eventual"): 126,
     ("ring", "multi_page_batch", "mobile"): 156,
     ("ring", "single_page", "crew"): 77,
     ("ring", "single_page", "release"): 77,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.api import create_cluster
 from repro.core.address_map import EntryState, MapEntry, MapNode, initial_root_node
 from repro.core.addressing import AddressRange
+from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.errors import StorageExhausted
 from repro.core.kernel import DaemonConfig
 from repro.fs.layout import LayoutError, decode_struct, encode_struct
@@ -487,6 +488,119 @@ class TestHierarchy:
         assert returned == pytest.approx(h.stats.simulated_io_seconds,
                                          rel=1e-12)
         assert returned > 0
+
+
+class TestPageLogWritesEachPageOnce:
+    """A durable node's log holds each page's bytes once: clearing a
+    dirty bit is a header-only record, and a page the log already
+    holds is not appended again when RAM victimizes it."""
+
+    def test_clean_record_replays_as_clean_also_after_compaction(
+            self, tmp_path, monkeypatch):
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            store.put(page(0x1000, b"a", dirty=True))
+            before = log_size(d)
+            store.mark_clean(0x1000)
+            assert log_size(d) == before + HEADER_BYTES
+            store.mark_clean(0x1000)          # already clean: no record
+            assert log_size(d) == before + HEADER_BYTES
+            assert store.get(0x1000).dirty is False
+            assert store.used_bytes() == PAGE
+        with opened(d) as revived:
+            assert revived.get(0x1000).dirty is False
+            assert revived.get(0x1000).data == b"a" * PAGE
+            assert revived.used_bytes() == PAGE
+        monkeypatch.setattr(disk, "COMPACT_SLACK_BYTES", 0)
+        with opened(d) as store:
+            for fill in b"bcd":
+                store.put(page(0x2000, bytes([fill]), dirty=True))
+        assert log_size(d) == 2 * (HEADER_BYTES + PAGE)   # compacted
+        with opened(d) as revived:
+            assert revived.get(0x1000).dirty is False
+            assert revived.get(0x2000).dirty is True
+
+    def test_torn_clean_record_at_the_tail_is_cut_off(self, tmp_path):
+        d = str(tmp_path / "spill")
+        with opened(d) as store:
+            store.put(page(0x1000, b"a", dirty=True))
+            kept = log_size(d)
+            store.mark_clean(0x1000)
+        for cut in range(kept, kept + HEADER_BYTES):
+            with open(os.path.join(d, LOG_FILE), "r+b") as fh:
+                fh.truncate(cut)
+            with opened(d) as revived:
+                assert revived.get(0x1000).dirty is True
+            assert log_size(d) == kept
+
+    def _durable(self, tmp_path, mem_pages=2):
+        return StorageHierarchy(
+            memory=MemoryStore(mem_pages * PAGE),
+            disk=FileBackedDiskStore(str(tmp_path / "spill"), 8 * PAGE))
+
+    def test_victimizing_a_logged_page_appends_nothing(self, tmp_path):
+        h = self._durable(tmp_path, mem_pages=1)
+        try:
+            h.write_through(page(0, b"a", dirty=True))
+            h.mark_clean(0)
+            size = log_size(str(tmp_path / "spill"))
+            cost = h.store(page(PAGE, b"b"))      # victimizes page 0
+            assert h.stats.victimized_to_disk == 1
+            assert cost == access_cost(PAGE)      # still charged
+            assert log_size(str(tmp_path / "spill")) == size
+            assert h.disk.get(0).data == b"a" * PAGE
+            assert h.disk.get(0).dirty is False
+        finally:
+            h.disk.close()
+
+    def test_a_durable_homes_write_and_release_append_the_page_once(
+            self, tmp_path):
+        cluster = create_cluster(num_nodes=2, config=DaemonConfig(
+            enable_failure_handling=False, spill_dir=str(tmp_path)))
+        try:
+            kz = cluster.client(node=0)
+            desc = kz.reserve(PAGE, RegionAttributes(
+                consistency_level=ConsistencyLevel.RELEASE))
+            kz.allocate(desc.rid)
+            assert desc.primary_home == 0
+            kz.write_at(desc.rid, b"warm")
+            node_dir = os.path.join(str(tmp_path), "node0")
+            size = log_size(node_dir)
+            kz.write_at(desc.rid, b"w" * PAGE)
+            assert log_size(node_dir) == size + 2 * HEADER_BYTES + PAGE
+            assert cluster.daemon(0).storage.dirty_addresses() == []
+        finally:
+            cluster.shutdown()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["store", "write_through", "load", "mark_clean",
+                         "drop"]),
+        st.integers(0, 4), st.integers(1, 255), st.booleans()),
+        max_size=40))
+    def test_a_page_at_both_levels_is_the_same_at_each(self, ops):
+        """The invariant the victimization skip relies on: a page held
+        in RAM and on disk has equal bytes and an equal dirty bit."""
+        with tempfile.TemporaryDirectory() as d:
+            h = StorageHierarchy(memory=MemoryStore(2 * PAGE),
+                                 disk=FileBackedDiskStore(d, 8 * PAGE))
+            try:
+                for name, slot, fill, dirty in ops:
+                    address = slot * PAGE
+                    if name in ("store", "write_through"):
+                        getattr(h, name)(page(address, bytes([fill]), dirty))
+                    elif name == "load":
+                        h.load(address)
+                    else:
+                        getattr(h, name)(address)
+                    for address in h.memory.addresses():
+                        on_disk = h.disk.get(address)
+                        if on_disk is not None:
+                            in_ram = h.memory.peek(address)
+                            assert (bytes(on_disk.data), on_disk.dirty) == (
+                                bytes(in_ram.data), in_ram.dirty)
+            finally:
+                h.disk.close()
 
 
 def _rstrip_decode(data):
