@@ -12,8 +12,9 @@ point is that the explorer perturbs the order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, List, Mapping, Set
 
+from repro.core.address_map import EntryState
 from repro.core.addressing import AddressRange
 from repro.core.attributes import RegionAttributes
 from repro.core.errors import InvalidLockContext
@@ -291,12 +292,25 @@ def eviction_writeback(cluster: Any, protocol: str) -> None:
         _expect(data == b"A" * 8, "evicted dirty page lost its bytes")
 
 
+def _reserved_in_map(session: Any) -> Set[AddressRange]:
+    """The RESERVED ranges ``session``'s node sees in the address map:
+    the home's resident tree there, the node's replicas elsewhere."""
+    entries = session.call(
+        session.daemon.address_map.enumerate_reserved(), "map")
+    return {entry.range for entry in entries}
+
+
 def concurrent_reserves(cluster: Any, protocol: str) -> None:
-    """Both nodes reserve, allocate and unreserve at once, so the map
-    home's own mutations interleave with the ones shipped to it."""
+    """Two nodes reserve, allocate and unreserve at once, so the map
+    home's own mutations interleave with the ones shipped to it.  The
+    home's resident tree must match the pages it stored, and a third
+    node's map replicas, filled beforehand, must catch up with both."""
     attrs = RegionAttributes(consistency_protocol=protocol)
     reserved: List[Any] = []
     kept: List[Any] = []
+    watchers = [cluster.client(node=node) for node in cluster.node_ids()[2:3]]
+    for watcher in watchers:
+        _reserved_in_map(watcher)
 
     def cycle(session: Any):
         space, mine = session.daemon.space, []
@@ -316,9 +330,17 @@ def concurrent_reserves(cluster: Any, protocol: str) -> None:
     _expect(all(not a.overlaps(b) for i, a in enumerate(reserved)
                 for b in reserved[i + 1:]), "two reserves overlap")
     home = cluster.client(node=0)
-    entries = home.call(home.daemon.address_map.enumerate_reserved(), "map")
-    _expect(set(kept) <= {e.range for e in entries},
+    resident = _reserved_in_map(home)
+    _expect(set(kept) <= resident,
             "a reserved region is missing from the map home's map")
+    stored = fsck.check_map_partition(cluster, fsck.FsckReport())
+    _expect(resident == {entry.range for entry in stored
+                         if entry.state is EntryState.RESERVED},
+            "the map home's resident tree differs from its stored pages")
+    for watcher in watchers:
+        _expect(_reserved_in_map(watcher) == resident,
+                f"node {watcher.daemon.node_id}'s map replicas never "
+                "caught up with the map home")
     report = fsck.check_cluster(cluster, strict=True)
     _expect(report.ok, report.render())
 

@@ -191,7 +191,7 @@ class ReleaseManager(ConsistencyManager):
                     "retrying in the background", me, update["page"],
                 )
                 self.host.retry_queue.enqueue(
-                    lambda update=update: self._apply_pushes(
+                    lambda update=update: self.apply_pushes(
                         desc, [update], me),
                     label=f"release-token:{update['page']:#x}",
                 )
@@ -262,9 +262,9 @@ class ReleaseManager(ConsistencyManager):
             self.engine.ledger.release(page_addr, writer)
         return push
 
-    def _apply_pushes(self, desc: RegionDescriptor,
-                      updates: List[Dict[str, Any]],
-                      writer: int) -> ProtocolGen:
+    def apply_pushes(self, desc: RegionDescriptor,
+                     updates: List[Dict[str, Any]],
+                     writer: int) -> ProtocolGen:
         """Apply one release's updates in order, then fan them out in one
         push per replica site (a failure is retried per page)."""
         pushes = []
@@ -278,7 +278,7 @@ class ReleaseManager(ConsistencyManager):
         updates = msg.payload["updates"]
         if self.host.node_id == desc.primary_home:
             def apply() -> ProtocolGen:
-                yield from self._apply_pushes(desc, updates, msg.src)
+                yield from self.apply_pushes(desc, updates, msg.src)
                 self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
             self.engine.spawn_handler(msg, apply(), "apply")

@@ -14,11 +14,13 @@ Khazana.  A well-known region beginning at address 0 stores the root
 node of the address map tree."
 
 This module is faithful to that design: tree nodes are fixed-size
-pages inside the *system region* at address 0, read and written
-through the ordinary Khazana lock/read/write path (so the map is
-replicated and kept release-consistent like any other region).  The
-tree logic is written as generators over the narrow :class:`MapIO`
-protocol; the daemon supplies the I/O.
+pages inside the *system region* at address 0, replicated and kept
+release-consistent like any other region.  Away from the map's home
+the tree is read through the ordinary Khazana lock/read path; the home
+keeps it decoded and resident, and a mutation there stores and
+publishes the pages it changed.  The tree logic is written as
+generators over the narrow :class:`MapIO` protocol; the daemon
+supplies the I/O.
 """
 
 from __future__ import annotations
@@ -27,28 +29,18 @@ import abc
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.core.addressing import (
-    DEFAULT_PAGE_SIZE,
-    MAX_ADDRESS,
-    AddressRange,
-)
-from repro.core.errors import (
-    AddressSpaceExhausted,
-    AlreadyReserved,
-    InvalidRange,
-    KhazanaError,
-    NotReserved,
-)
+from repro.core.addressing import DEFAULT_PAGE_SIZE, MAX_ADDRESS, AddressRange
+from repro.core.errors import (AddressSpaceExhausted, AlreadyReserved,
+                               InvalidRange, KhazanaError, NotReserved)
 from repro.core.locks import LockMode
 from repro.storage.store import unpad
 
 #: The well-known system region holding the address-map tree: the
 #: first 16 MiB of the global address space (4096 tree pages).
-SYSTEM_REGION_START = 0
-SYSTEM_REGION_SIZE = 16 * 1024 * 1024
-SYSTEM_REGION = AddressRange(SYSTEM_REGION_START, SYSTEM_REGION_SIZE)
+SYSTEM_REGION = AddressRange(0, 16 * 1024 * 1024)
 
 #: The region id of the well-known address-map region.
 SYSTEM_RID = SYSTEM_REGION.start
@@ -103,17 +95,11 @@ class MapEntry:
             raise ValueError(f"{self.state.value} entry has no child page")
         return self.data[0]
 
-    def to_wire(self) -> List[Any]:
-        return [self.range.start, self.range.length, self.state.value,
-                list(self.data)]
-
-    @classmethod
-    def from_wire(cls, raw: List[Any]) -> "MapEntry":
-        return cls(
-            range=AddressRange(int(raw[0]), int(raw[1])),
-            state=EntryState(raw[2]),
-            data=tuple(int(x) for x in raw[3]),
-        )
+    @cached_property
+    def wire(self) -> str:
+        """This entry's JSON text in an encoded page (built once)."""
+        return (f'[{self.range.start},{self.range.length},'
+                f'"{self.state.value}",[{",".join(map(str, self.data))}]]')
 
 
 class MapNode:
@@ -121,18 +107,19 @@ class MapNode:
 
     def __init__(self, entries: List[MapEntry],
                  next_free_page: Optional[int] = None) -> None:
-        #: Entries sorted by range start, jointly partitioning the
-        #: node's covered range.
-        self.entries = sorted(entries, key=lambda e: e.range.start)
+        #: Entries sorted by range start (callers pass them so, and
+        #: encode keeps the order), jointly partitioning its range.
+        self.entries = list(entries)
         #: Only meaningful on the root node: bump allocator for new
         #: tree pages within the system region.
         self.next_free_page = next_free_page
 
     def encode(self, page_size: int) -> bytes:
-        doc = {"entries": [e.to_wire() for e in self.entries]}
-        if self.next_free_page is not None:
-            doc["next_free_page"] = self.next_free_page
-        blob = json.dumps(doc, separators=(",", ":")).encode("ascii")
+        # Compact JSON: {"entries": [...], "next_free_page": n}.
+        tail = ("" if self.next_free_page is None
+                else f',"next_free_page":{self.next_free_page}')
+        blob = ('{"entries":[' + ",".join(e.wire for e in self.entries)
+                + "]" + tail + "}").encode("ascii")
         if len(blob) > page_size:
             raise KhazanaError(
                 f"address-map node overflow: {len(blob)} > {page_size} bytes"
@@ -145,50 +132,58 @@ class MapNode:
         if not blob:
             return cls(entries=[])
         doc = json.loads(blob.decode("ascii"))
-        return cls(
-            entries=[MapEntry.from_wire(raw) for raw in doc.get("entries", [])],
-            next_free_page=doc.get("next_free_page"),
-        )
+        return cls([MapEntry(AddressRange(int(start), int(length)),
+                             EntryState(state), tuple(int(x) for x in data))
+                    for start, length, state, data in doc.get("entries", [])],
+                   doc.get("next_free_page"))
+
+    def _index(self, address: int) -> int:
+        """Bisect for the last entry starting at or before ``address``."""
+        entries, lo, hi = self.entries, 0, len(self.entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if entries[mid].range.start <= address:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo - 1
 
     def entry_covering(self, address: int) -> Optional[MapEntry]:
-        for entry in self.entries:
-            if entry.range.contains(address):
-                return entry
-        return None
+        index = self._index(address)
+        entry = self.entries[index] if index >= 0 else None
+        return entry if entry and entry.range.contains(address) else None
 
     def replace_entry(self, old: MapEntry, new: List[MapEntry]) -> None:
-        self.entries.remove(old)
-        self.entries.extend(new)
-        self.entries.sort(key=lambda e: e.range.start)
+        """Put ``new``, which starts where ``old`` does, in its place."""
+        index = self._index(old.range.start)
+        self.entries[index:index + 1] = sorted(new, key=lambda e: e.range.start)
 
     def coalesce_free(self) -> None:
         """Merge adjacent FREE entries (within this node only; the
         paper explicitly skips cross-node defragmentation)."""
         merged: List[MapEntry] = []
         for entry in self.entries:
-            if (
-                merged
-                and merged[-1].state is EntryState.FREE
-                and entry.state is EntryState.FREE
-                and merged[-1].range.end == entry.range.start
-            ):
-                merged[-1] = MapEntry(
-                    range=merged[-1].range.union(entry.range),
-                    state=EntryState.FREE,
-                )
+            last = merged[-1] if merged else None
+            if (last is not None and last.state is entry.state is EntryState.FREE
+                    and last.range.end == entry.range.start):
+                merged[-1] = MapEntry(last.range.union(entry.range),
+                                      EntryState.FREE)
             else:
                 merged.append(entry)
         self.entries = merged
 
 
 class MapIO(abc.ABC):
-    """Page access the address map needs from its host daemon.
-
-    All methods are protocol generators (they may yield Futures); the
-    address map composes them with ``yield from``.
+    """Page access the address map needs from its host daemon: replica
+    reads under READ locks away from the map's home (``ships_mutations``),
+    the home's own stored pages at the home.  All methods are protocol
+    generators (they may yield Futures), composed with ``yield from``.
     """
 
     page_size: int = DEFAULT_PAGE_SIZE
+
+    #: True where mutations run at the map's home rather than here.
+    ships_mutations: bool = False
 
     @abc.abstractmethod
     def lock_page(self, page_addr: int, mode: LockMode) -> ProtocolGen:
@@ -199,21 +194,27 @@ class MapIO(abc.ABC):
         """Read the page's bytes under ``ctx``."""
 
     @abc.abstractmethod
-    def write_page(self, ctx: Any, page_addr: int, data: bytes) -> ProtocolGen:
-        """Write the page's bytes under ``ctx``."""
-
-    @abc.abstractmethod
     def unlock_page(self, ctx: Any) -> ProtocolGen:
         """Release a context (release-type: must not raise to caller)."""
-
-    #: True where mutations run at the map's home rather than here.
-    ships_mutations: bool = False
 
     def ship_mutation(self, op: str, target: AddressRange,
                       data: Tuple[int, ...],
                       new_length: Optional[int]) -> ProtocolGen:
         """Run :meth:`AddressMap.apply` at the map's home and wait."""
         raise NotImplementedError
+
+    @abc.abstractmethod
+    def load_page(self, page_addr: int) -> ProtocolGen:
+        """At the home: the page's stored bytes, without a lock."""
+
+    @abc.abstractmethod
+    def store_page(self, page_addr: int, data: bytes) -> ProtocolGen:
+        """At the home: write the page's new bytes through to storage."""
+
+    @abc.abstractmethod
+    def publish(self, pages: List[Tuple[int, bytes]]) -> ProtocolGen:
+        """At the home: version the stored ``(page, bytes)`` pairs and
+        push them to the map's replica sites."""
 
 
 #: A leaf rewrite: ``edit(node, entry)`` changes ``node`` in place.
@@ -234,30 +235,32 @@ def initial_root_node() -> MapNode:
     The system region itself is the first reservation (homed at the
     bootstrap node, node 0); everything else is one huge FREE entry.
     """
-    free_start = SYSTEM_REGION.end
     return MapNode(
-        entries=[
-            MapEntry(SYSTEM_REGION, EntryState.RESERVED, (0,)),
-            MapEntry(
-                AddressRange.from_bounds(free_start, MAX_ADDRESS + 1),
-                EntryState.FREE,
-            ),
-        ],
-        next_free_page=ROOT_PAGE + DEFAULT_PAGE_SIZE,
-    )
+        [MapEntry(SYSTEM_REGION, EntryState.RESERVED, (0,)),
+         MapEntry(AddressRange.from_bounds(SYSTEM_REGION.end, MAX_ADDRESS + 1),
+                  EntryState.FREE)],
+        next_free_page=ROOT_PAGE + DEFAULT_PAGE_SIZE)
 
 
 class AddressMap:
     """Generator-based operations on the distributed tree.
 
-    Mutations run at the map's home (:meth:`apply`) under a write lock
-    on the root page, which serialises them; lookups run against
-    (possibly stale) local replicas under read locks — exactly the
-    relaxed-consistency posture of Section 3.1.
+    Mutations run at the map's home (:meth:`apply`), one at a time,
+    against the tree the home keeps decoded and resident
+    (:attr:`resident`); lookups elsewhere read (possibly stale) local
+    replicas under read locks — exactly the relaxed-consistency
+    posture of Section 3.1.
     """
 
     def __init__(self, io: MapIO) -> None:
+        from repro.consistency.engine import HomeTransactions
+
         self.io = io
+        #: At the home: page -> decoded node of the reachable tree, filled
+        #: lazily from its stored pages (a restarted home reloads them).
+        self.resident: Dict[int, MapNode] = {}
+        #: Serialises mutations at the home.
+        self._mutations = HomeTransactions()
 
     # --- Read path --------------------------------------------------------
 
@@ -268,18 +271,8 @@ class AddressMap:
         through them).  The result may be stale; callers fall back to
         the cluster walk when acting on it fails (Section 3.1).
         """
-        page_addr = ROOT_PAGE
-        for _depth in range(64):   # tree depth bound; guards cycles
-            node = yield from self._read_node(page_addr, LockMode.READ)
-            entry = node.entry_covering(address)
-            if entry is None:
-                raise NotReserved(
-                    f"address {address:#x} not described by the address map"
-                )
-            if entry.state is not EntryState.SUBTREE:
-                return entry
-            page_addr = entry.child_page
-        raise KhazanaError("address-map descent exceeded depth bound")
+        _path, entry = yield from self._descend(address)
+        return entry
 
     def enumerate_reserved(self) -> ProtocolGen:
         """All RESERVED entries (for diagnostics and fsck-style tools)."""
@@ -289,7 +282,7 @@ class AddressMap:
 
     def _collect(self, page_addr: int, state: EntryState,
                  out: List[MapEntry]) -> ProtocolGen:
-        node = yield from self._read_node(page_addr, LockMode.READ)
+        node = yield from self._node(page_addr)
         for entry in node.entries:
             if entry.state is EntryState.SUBTREE:
                 yield from self._collect(entry.child_page, state, out)
@@ -311,7 +304,7 @@ class AddressMap:
 
     def _find_free_in(self, page_addr: int, size: int,
                       alignment: int) -> ProtocolGen:
-        node = yield from self._read_node(page_addr, LockMode.READ)
+        node = yield from self._node(page_addr)
         for entry in node.entries:
             if entry.state is EntryState.SUBTREE:
                 found = yield from self._find_free_in(
@@ -364,11 +357,11 @@ class AddressMap:
     def apply(self, op: str, target: AddressRange, data: Tuple[int, ...],
               new_length: Optional[int] = None, requester: Optional[int] = None,
               shipped: bool = False) -> ProtocolGen:
-        """Run mutation ``op`` as one walk under the root write lock, at
-        the map's home (every lock home-local); elsewhere ship it there
-        (:meth:`MapIO.ship_mutation`).  A ``shipped`` one may be a
-        retransmit that outlived its cached reply: a change already in
-        place (same-homes reserve, release of FREE space) is a no-op."""
+        """Run mutation ``op`` at the map's home, after every earlier
+        one; elsewhere ship it there (:meth:`MapIO.ship_mutation`).  A
+        ``shipped`` one may be a retransmit that outlived its cached
+        reply: a change already in place (same-homes reserve, release
+        of FREE space) is a no-op."""
         if self.io.ships_mutations and not shipped:
             yield from self.io.ship_mutation(op, target, data, new_length)
             return
@@ -378,7 +371,7 @@ class AddressMap:
             acceptable, new_state = _CARVES[op]
             edit = self._carve_edit(target, acceptable, new_state,
                                     tuple(data), shipped)
-        yield from self._mutate(target, edit)
+        yield from self._mutations.run(ROOT_PAGE, self._mutate(target, edit))
 
     def _extend_edit(self, target: AddressRange, new_length: int,
                      requester: Optional[int], replay: bool) -> Edit:
@@ -399,28 +392,20 @@ class AddressMap:
                     f"{entry.range} ({entry.state.value})"
                 )
             # Collect the run of FREE/DELEGATED entries after the region
-            # until the grown range is covered.
+            # until the grown range is covered — never another node's
+            # delegated pool: its daemon would later hand out the same
+            # addresses.
             consumed: List[MapEntry] = []
             position = target.end
             while position < grown.end:
                 tail = node.entry_covering(position)
-                if tail is None or tail.state not in (
-                    EntryState.FREE, EntryState.DELEGATED
-                ):
+                if tail is None or not (tail.state is EntryState.FREE or (
+                        tail.state is EntryState.DELEGATED
+                        and requester in (None, tail.manager_node))):
                     raise AddressSpaceExhausted(
-                        f"space after {target} is not free at {position:#x} "
-                        f"(found {tail.state.value if tail else 'a map-node boundary'})"
-                    )
-                if (
-                    tail.state is EntryState.DELEGATED
-                    and requester is not None
-                    and tail.manager_node != requester
-                ):
-                    # Never steal space from another node's local pool —
-                    # its daemon would later hand out the same addresses.
-                    raise AddressSpaceExhausted(
-                        f"space after {target} is delegated to node "
-                        f"{tail.manager_node}, not the requester"
+                        f"space after {target} is not free to node "
+                        f"{requester} at {position:#x} (found "
+                        f"{tail.state.value if tail else 'a map-node boundary'})"
                     )
                 consumed.append(tail)
                 position = tail.range.end
@@ -442,13 +427,40 @@ class AddressMap:
 
     # --- Internals ------------------------------------------------------------
 
-    def _read_node(self, page_addr: int, mode: LockMode) -> ProtocolGen:
-        ctx = yield from self.io.lock_page(page_addr, mode)
-        try:
-            raw = yield from self.io.read_page(ctx, page_addr)
-        finally:
-            yield from self.io.unlock_page(ctx)
-        return MapNode.decode(raw)
+    def _node(self, page_addr: int) -> ProtocolGen:
+        """One tree node: the resident one at the home, else a fresh
+        decode of the local replica read under a READ lock."""
+        io = self.io
+        if io.ships_mutations:
+            ctx = yield from io.lock_page(page_addr, LockMode.READ)
+            try:
+                raw = yield from io.read_page(ctx, page_addr)
+            finally:
+                yield from io.unlock_page(ctx)
+            return MapNode.decode(raw)
+        node = self.resident.get(page_addr)
+        if node is None:
+            raw = yield from io.load_page(page_addr)
+            # A mutation may have installed the page while it loaded.
+            node = self.resident.setdefault(page_addr, MapNode.decode(raw))
+        return node
+
+    def _descend(self, address: int) -> ProtocolGen:
+        """The ``(page, node)`` path from the root to the leaf entry
+        covering ``address``, and that entry."""
+        path: List[Tuple[int, MapNode]] = []
+        page_addr = ROOT_PAGE
+        for _depth in range(64):   # tree depth bound; guards cycles
+            node = yield from self._node(page_addr)
+            path.append((page_addr, node))
+            entry = node.entry_covering(address)
+            if entry is None:
+                raise NotReserved(f"address {address:#x} not described by "
+                                  "the address map")
+            if entry.state is not EntryState.SUBTREE:
+                return path, entry
+            page_addr = entry.child_page
+        raise KhazanaError("address-map descent exceeded depth bound")
 
     def _carve_edit(self, target: AddressRange,
                     acceptable: Tuple[EntryState, ...], new_state: EntryState,
@@ -481,79 +493,60 @@ class AddressMap:
         return edit
 
     def _mutate(self, target: AddressRange, edit: Edit) -> ProtocolGen:
-        """Apply ``edit(leaf, entry)`` to the leaf entry covering
-        ``target.start`` and write back every page whose bytes changed.
+        """Apply ``edit(leaf, entry)`` to copies of the resident nodes
+        on the walk to ``target.start`` (so a raising edit changes
+        nothing), then store, install and publish each changed page.
 
-        The root page's write lock is held throughout (the map
-        mutation mutex), plus a write lock on each node on the way
-        down: one page per level.  An overflowing node splits into its
-        parent (:meth:`_copy_split`); only an overflowing root pushes
-        its entries down a level, so every leaf sits at one depth.
+        An overflowing node splits into its parent (:meth:`_copy_split`);
+        only an overflowing root pushes its entries down a level, so
+        every leaf sits at one depth.  Fresh split pages are stored
+        first, then bottom-up, the root last: a replica fetching
+        meanwhile never follows a new parent to an unwritten child.
         """
-        root_ctx = yield from self.io.lock_page(ROOT_PAGE, LockMode.WRITE)
-        try:
-            raw = yield from self.io.read_page(root_ctx, ROOT_PAGE)
-            root = MapNode.decode(raw)
-            yield from self._walk(root, root, target, edit)
-            if len(root.entries) > MAX_ENTRIES:
-                root.entries = yield from self._copy_split(root, root.entries)
-            yield from self._write_back(root_ctx, ROOT_PAGE, root, raw)
-        finally:
-            yield from self.io.unlock_page(root_ctx)
+        path, entry = yield from self._descend(target.start)
+        copies = [MapNode(node.entries, node.next_free_page)
+                  for _page, node in path]
+        edit(copies[-1], entry)
+        root = copies[0]
+        fresh: List[Tuple[int, MapNode]] = []
+        retired: List[int] = []
+        for depth in range(len(copies) - 1, 0, -1):
+            if len(copies[depth].entries) > MAX_ENTRIES:
+                parent = copies[depth - 1]
+                parent.replace_entry(
+                    parent.entry_covering(target.start),
+                    self._copy_split(root, copies[depth].entries, fresh))
+                copies[depth] = path[depth][1]   # stale replicas still read it
+                retired.append(path[depth][0])
+        if len(root.entries) > MAX_ENTRIES:
+            root.entries = self._copy_split(root, root.entries, fresh)
+        changed = fresh + [
+            (page, copy) for (page, node), copy in reversed(list(zip(path, copies)))
+            if (copy.entries, copy.next_free_page)
+            != (node.entries, node.next_free_page)]
+        pages = [(page, node.encode(self.io.page_size))
+                 for page, node in changed]
+        for page, blob in pages:
+            yield from self.io.store_page(page, blob)
+        self.resident.update(changed)
+        for page in retired:
+            del self.resident[page]
+        if pages:
+            yield from self.io.publish(pages)
 
-    def _walk(self, node: MapNode, root: MapNode, target: AddressRange,
-              edit: Edit) -> ProtocolGen:
-        entry = node.entry_covering(target.start)
-        if entry is None:
-            raise NotReserved(
-                f"range {target} not described by the address map"
-            )
-        if entry.state is not EntryState.SUBTREE:
-            edit(node, entry)
-            return
-        child_addr = entry.child_page
-        ctx = yield from self.io.lock_page(child_addr, LockMode.WRITE)
-        try:
-            raw = yield from self.io.read_page(ctx, child_addr)
-            child = MapNode.decode(raw)
-            yield from self._walk(child, root, target, edit)
-            if len(child.entries) > MAX_ENTRIES:
-                halves = yield from self._copy_split(root, child.entries)
-                node.replace_entry(entry, halves)
-            else:
-                yield from self._write_back(ctx, child_addr, child, raw)
-        finally:
-            yield from self.io.unlock_page(ctx)
-
-    def _write_back(self, ctx: Any, page_addr: int, node: MapNode,
-                    raw: bytes) -> ProtocolGen:
-        blob = node.encode(self.io.page_size)
-        if blob != raw:
-            yield from self.io.write_page(ctx, page_addr, blob)
-
-    def _copy_split(self, root: MapNode,
-                    entries: List[MapEntry]) -> ProtocolGen:
-        """Copy-on-split: write each half of ``entries`` to a freshly
-        allocated tree page, and return the two SUBTREE entries that
-        replace the split node's entry in its parent.
-
-        Both halves are written and unlocked before the caller links
-        them in, and the split node's own page is never rewritten: a
-        reader holding a stale parent still finds an intact node there
-        describing the whole range (lookups run against
-        release-consistent replicas).
-        """
+    def _copy_split(self, root: MapNode, entries: List[MapEntry],
+                    fresh: List[Tuple[int, MapNode]]) -> List[MapEntry]:
+        """Copy-on-split: move each half of ``entries`` to a freshly
+        allocated tree page (appended to ``fresh``); return the two
+        SUBTREE entries that replace the split node's entry in its
+        parent.  The split node's own page is never rewritten: a reader
+        holding a stale parent still finds an intact node there
+        describing the whole range."""
         mid = len(entries) // 2
         halves: List[MapEntry] = []
         for part in (entries[:mid], entries[mid:]):
             page_addr = self._alloc_tree_page(root)
-            ctx = yield from self.io.lock_page(page_addr, LockMode.WRITE)
-            try:
-                yield from self.io.write_page(
-                    ctx, page_addr, MapNode(part).encode(self.io.page_size)
-                )
-            finally:
-                yield from self.io.unlock_page(ctx)
+            fresh.append((page_addr, MapNode(part)))
             halves.append(MapEntry(
                 AddressRange.from_bounds(part[0].range.start,
                                          part[-1].range.end),

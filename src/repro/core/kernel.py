@@ -28,14 +28,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.address_map import (
-    ROOT_PAGE,
-    SYSTEM_REGION,
-    SYSTEM_RID,
-    AddressMap,
-    MapIO,
-    initial_root_node,
-)
+from repro.core.address_map import (ROOT_PAGE, SYSTEM_REGION, SYSTEM_RID,
+                                    AddressMap, MapIO, initial_root_node)
 from repro.core.addressing import AddressRange, DEFAULT_PAGE_SIZE
 from repro.core.allocator import LocalSpacePool
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
@@ -148,6 +142,9 @@ class DaemonStats:
     #: Virtual-clock request service time per wire op, recorded by the
     #: MessageRouter's latency middleware (request arrival -> reply).
     op_latency: Dict[str, OpLatency] = field(default_factory=dict)
+    #: Wire message type -> [dispatches, thread CPU ns spent in them]
+    #: (:meth:`MessageRouter.dispatch`).
+    dispatch_cpu: Dict[str, List[int]] = field(default_factory=dict)
 
     def bump(self, op: str) -> None:
         self.ops[op] = self.ops.get(op, 0) + 1
@@ -163,9 +160,10 @@ class DaemonStats:
 
 
 class _KernelMapIO(MapIO):
-    """Adapter giving the address map access to system-region pages
-    through this node's ordinary lock/read/write path; a node other
-    than the map's home ships mutations there as ``MAP_MUTATE``."""
+    """Adapter giving the address map its system-region pages: through
+    this node's ordinary lock/read path away from the map's home, which
+    the others ship mutations to as ``MAP_MUTATE``; at the home, its
+    stored copy plus release's home apply."""
 
     def __init__(self, kernel: "NodeKernel") -> None:
         self.kernel = kernel
@@ -173,26 +171,33 @@ class _KernelMapIO(MapIO):
         self.ships_mutations = kernel.node_id != kernel.config.bootstrap_node
 
     def lock_page(self, page_addr: int, mode: LockMode) -> ProtocolGen:
-        ctx = yield from self.kernel.data.op_lock(
-            AddressRange(page_addr, self.page_size),
-            mode,
-            principal=SYSTEM_PRINCIPAL,
-        )
-        return ctx
+        return self.kernel.data.op_lock(
+            AddressRange(page_addr, self.page_size), mode,
+            principal=SYSTEM_PRINCIPAL)
 
     def read_page(self, ctx: Any, page_addr: int) -> ProtocolGen:
-        data = yield from self.kernel.data.op_read(
-            ctx, AddressRange(page_addr, self.page_size)
-        )
-        return data
-
-    def write_page(self, ctx: Any, page_addr: int, data: bytes) -> ProtocolGen:
-        yield from self.kernel.data.op_write(
-            ctx, AddressRange(page_addr, self.page_size), data
-        )
+        return self.kernel.data.op_read(
+            ctx, AddressRange(page_addr, self.page_size))
 
     def unlock_page(self, ctx: Any) -> ProtocolGen:
-        yield from self.kernel.data.op_unlock(ctx)
+        return self.kernel.data.op_unlock(ctx)
+
+    def load_page(self, page_addr: int) -> ProtocolGen:
+        return self.kernel.data.local_page_bytes(
+            self.kernel.homed_regions[SYSTEM_RID], page_addr)
+
+    def store_page(self, page_addr: int, data: bytes) -> ProtocolGen:
+        return self.kernel.data.store_local_page(
+            self.kernel.homed_regions[SYSTEM_RID], page_addr, data,
+            dirty=False)
+
+    def publish(self, pages: List[Tuple[int, bytes]]) -> ProtocolGen:
+        # Release's apply of a home-local release: version bump,
+        # page-directory entry, one UPDATE_PUSH per replica site.
+        return self.kernel.consistency_manager("release").apply_pushes(
+            self.kernel.homed_regions[SYSTEM_RID],
+            [{"page": page, "data": data} for page, data in pages],
+            self.kernel.node_id)
 
     def ship_mutation(self, op: str, target: AddressRange,
                       data: Tuple[int, ...],
@@ -204,7 +209,7 @@ class _KernelMapIO(MapIO):
                 {"op": op, "start": target.start, "length": target.length,
                  "data": list(data), "new_length": new_length},
                 # The token protocol's schedule: at the home a mutation
-                # queues behind the others on the root write lock.
+                # queues behind the others.
                 policy=RetryPolicy(timeout=10.0, retries=2, backoff=1.5),
             )
         except RpcTimeout as error:

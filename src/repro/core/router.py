@@ -30,11 +30,14 @@ import logging
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from time import thread_time_ns
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Generator,
+    List,
     Optional,
     Tuple,
 )
@@ -46,6 +49,8 @@ if TYPE_CHECKING:
     from repro.core.kernel import NodeKernel
 
 logger = logging.getLogger(__name__)
+
+ProtocolGen = Generator[Any, Any, Any]
 
 #: Cached replies kept for duplicate suppression.
 REPLY_CACHE_LIMIT = 2048
@@ -61,6 +66,14 @@ def _page_bytes(reply: Optional[Message]) -> int:
         return 0
     return sum(len(item.get("data") or b"")
                for item in reply.payload.get("pages", ()))
+
+
+def _listed_pages(payload: Dict[str, Any]) -> List[Any]:
+    """The page addresses a consistency message names."""
+    if "page" in payload:
+        return [payload["page"]]
+    return payload.get("pages") or [
+        update["page"] for update in payload.get("updates", ())]
 
 
 @dataclass(frozen=True)
@@ -212,11 +225,15 @@ class MessageRouter:
         return route
 
     def dispatch(self, route: Route, msg: Message) -> None:
-        """Walk the interceptor chain, then the handler.
+        """Walk the interceptor chain, then the handler, and bill the
+        thread CPU it took to the message type
+        (``DaemonStats.dispatch_cpu``; a spawned handler task counts up
+        to its first wait).
 
         The chain list is read live so tests (and future middleware)
         can insert stages after construction.
         """
+        started = thread_time_ns()
         interceptors = self.interceptors
 
         def run(index: int) -> None:
@@ -226,6 +243,10 @@ class MessageRouter:
             interceptors[index].handle(msg, route, lambda: run(index + 1))
 
         run(0)
+        spent = self.kernel.stats.dispatch_cpu.setdefault(msg.msg_type.value,
+                                                          [0, 0])
+        spent[0] += 1
+        spent[1] += thread_time_ns() - started
 
     def dedup(self, handler: Callable[[Message], None]):
         """Wrap a bare handler with the full dispatch chain including
@@ -273,7 +294,13 @@ class MessageRouter:
     # ------------------------------------------------------------------
 
     def cm_dispatch(self, method_name: str) -> Callable[[Message], None]:
-        """Route a consistency message to the region's CM."""
+        """Route a consistency message to the region's CM.
+
+        A node whose directory evicted the region's descriptor may
+        still hold one of the message's pages: it resolves the
+        descriptor first (the page's copy must still be invalidated or
+        updated), where a node holding none of them naks.
+        """
         kernel = self.kernel
 
         def handler(msg: Message) -> None:
@@ -284,12 +311,20 @@ class MessageRouter:
             if desc is None and "descriptor" in msg.payload:
                 desc = RegionDescriptor.from_wire(msg.payload["descriptor"])
                 kernel.adopt_descriptor(desc)
-            if desc is None:
-                if msg.request_id is not None:
-                    self.reply_error(msg, "region_not_found",
-                                     f"node {kernel.node_id} does not know "
-                                     f"region {rid:#x}")
-                return
+            if desc is not None:
+                cm = kernel.consistency_manager(desc.attrs.protocol)
+                getattr(cm, method_name)(desc, msg)
+            elif any(kernel.storage.contains(int(page))
+                     for page in _listed_pages(msg.payload)):
+                kernel.spawn_handler(msg, resolve(rid, msg),
+                                     label="cm-resolve")
+            elif msg.request_id is not None:
+                self.reply_error(msg, "region_not_found",
+                                 f"node {kernel.node_id} does not know "
+                                 f"region {rid:#x}")
+
+        def resolve(rid: int, msg: Message) -> ProtocolGen:
+            desc = yield from kernel.placement.locate_region(rid)
             cm = kernel.consistency_manager(desc.attrs.protocol)
             getattr(cm, method_name)(desc, msg)
 

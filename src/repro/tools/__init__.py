@@ -9,6 +9,7 @@ that summarize a running cluster's state.
 from repro.tools.fsck import FsckReport, check_cluster
 from repro.tools.inspect import (
     cluster_summary,
+    dispatch_cpu_report,
     engine_report,
     latency_report,
     placement_report,
@@ -21,6 +22,7 @@ __all__ = [
     "FsckReport",
     "check_cluster",
     "cluster_summary",
+    "dispatch_cpu_report",
     "engine_report",
     "latency_report",
     "placement_report",

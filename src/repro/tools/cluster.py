@@ -195,6 +195,7 @@ def snapshot_node(daemon: NodeKernel) -> Dict[str, Any]:
             "memory": level_snapshot(daemon.storage.memory),
             "disk": level_snapshot(daemon.storage.disk),
         },
+        "dispatch_cpu": dict(daemon.stats.dispatch_cpu),
     }
 
 

@@ -54,6 +54,11 @@ class FsckReport:
     checked_pages: int = 0
     #: Levels below the root at which every leaf entry sits.
     map_depth: Optional[int] = None
+    #: Tree pages the root's bump allocator has handed out, and those
+    #: the walk reached (informational: copy-on-split never reclaims
+    #: a split page).
+    map_pages_allocated: Optional[int] = None
+    map_pages_reachable: int = 0
 
     @property
     def ok(self) -> bool:
@@ -70,7 +75,8 @@ class FsckReport:
             f"fsck: {len(self.errors)} error(s), "
             f"{len(self.warnings)} warning(s); "
             f"{self.checked_map_entries} map entries "
-            f"(depth {self.map_depth}), "
+            f"(depth {self.map_depth}), {self.map_pages_reachable} of "
+            f"{self.map_pages_allocated} tree pages reachable, "
             f"{self.checked_regions} regions, "
             f"{self.checked_pages} pages checked"
         ]
@@ -88,7 +94,7 @@ def check_cluster(cluster, strict: bool = False) -> FsckReport:
     time to converge.
     """
     report = FsckReport()
-    entries = _check_map_partition(cluster, report)
+    entries = check_map_partition(cluster, report)
     _check_reservations(cluster, entries, report)
     _check_descriptors(cluster, report)
     _check_copysets(cluster, report)
@@ -113,7 +119,7 @@ def _check_strict_invariants(cluster, report: FsckReport) -> None:
         report.error(f"strict: {problem}")
 
 
-def _check_map_partition(cluster, report: FsckReport) -> List[Any]:
+def check_map_partition(cluster, report: FsckReport) -> List[Any]:
     """Walk the address-map tree directly from the bootstrap node's
     storage (fsck inspects state; it must not mutate it) and return its
     leaf entries.  Every page must be reached once, every node's
@@ -133,6 +139,8 @@ def _check_map_partition(cluster, report: FsckReport) -> List[Any]:
             return
         seen.add(page_addr)
         node = MapNode.decode(page.data)
+        if page_addr == ROOT_PAGE and node.next_free_page is not None:
+            report.map_pages_allocated = node.next_free_page // len(page.data)
         position = covers.start
         for entry in node.entries:
             if entry.range.start != position:
@@ -155,6 +163,7 @@ def _check_map_partition(cluster, report: FsckReport) -> List[Any]:
     if len(depths) > 1:
         report.error(f"map leaves sit at depths {sorted(depths)}, not one")
     report.map_depth = max(depths, default=None)
+    report.map_pages_reachable = len(seen)
     report.checked_map_entries = len(entries)
     return entries
 

@@ -169,6 +169,20 @@ def latency_report(cluster) -> List[Dict[str, Any]]:
     return rows
 
 
+def dispatch_cpu_report(table: Dict[str, List[int]]) -> str:
+    """One daemon's dispatch CPU table, most expensive message type
+    first: ``DaemonStats.dispatch_cpu`` of a live daemon, or the
+    ``dispatch_cpu`` of a :func:`repro.tools.cluster.snapshot_node`
+    snapshot (which is how a TCP daemon reports it)."""
+    total = sum(ns for _count, ns in table.values()) or 1
+    lines = [f"{'message':<22}{'count':>9}{'cpu ms':>10}{'us/msg':>9}"
+             f"{'share':>8}"]
+    for op, (count, ns) in sorted(table.items(), key=lambda kv: -kv[1][1]):
+        lines.append(f"{op:<22}{count:>9}{ns / 1e6:>10.1f}"
+                     f"{ns / 1e3 / count:>9.1f}{ns / total:>8.1%}")
+    return "\n".join(lines)
+
+
 def engine_report(cluster) -> List[Dict[str, Any]]:
     """Per-node, per-protocol counters from the consistency engines.
 

@@ -5,6 +5,8 @@ lookups) without a cluster; integration through real daemons is
 covered by tests/test_core_api.py and tests/test_location.py.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,13 +34,20 @@ from repro.net.tasks import TaskRunner
 
 
 class FakePageStore(MapIO):
-    """MapIO over a plain dict; generators never actually block."""
+    """MapIO over a plain dict; generators never actually block.
 
-    def __init__(self):
+    As the map's home (the default) it records the pages each mutation
+    stores, in store order, and publishes; with ``ships_mutations`` it
+    is a replica reading the same dict under READ locks."""
+
+    def __init__(self, pages=None, ships_mutations=False):
         self.page_size = DEFAULT_PAGE_SIZE
-        self.pages = {ROOT_PAGE: initial_root_node().encode(self.page_size)}
+        self.pages = pages if pages is not None else {
+            ROOT_PAGE: initial_root_node().encode(self.page_size)}
+        self.ships_mutations = ships_mutations
         self.locks_taken = []
-        self.writes = []
+        self.stored = []
+        self.published = []
 
     def lock_page(self, page_addr, mode):
         self.locks_taken.append((page_addr, mode))
@@ -49,13 +58,23 @@ class FakePageStore(MapIO):
         return self.pages.get(page_addr, b"")
         yield  # pragma: no cover
 
-    def write_page(self, ctx, page_addr, data):
-        self.writes.append(page_addr)
+    def unlock_page(self, ctx):
+        return None
+        yield  # pragma: no cover
+
+    def load_page(self, page_addr):
+        return self.pages.get(page_addr, b"")
+        yield  # pragma: no cover
+
+    def store_page(self, page_addr, data):
+        self.stored.append(page_addr)
         self.pages[page_addr] = data
         return None
         yield  # pragma: no cover
 
-    def unlock_page(self, ctx):
+    def publish(self, pages):
+        assert [page for page, _ in pages] == self.stored[-len(pages):]
+        self.published.append([page for page, _ in pages])
         return None
         yield  # pragma: no cover
 
@@ -107,10 +126,30 @@ class TestMapNode:
     def test_encode_decode_roundtrip(self):
         node = initial_root_node()
         clone = MapNode.decode(node.encode(DEFAULT_PAGE_SIZE))
-        assert [e.to_wire() for e in clone.entries] == [
-            e.to_wire() for e in node.entries
-        ]
+        assert clone.entries == node.entries
         assert clone.next_free_page == node.next_free_page
+
+    def test_encoding_is_the_compact_json_document(self):
+        entries = [
+            MapEntry(AddressRange(0, 1 << 20), EntryState.RESERVED, (3, 4)),
+            MapEntry(AddressRange(1 << 20, 1 << 30), EntryState.DELEGATED,
+                     (2,)),
+            MapEntry(AddressRange((1 << 20) + (1 << 30), 1 << 20),
+                     EntryState.SUBTREE, (8192,)),
+            MapEntry(AddressRange.from_bounds((2 << 20) + (1 << 30),
+                                              MAX_ADDRESS + 1),
+                     EntryState.FREE),
+        ]
+        for node in (MapNode(entries, next_free_page=12288),
+                     MapNode(entries), MapNode([])):
+            doc = {"entries": [[e.range.start, e.range.length,
+                                e.state.value, list(e.data)]
+                               for e in node.entries]}
+            if node.next_free_page is not None:
+                doc["next_free_page"] = node.next_free_page
+            blob = json.dumps(doc, separators=(",", ":")).encode("ascii")
+            assert node.encode(DEFAULT_PAGE_SIZE) == blob + bytes(
+                DEFAULT_PAGE_SIZE - len(blob))
 
     def test_decode_empty_page(self):
         assert MapNode.decode(b"\x00" * 128).entries == []
@@ -255,23 +294,24 @@ class TestBalance:
     def test_ascending_reserves_keep_the_tree_shallow(self, amap):
         """Reservations carve ascending addresses, the pattern that once
         grew the right spine a level per ~16 entries.  The tree stays
-        balanced and shallow, and a carve locks one page per level
-        (plus the fresh pages a split writes)."""
+        balanced and shallow, and a carve publishes at most one page per
+        level (plus the fresh pages a split writes) and takes no lock."""
         io = amap.io
         ranges = [AddressRange(FREE_BASE + i * 0x10000, 0x4000)
                   for i in range(2000)]
 
         def carve(op):
-            locks, pages = len(io.locks_taken), root_of(amap).next_free_page
+            done, pages = len(io.published), root_of(amap).next_free_page
             run(op)
             fresh = (root_of(amap).next_free_page - pages) // io.page_size
-            return len(io.locks_taken) - locks - fresh
+            return sum(map(len, io.published[done:])) - fresh
 
-        locked = [carve(amap.reserve(rng, (1,))) for rng in ranges]
-        locked += [carve(amap.release(rng)) for rng in ranges[::2]]
+        published = [carve(amap.reserve(rng, (1,))) for rng in ranges]
+        published += [carve(amap.release(rng)) for rng in ranges[::2]]
         depth = tree_depth(io.pages)
         assert depth <= 3
-        assert max(locked) <= depth + 1
+        assert 1 <= min(published) and max(published) <= depth + 1
+        assert io.locks_taken == []
         for i, rng in enumerate(ranges):
             entry = run(amap.lookup(rng.start))
             assert entry.state is (EntryState.FREE if i % 2 == 0
@@ -282,13 +322,33 @@ class TestBalance:
             start = FREE_BASE + i * 0x10000
             run(amap.reserve(AddressRange(start, 0x4000), (i,)))
         assert tree_depth(amap.io.pages) == 1
-        amap.io.writes.clear()
+        io = amap.io
+        io.stored.clear()
+        io.published.clear()
         run(amap.update_homes(AddressRange(FREE_BASE, 0x4000), (9,)))
         leaf = root_of(amap).entry_covering(FREE_BASE).child_page
-        assert amap.io.writes == [leaf]
-        amap.io.writes.clear()
+        assert (io.stored, io.published) == ([leaf], [[leaf]])
+        io.stored.clear()
+        io.published.clear()
         run(amap.update_homes(AddressRange(FREE_BASE, 0x4000), (9,)))
-        assert amap.io.writes == []   # nothing changed, nothing written
+        # Nothing changed, nothing written.
+        assert (io.stored, io.published) == ([], [])
+
+    def test_the_resident_tree_is_the_reachable_tree(self, amap):
+        """A split leaves the split page stored for stale replicas but
+        drops it from the home's resident nodes."""
+        for i in range(4 * MAX_ENTRIES):
+            start = FREE_BASE + i * 0x10000
+            run(amap.reserve(AddressRange(start, 0x4000), (i,)))
+        reachable, pages = set(), [ROOT_PAGE]
+        while pages:
+            page = pages.pop()
+            reachable.add(page)
+            pages += [e.child_page for e in MapNode.decode(
+                amap.io.pages[page]).entries if e.state is EntryState.SUBTREE]
+        assert set(amap.resident) == reachable < set(amap.io.pages)
+        for page, node in amap.resident.items():
+            assert node.encode(DEFAULT_PAGE_SIZE) == amap.io.pages[page]
 
     def test_stale_parent_still_resolves_every_key(self, amap):
         """Copy-on-split: a split writes both halves to fresh pages and
@@ -306,10 +366,9 @@ class TestBalance:
                 break   # a leaf split sideways into the root
         else:
             pytest.fail("no split below the root")
-        stale = FakePageStore()
-        stale.pages = {**amap.io.pages, ROOT_PAGE: before[ROOT_PAGE]}
-        snapshot = FakePageStore()
-        snapshot.pages = before
+        stale = FakePageStore({**amap.io.pages, ROOT_PAGE: before[ROOT_PAGE]},
+                              ships_mutations=True)
+        snapshot = FakePageStore(before, ships_mutations=True)
         for key in keys:
             assert (run(AddressMap(stale).lookup(key))
                     == run(AddressMap(snapshot).lookup(key)))
@@ -364,3 +423,73 @@ class TestMapProperties:
         entries = run(amap.enumerate_reserved())
         assert len(entries) == len(live) + 1   # + system region
         tree_depth(amap.io.pages)
+
+
+def state_of(amap):
+    """The home's resident nodes, encoded, and its stored pages."""
+    resident = {page: node.encode(DEFAULT_PAGE_SIZE)
+                for page, node in amap.resident.items()}
+    return resident, dict(amap.io.pages)
+
+
+class TestFailedMutations:
+    """A mutation edits copies of the resident nodes: one that raises
+    leaves both the resident tree and the stored pages as they were."""
+
+    def assert_unchanged(self, amap, mutation, error):
+        run(amap.lookup(FREE_BASE))   # fill the resident tree
+        io, before = amap.io, state_of(amap)
+        writes = (len(io.stored), len(io.published))
+        with pytest.raises(error):
+            run(mutation)
+        assert state_of(amap) == before
+        assert (len(io.stored), len(io.published)) == writes
+
+    def test_reserve_of_reserved_space(self, amap):
+        target = AddressRange(FREE_BASE, 0x1000)
+        run(amap.reserve(target, (1,)))
+        self.assert_unchanged(amap, amap.reserve(target, (2,)),
+                              AlreadyReserved)
+
+    def test_release_of_free_space(self, amap):
+        self.assert_unchanged(
+            amap, amap.release(AddressRange(FREE_BASE, 0x1000)), NotReserved)
+
+    def test_extend_into_a_reserved_tail(self, amap):
+        first = AddressRange(FREE_BASE, 0x4000)
+        run(amap.reserve(first, (1,)))
+        run(amap.reserve(AddressRange(first.end, 0x4000), (2,)))
+        self.assert_unchanged(amap, amap.extend(first, 0x8000),
+                              AddressSpaceExhausted)
+
+    def test_split_in_a_full_system_region(self):
+        root = initial_root_node()
+        root.next_free_page = SYSTEM_REGION.end - DEFAULT_PAGE_SIZE
+        amap = AddressMap(FakePageStore(
+            {ROOT_PAGE: root.encode(DEFAULT_PAGE_SIZE)}))
+        # Each gapped reserve adds two entries; the 16th overflows the
+        # root, whose split needs two tree pages where one is left.
+        for i in range(15):
+            run(amap.reserve(AddressRange(FREE_BASE + i * 0x10000, 0x4000),
+                             (i,)))
+        assert len(root_of(amap).entries) == MAX_ENTRIES - 1
+        self.assert_unchanged(
+            amap, amap.reserve(AddressRange(FREE_BASE + 15 * 0x10000, 0x4000),
+                               (15,)),
+            AddressSpaceExhausted)
+
+
+class TestReplicaReads:
+    def test_a_replica_reads_the_stored_tree_under_read_locks(self, amap):
+        for i in range(3 * MAX_ENTRIES):
+            run(amap.reserve(AddressRange(FREE_BASE + i * 0x10000, 0x4000),
+                             (i,)))
+        replica = AddressMap(FakePageStore(amap.io.pages,
+                                           ships_mutations=True))
+        assert (run(replica.enumerate_reserved())
+                == run(amap.enumerate_reserved()))
+        assert replica.resident == {}
+        depth = tree_depth(amap.io.pages)
+        run(replica.lookup(FREE_BASE))
+        locks = replica.io.locks_taken[-(depth + 1):]
+        assert [mode for _page, mode in locks] == [LockMode.READ] * (depth + 1)

@@ -650,7 +650,8 @@ class TestPaddedPageDecoders:
         for node in nodes:
             page = node.encode(4096)
             decoded = MapNode.decode(page)
-            assert [e.to_wire() for e in decoded.entries] == (
+            assert [[e.range.start, e.range.length, e.state.value,
+                     list(e.data)] for e in decoded.entries] == (
                 (_rstrip_decode(page) or {}).get("entries", []))
             assert decoded.next_free_page == node.next_free_page
 

@@ -147,6 +147,24 @@ class TestFsckMapShape:
         assert report.map_depth == 1
         assert "(depth 1)" in report.render()
 
+    def test_unreachable_split_pages_are_counted_not_flagged(self):
+        """Copy-on-split never reclaims a split page: fsck reports the
+        tree pages allocated and those its walk reached, as information."""
+        cluster = create_cluster(num_nodes=2)
+        kz = cluster.client(node=1)
+        for _ in range(2 * MAX_ENTRIES):
+            kz.reserve(4096)
+        cluster.run(2.0)
+        report = check_cluster(cluster)
+        assert report.ok, report.render()
+        root = MapNode.decode(cluster.daemon(0).storage.peek(ROOT_PAGE).data)
+        assert (report.map_pages_allocated
+                == root.next_free_page // DEFAULT_PAGE_SIZE)
+        assert 1 < report.map_pages_reachable < report.map_pages_allocated
+        assert (f"{report.map_pages_reachable} of "
+                f"{report.map_pages_allocated} tree pages reachable"
+                in report.render())
+
     def test_overlapping_children_are_flagged(self, cluster):
         e, end = self.entry, MAX_ADDRESS + 1
         self.install(cluster, {
