@@ -32,6 +32,7 @@ def test_hotpath_suite(once):
     results = doc["benchmarks"]
     assert set(results) == {
         "cached_read", "cold_read", "write_diff", "lock_unlock", "batch_64",
+        "codec_page_list",
     }
     for name, r in results.items():
         assert r["ops_per_sec"] > 0, name

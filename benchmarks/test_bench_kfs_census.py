@@ -23,7 +23,7 @@ blocks); a map mutation is one round trip to the map's home, so a
 create (an inode and its blocks, each reserved) stays near its ~18
 msgs/op; the whole mix stays near its ~2.9 msgs/op; and a read served
 from the node's own RAM does not wait on the driver, so reads and the
-mix stay near their ~0.68 and ~1.02 driver waits/op.
+mix stay near their ~0.64 and ~0.98 driver waits/op.
 Background work an op leaves behind is charged to whichever op is in
 flight when it runs.
 """

@@ -51,6 +51,9 @@ class PageDirectory:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._entries: Dict[int, PageEntry] = {}
+        #: rid -> addresses of its entries, so the per-region calls of
+        #: unreserve, teardown and RAM eviction cost O(region's pages).
+        self._by_region: Dict[int, Set[int]] = {}
 
     def get(self, address: int) -> Optional[PageEntry]:
         return self._entries.get(address)
@@ -67,25 +70,30 @@ class PageDirectory:
         if entry is None:
             entry = PageEntry(address=address, rid=rid, homed=homed)
             self._entries[address] = entry
+            self._by_region.setdefault(rid, set()).add(address)
         elif homed and not entry.homed:
             entry.homed = True
         return entry
 
     def drop(self, address: int) -> Optional[PageEntry]:
-        return self._entries.pop(address, None)
+        entry = self._entries.pop(address, None)
+        if entry is not None:
+            addresses = self._by_region[entry.rid]
+            addresses.discard(address)
+            if not addresses:
+                del self._by_region[entry.rid]
+        return entry
 
     def drop_region(self, rid: int) -> int:
         """Remove every entry belonging to region ``rid`` (unreserve)."""
-        doomed = [a for a, e in self._entries.items() if e.rid == rid]
+        doomed = self._by_region.pop(rid, ())
         for address in doomed:
             del self._entries[address]
         return len(doomed)
 
     def entries_for_region(self, rid: int) -> List[PageEntry]:
-        return sorted(
-            (e for e in self._entries.values() if e.rid == rid),
-            key=lambda e: e.address,
-        )
+        return [self._entries[address]
+                for address in sorted(self._by_region.get(rid, ()))]
 
     def homed_entries(self) -> List[PageEntry]:
         """Authoritative entries for pages homed at this node.

@@ -146,7 +146,6 @@ class SpaceService:
         )
         for home in desc.home_nodes:
             if home == kernel.node_id:
-                self.teardown_region(rid)
                 continue
             payload = {"rid": rid}
             kernel.retry_queue.enqueue(
@@ -155,8 +154,8 @@ class SpaceService:
                 ),
                 label=f"unreserve:{rid:#x}@{home}",
             )
-        kernel.region_directory.invalidate(rid)
-        kernel.homed_regions.pop(rid, None)
+        # Home or not, this node forgets what it knew of the region.
+        self.teardown_region(rid)
         kernel.placement.note_unreserved(desc)
         return None
 
@@ -514,10 +513,19 @@ class SpaceService:
         self.kernel.reply_request(msg, MessageType.FREE_REPLY, {})
 
     def teardown_region(self, rid: int) -> None:
+        """Forget region ``rid`` on this node: its page entries, their
+        stored copies, every CM's state for those pages, the migration
+        advisor's traffic and the descriptor.  A home runs it on
+        REGION_UNRESERVE, the unreserving node for what it cached;
+        other sharers keep their copies (docs/architecture.md)."""
         kernel = self.kernel
+        cms = kernel.consistency_managers().values()
         for entry in kernel.page_directory.entries_for_region(rid):
             kernel.storage.drop(entry.address)
+            for cm in cms:
+                cm.pages.drop(entry.address)
         kernel.page_directory.drop_region(rid)
+        kernel.migration_advisor.forget_region(rid)
         kernel.homed_regions.pop(rid, None)
         kernel.region_directory.invalidate(rid)
 

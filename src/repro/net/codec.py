@@ -8,7 +8,9 @@ are total over that table — they return ``bytes``/``int`` or raise
 a fallback.  The simulator charges ``encoded_size`` per send, the
 stream framing (:mod:`repro.net.frame`) adds its length prefix to the
 same number, so both runtimes agree on what a message weighs and on
-which messages can be sent at all.
+which messages can be sent at all.  ``encoded_size`` *is* the encoder
+(header size plus the encoded payload's length), so size and bytes
+agree by construction.
 
 Wire layout (documented for docs/performance.md):
 
@@ -19,14 +21,20 @@ Wire layout (documented for docs/performance.md):
 ``payload``
     varint field count, then per field: varint-length key (UTF-8) and
     a tagged value.  Tags: ``0`` None, ``1`` False, ``2`` True,
-    ``3`` int (zigzag varint of at most :data:`MAX_VARINT_BYTES` bytes
-    — global addresses are 128-bit), ``4`` float (8-byte IEEE double),
-    ``5`` bytes (varint length + raw; ``bytearray``/``memoryview``
-    payloads encode identically and decode as ``bytes``), ``6`` str
-    (varint length + UTF-8), ``7`` list and ``8`` tuple (varint count
-    + items — the distinction matters: diff runs are tuples, page
-    items are lists), ``9`` dict (the payload layout again: varint
-    count + key/value pairs, string keys only).
+    ``3`` int (zigzag varint; the encoder uses it for ints of at most
+    four varint bytes, the decoder accepts :data:`MAX_VARINT_BYTES`),
+    ``4`` float (8-byte IEEE double), ``5`` bytes (varint length +
+    raw; ``bytearray``/``memoryview`` payloads encode identically and
+    decode as ``bytes``), ``6`` str (varint length + UTF-8), ``7`` list
+    and ``8`` tuple (varint count + items — the distinction matters:
+    diff runs are tuples, page items are lists), ``9`` dict (the
+    payload layout again: varint count + key/value pairs, string keys
+    only), ``10`` record list (a non-empty list of dicts sharing one
+    non-empty key order — every page, update and error item list:
+    varint row count, varint key count, the keys once, then each row's
+    values in key order), ``11`` wide int (every other int — global
+    addresses, rids: one length byte, at most :data:`MAX_WIDE_BYTES`,
+    then ``int.to_bytes(length, "little", signed=True)``).
 """
 
 from __future__ import annotations
@@ -44,10 +52,18 @@ _DOUBLE = struct.Struct("<d")
 
 #: Longest varint on the wire: what a zig-zagged 128-bit global address
 #: needs (129 bits, 7 to a byte).  The decoder refuses a longer run
-#: instead of shifting an attacker's megabyte of 0xFF into one integer;
-#: the encoder refuses an int that would not fit.
+#: instead of shifting an attacker's megabyte of 0xFF into one integer.
 MAX_VARINT_BYTES = -(-(ADDRESS_BITS + 1) // 7)
 _MAX_VARINT_BITS = 7 * MAX_VARINT_BYTES
+
+#: Longest wide int: the fewest bytes that hold a 129-bit signed value,
+#: so every global address (and its negation) fits.  The encoder
+#: refuses an int that needs more, the decoder a longer length byte.
+MAX_WIDE_BYTES = -(-(ADDRESS_BITS + 1) // 8)
+
+#: Ints in ``[-_SMALL_INT, _SMALL_INT)`` zig-zag into at most four varint
+#: bytes and travel as tag 3; every other int is a wide int (tag 11).
+_SMALL_INT = 1 << 27
 
 #: Stable wire id of every message type.  Ids are forever: 1-10 and 17
 #: (the data path) are pinned by golden frames in tests/test_net_codec.py,
@@ -104,7 +120,7 @@ _TYPE_BY_ID: Dict[int, MessageType] = {
     wire_id: msg_type for msg_type, wire_id in WIRE_IDS.items()
 }
 
-# Value tags.
+# Value tags.  10 and 11 make a page list cost per list, not per field.
 _T_NONE = 0
 _T_FALSE = 1
 _T_TRUE = 2
@@ -115,6 +131,8 @@ _T_STR = 6
 _T_LIST = 7
 _T_TUPLE = 8
 _T_DICT = 9
+_T_RECORDS = 10
+_T_WIDE = 11
 
 
 class EncodeError(ValueError):
@@ -124,13 +142,13 @@ class EncodeError(ValueError):
     and :func:`repro.net.frame.encode_frame`, hence by every
     transport's ``send`` before the message is counted or tapped — for
     a payload value outside the wire vocabulary, a non-string key, an
-    int wider than :data:`MAX_VARINT_BYTES`, or a body over the frame
+    int wider than :data:`MAX_WIDE_BYTES`, or a body over the frame
     limit.  It is a bug in the code that built the payload, never a
     network condition.
     """
 
 
-# --- varints ---------------------------------------------------------------
+# --- varints and wide ints ---------------------------------------------------
 
 def _write_varint(out: bytearray, value: int) -> None:
     while True:
@@ -141,15 +159,6 @@ def _write_varint(out: bytearray, value: int) -> None:
         else:
             out.append(byte)
             return
-
-
-def _varint_size(value: int) -> int:
-    size = 1
-    value >>= 7
-    while value:
-        size += 1
-        value >>= 7
-    return size
 
 
 def _read_varint(data: memoryview, pos: int) -> Tuple[int, int]:
@@ -166,112 +175,118 @@ def _read_varint(data: memoryview, pos: int) -> Tuple[int, int]:
     raise ValueError(f"varint longer than {MAX_VARINT_BYTES} bytes")
 
 
-def _zigzag(value: int) -> int:
-    """Zig-zag ``value``, refusing what the decoder's varint cap would."""
-    encoded = (value << 1) ^ (value >> (value.bit_length() + 1)) \
-        if value < 0 else value << 1
-    if encoded >> _MAX_VARINT_BITS:
+def _write_wide(out: bytearray, value: int) -> None:
+    width = value.bit_length() // 8 + 1
+    if width > MAX_WIDE_BYTES:
         raise EncodeError(
-            f"int of {value.bit_length()} bits does not fit a "
-            f"{MAX_VARINT_BYTES}-byte varint"
+            f"int of {value.bit_length()} bits is wider than "
+            f"{MAX_WIDE_BYTES} bytes"
         )
-    return encoded
+    out.append(_T_WIDE)
+    out.append(width)
+    out += value.to_bytes(width, "little", signed=True)
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def _bad_wide(width: int) -> ValueError:
+    return ValueError(f"wide int of {width} bytes: over the "
+                      f"{MAX_WIDE_BYTES}-byte cap or past the body")
+
+
+def _read_wide(data: memoryview, pos: int) -> Tuple[int, int]:
+    width = data[pos]
+    end = pos + 1 + width
+    if width > MAX_WIDE_BYTES or end > len(data):
+        raise _bad_wide(width)
+    return int.from_bytes(data[pos + 1 : end], "little", signed=True), end
 
 
 # --- value encoding --------------------------------------------------------
+
+def _write_key(out: bytearray, key: Any) -> None:
+    if type(key) is not str:
+        raise EncodeError(f"non-str dict key {key!r}")
+    raw = key.encode("utf-8")
+    _write_varint(out, len(raw))
+    out += raw
+
 
 def _encode_fields(out: bytearray, fields: Dict[str, Any]) -> None:
     """A string-keyed mapping: the payload itself and every nested dict."""
     _write_varint(out, len(fields))
     for key, value in fields.items():
-        if type(key) is not str:
-            raise EncodeError(f"non-str dict key {key!r}")
-        raw = key.encode("utf-8")
-        _write_varint(out, len(raw))
-        out += raw
+        _write_key(out, key)
         _encode_value(out, value)
 
 
+def _encode_records(out: bytearray, rows: List[Dict[str, Any]]) -> bool:
+    """``rows`` as one record list: row count, the keys once, then each
+    row's values in key order.  Writes nothing and returns False when
+    the rows do not all share the first row's key order."""
+    keys = tuple(rows[0])
+    for row in rows:
+        if type(row) is not dict or tuple(row) != keys:
+            return False
+    out.append(_T_RECORDS)
+    _write_varint(out, len(rows))
+    _write_varint(out, len(keys))
+    for key in keys:
+        _write_key(out, key)
+    for row in rows:
+        for value in row.values():
+            _encode_value(out, value)
+    return True
+
+
 def _encode_value(out: bytearray, value: Any) -> None:
-    if value is None:
+    kind = type(value)
+    if kind is int:
+        if -_SMALL_INT <= value < _SMALL_INT:
+            out.append(_T_INT)
+            _write_varint(out, value << 1 if value >= 0 else ~value << 1 | 1)
+        else:
+            _write_wide(out, value)
+    elif kind is bytes or kind is memoryview or kind is bytearray:
+        out.append(_T_BYTES)
+        _write_varint(out, len(value))
+        out += value
+    elif kind is str:
+        raw = value.encode("utf-8")
+        out.append(_T_STR)
+        _write_varint(out, len(raw))
+        out += raw
+    elif kind is list:
+        if not (value and type(value[0]) is dict and value[0]
+                and _encode_records(out, value)):
+            out.append(_T_LIST)
+            _write_varint(out, len(value))
+            for item in value:
+                _encode_value(out, item)
+    elif kind is dict:
+        out.append(_T_DICT)
+        _encode_fields(out, value)
+    elif value is None:
         out.append(_T_NONE)
     elif value is False:
         out.append(_T_FALSE)
     elif value is True:
         out.append(_T_TRUE)
-    elif type(value) is int:
-        out.append(_T_INT)
-        _write_varint(out, _zigzag(value))
-    elif type(value) is float:
+    elif kind is float:
         out.append(_T_FLOAT)
         out += _DOUBLE.pack(value)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        out.append(_T_BYTES)
-        _write_varint(out, len(value))
-        out += value
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _write_varint(out, len(raw))
-        out += raw
-    elif type(value) is list:
-        out.append(_T_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_value(out, item)
-    elif type(value) is tuple:
+    elif kind is tuple:
         out.append(_T_TUPLE)
         _write_varint(out, len(value))
         for item in value:
             _encode_value(out, item)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        _encode_fields(out, value)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        out.append(_T_BYTES)
+        _write_varint(out, len(value))
+        out += value
     else:
-        raise EncodeError(f"value of type {type(value).__name__}")
+        raise EncodeError(f"value of type {kind.__name__}")
 
 
-def _fields_size(fields: Dict[str, Any]) -> int:
-    size = _varint_size(len(fields))
-    for key, value in fields.items():
-        if type(key) is not str:
-            raise EncodeError(f"non-str dict key {key!r}")
-        n = len(key.encode("utf-8"))
-        size += _varint_size(n) + n + _value_size(value)
-    return size
-
-
-def _value_size(value: Any) -> int:
-    """Exact encoded size of one value, without building the bytes.
-
-    Mirrors :func:`_encode_value` case by case; the codec property
-    tests pin ``len(encode(msg)) == encoded_size(msg)``.
-    """
-    if value is None or value is False or value is True:
-        return 1
-    if type(value) is int:
-        return 1 + _varint_size(_zigzag(value))
-    if type(value) is float:
-        return 9
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        n = len(value)
-        return 1 + _varint_size(n) + n
-    if type(value) is str:
-        n = len(value.encode("utf-8"))
-        return 1 + _varint_size(n) + n
-    if type(value) is list or type(value) is tuple:
-        size = 1 + _varint_size(len(value))
-        for item in value:
-            size += _value_size(item)
-        return size
-    if type(value) is dict:
-        return 1 + _fields_size(value)
-    raise EncodeError(f"value of type {type(value).__name__}")
-
+# --- value decoding --------------------------------------------------------
 
 def _decode_fields(data: memoryview, pos: int) -> Tuple[Dict[str, Any], int]:
     count, pos = _read_varint(data, pos)
@@ -284,26 +299,73 @@ def _decode_fields(data: memoryview, pos: int) -> Tuple[Dict[str, Any], int]:
     return fields, pos
 
 
+def _decode_records(data: memoryview,
+                    pos: int) -> Tuple[List[Dict[str, Any]], int]:
+    count, pos = _read_varint(data, pos)
+    key_count, pos = _read_varint(data, pos)
+    if not key_count:
+        raise ValueError("record list without keys")
+    # Every value takes at least its tag byte: a row count the body
+    # cannot hold is refused before any row is built.
+    if count * key_count > len(data) - pos:
+        raise ValueError(f"record list of {count} rows overruns the body")
+    keys: List[str] = []
+    for _ in range(key_count):
+        n, pos = _read_varint(data, pos)
+        keys.append(str(data[pos : pos + n], "utf-8"))
+        pos += n
+    if len(set(keys)) != key_count:
+        raise ValueError("record list repeats a key")
+    size = len(data)
+    rows: List[Dict[str, Any]] = []
+    for _ in range(count):
+        row: Dict[str, Any] = {}
+        for key in keys:
+            # Inline paths for what a page item holds; the rest recurses.
+            tag = data[pos]
+            if tag == _T_BYTES:
+                n = data[pos + 1]
+                pos += 2
+                if n >= 0x80:
+                    n, pos = _read_varint(data, pos - 1)
+                end = pos + n
+                row[key] = bytes(data[pos:end])
+                pos = end
+            elif tag == _T_WIDE:   # _read_wide, inlined
+                width = data[pos + 1]
+                end = pos + 2 + width
+                if width > MAX_WIDE_BYTES or end > size:
+                    raise _bad_wide(width)
+                row[key] = int.from_bytes(data[pos + 2 : end], "little",
+                                          signed=True)
+                pos = end
+            elif tag == _T_INT:
+                raw, pos = _read_varint(data, pos + 1)
+                row[key] = (raw >> 1) ^ -(raw & 1)
+            else:
+                row[key], pos = _decode_value(data, pos)
+        rows.append(row)
+    return rows, pos
+
+
 def _decode_value(data: memoryview, pos: int) -> Tuple[Any, int]:
     tag = data[pos]
     pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_TRUE:
-        return True, pos
     if tag == _T_INT:
         raw, pos = _read_varint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == _T_FLOAT:
-        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+        return (raw >> 1) ^ -(raw & 1), pos
+    if tag == _T_WIDE:
+        return _read_wide(data, pos)
     if tag == _T_BYTES:
         n, pos = _read_varint(data, pos)
         return bytes(data[pos : pos + n]), pos + n
     if tag == _T_STR:
         n, pos = _read_varint(data, pos)
         return str(data[pos : pos + n], "utf-8"), pos + n
+    if tag == _T_RECORDS:
+        return _decode_records(data, pos)
+    if tag == _T_DICT:
+        return _decode_fields(data, pos)
     if tag == _T_LIST or tag == _T_TUPLE:
         count, pos = _read_varint(data, pos)
         items: List[Any] = []
@@ -311,8 +373,14 @@ def _decode_value(data: memoryview, pos: int) -> Tuple[Any, int]:
             item, pos = _decode_value(data, pos)
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        return _decode_fields(data, pos)
+    if tag == _T_NONE:
+        return None, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FLOAT:
+        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
     raise ValueError(f"unknown value tag {tag}")
 
 
@@ -361,11 +429,9 @@ def decode(data: bytes) -> Message:
 
 
 def encoded_size(message: Message) -> int:
-    """Exact wire size of ``message`` without encoding it.
-
-    The simulated network asks for a size on *every* send, so this is
-    arithmetic over the payload rather than a throwaway encode; the
-    property tests hold it bit-for-bit equal to ``len(encode(msg))``,
-    and it raises :class:`EncodeError` exactly when ``encode`` would.
-    """
-    return _HEADER.size + _fields_size(message.payload)
+    """Exact wire size of ``message``: the header plus its encoded
+    payload, so it equals ``len(encode(message))`` by construction and
+    raises :class:`EncodeError` exactly when ``encode`` would."""
+    out = bytearray()
+    _encode_fields(out, message.payload)
+    return _HEADER.size + len(out)

@@ -1,5 +1,6 @@
 """Tests for the per-node region directory and page directory."""
 
+import random
 from collections import OrderedDict
 from unittest import mock
 
@@ -284,6 +285,30 @@ class TestPageDirectory:
         pd.ensure(0x9000, rid=0x9000, homed=True)
         assert pd.drop_region(0x1000) == 2
         assert len(pd) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_region_index_matches_a_full_scan(self, seed):
+        rng = random.Random(seed)
+        pd = PageDirectory(node_id=1)
+        rids = [0x10000 * i for i in range(1, 5)]
+
+        def scan(rid):
+            return [e for e in pd if e.rid == rid]
+
+        for _ in range(200):
+            rid = rng.choice(rids)
+            address = rid + 0x1000 * rng.randrange(8)
+            roll = rng.random()
+            if roll < 0.6:
+                pd.ensure(address, rid=rid, homed=rng.random() < 0.5)
+            elif roll < 0.9:
+                pd.drop(address)
+            else:
+                expected = len(scan(rid))
+                assert pd.drop_region(rid) == expected
+            for each in rids:
+                assert pd.entries_for_region(each) == scan(each)
 
     def test_forget_node_scrubs_copysets(self):
         pd = PageDirectory(node_id=1)

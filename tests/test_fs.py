@@ -260,6 +260,43 @@ class TestUnlink:
         with pytest.raises(KhazanaError):
             kz.read_at(block, 4)
 
+    def test_unreserve_churn_leaves_no_state_behind(self, cluster):
+        """Node 2 creates a file, node 3 reads and unlinks it: once a
+        cycle is done, neither the home nor the unreserving reader
+        keeps page entries, stored copies, CM page states or migration
+        traffic of the dead regions."""
+        fs2 = KhazanaFileSystem.format(cluster.client(node=2))
+        fs3 = KhazanaFileSystem.mount(cluster.client(node=3),
+                                      fs2.superblock_addr)
+
+        def cycle(i):
+            with fs2.create(f"/churn-{i}") as f:
+                f.write(b"c" * (BLOCK_SIZE + 100))
+            with fs3.open(f"/churn-{i}") as f:
+                assert f.read() == b"c" * (BLOCK_SIZE + 100)
+            fs3.unlink(f"/churn-{i}")
+            cluster.run(5.0)   # background unreserves drain
+
+        def census():
+            counts = {}
+            for node in (2, 3):
+                daemon = cluster.daemon(node)
+                counts[node] = (
+                    len(daemon.page_directory),
+                    len(daemon.storage.resident_addresses()),
+                    sum(len(cm.page_state) for cm in
+                        daemon.consistency_managers().values()),
+                    len(daemon.migration_advisor._traffic),
+                )
+            return counts
+
+        cycle(0)
+        settled = census()
+        for i in range(1, 16):
+            cycle(i)
+        assert fs2.listdir("/") == []
+        assert census() == settled
+
     def test_unlink_missing_fails(self, fs):
         with pytest.raises(FileSystemError):
             fs.unlink("/phantom")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,11 +38,11 @@ from repro.core.addressing import MAX_ADDRESS, AddressRange
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.locks import LockMode
 from repro.core.region import RegionDescriptor
-from repro.net import frame
+from repro.net import codec, frame
 from repro.net.aio import AsyncioRuntime
 from repro.net.clock import EventScheduler
 from repro.net.codec import (
-    MAX_VARINT_BYTES,
+    MAX_WIDE_BYTES,
     WIRE_IDS,
     EncodeError,
     decode,
@@ -216,8 +217,11 @@ MULTI_PAGE_PAYLOADS = {
 #: request_id=42, reply_to 41 on even ids, msg_id 1000 + id.  Ids 7-10
 #: and 17 were captured from ``frame.encode_frame`` before the cold
 #: types got ids; 1-6 were recaptured when their payloads became page
-#: lists.  A change that moves a hot id, or a byte of the layout, fails
-#: here; it would be a wire-protocol break between daemon versions.
+#: lists; 1, 2 and 4 again when global addresses became wide ints
+#: (tag 11) and page/error item lists record lists (tag 10).  Id 5's
+#: two updates differ in key order, so it pins the plain-list form.
+#: A change that moves a hot id, or a byte of the layout, fails here;
+#: it would be a wire-protocol break between daemon versions.
 GOLDEN_PAYLOADS = {
     **EXAMPLE_PAYLOADS,
     MessageType.PAGE_FETCH: {
@@ -246,16 +250,16 @@ GOLDEN_PAYLOADS = {
 }
 GOLDEN_FRAMES = {
     MessageType.PAGE_FETCH: (
-        "59000000c5010100000002000000e9030000000000002a00000000000000ffff"
-        "ffffffffffff0303726964038080808080808080808080808080080570616765"
-        "7307010380c08080808080808080808080800808726567697374657202"
+        "57000000c5010100000002000000e9030000000000002a00000000000000ffff"
+        "ffffffffffff03037269640b0d00000000000000000000000010057061676573"
+        "07010b0d0010000000000000000000001008726567697374657202"
     ),
     MessageType.PAGE_DATA: (
-        "99000000c5020100000002000000ea030000000000002a000000000000002900"
-        "0000000000000205706167657307020903047061676503000464617461050600"
-        "ff706167650776657273696f6e030e0903047061676503804004646174610502"
-        "79790776657273696f6e0304066572726f727307010903047061676503808001"
-        "04636f6465060d6e6f745f616c6c6f63617465640664657461696c0600"
+        "83000000c5020100000002000000ea030000000000002a000000000000002900"
+        "000000000000020570616765730a020304706167650464617461077665727369"
+        "6f6e0300050600ff70616765030e038040050279790304066572726f72730a01"
+        "03047061676504636f64650664657461696c03808001060d6e6f745f616c6c6f"
+        "63617465640600"
     ),
     MessageType.LOCK_REQUEST: (
         "4e000000c5030100000002000000eb030000000000002a00000000000000ffff"
@@ -263,9 +267,9 @@ GOLDEN_FRAMES = {
         "7772697465097072696e636970616c060170"
     ),
     MessageType.LOCK_REPLY: (
-        "4f000000c5040100000002000000ec030000000000002a000000000000002900"
-        "0000000000000205706167657307010903047061676503900704646174610502"
-        "7878056f776e65720304066572726f72730700"
+        "4e000000c5040100000002000000ec030000000000002a000000000000002900"
+        "000000000000020570616765730a010304706167650464617461056f776e6572"
+        "039007050278780304066572726f72730700"
     ),
     MessageType.UPDATE_PUSH: (
         "8a000000c5050100000002000000ed030000000000002a00000000000000ffff"
@@ -309,7 +313,11 @@ HOT_TYPES = [t for t in ALL_TYPES if WIRE_IDS[t] <= 17]
 def roundtrip(msg: Message) -> Message:
     wire = encode(msg)
     assert len(wire) == encoded_size(msg)
-    return decode(wire)
+    revived = decode(wire)
+    # Re-encoding what was decoded gives the same bytes: every dict
+    # keeps its key order, every value its wire form.
+    assert encode(revived) == wire
+    return revived
 
 
 def assert_messages_equal(a: Message, b: Message) -> None:
@@ -493,10 +501,65 @@ class TestUnencodable:
             "top": MAX_ADDRESS, "bottom": -MAX_ADDRESS - 1,
         })
         assert roundtrip(msg).payload == msg.payload
-        # ...in exactly the longest varint the decoder accepts.
+        # ...in exactly the widest wide int the decoder accepts: tag,
+        # length byte and MAX_WIDE_BYTES, where 0 is tag and one byte.
         assert encoded_size(msg) - encoded_size(Message(
             MessageType.PAGE_FETCH, src=1, dst=2,
-            payload={"top": 0, "bottom": 0})) == 2 * (MAX_VARINT_BYTES - 1)
+            payload={"top": 0, "bottom": 0})) == 2 * MAX_WIDE_BYTES
+
+
+def _tag_of(value) -> int:
+    """The wire tag ``value`` is encoded under, as a payload's only field."""
+    wire = encode(Message(MessageType.PAGE_DATA, src=1, dst=2,
+                          payload={"v": value}))
+    return wire[encoded_size(Message(MessageType.PAGE_DATA, src=1, dst=2,
+                                     payload={})) + 2]
+
+
+class TestRecordListsAndWideInts:
+    def test_rows_sharing_one_key_order_are_one_record_list(self):
+        rows = [{"page": (1 << 100) + i * PAGE, "data": b"d" * i,
+                 "version": i} for i in range(4)]
+        assert _tag_of(rows) == 10
+        msg = Message(MessageType.LOCK_REPLY, src=1, dst=2,
+                      payload={"pages": rows, "errors": []})
+        assert_messages_equal(msg, roundtrip(msg))
+        # The keys cross once, not once per row.
+        assert encode(msg).count(b"version") == 1
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([{"a": 1, "b": 2}, {"b": 2, "a": 1}], id="mixed-order"),
+        pytest.param([{"a": 1}, {"a": 1, "b": 2}], id="mixed-keys"),
+        pytest.param([{}, {}], id="no-keys"),
+        pytest.param([{"a": 1}, [1]], id="not-all-dicts"),
+    ])
+    def test_other_lists_stay_plain_lists(self, rows):
+        assert _tag_of(rows) == 7
+        msg = Message(MessageType.UPDATE_PUSH, src=1, dst=2,
+                      payload={"updates": rows})
+        revived = roundtrip(msg)
+        assert_messages_equal(msg, revived)
+        assert [list(row) if isinstance(row, dict) else row
+                for row in revived.payload["updates"]] == [
+            list(row) if isinstance(row, dict) else row for row in rows]
+
+    def test_nested_rows_round_trip(self):
+        rows = [{"page": i, "diff": [(0, b"ab"), (9, b"c")],
+                 "sub": [{"k": i, "v": None}, {"k": -i, "v": 1.5}]}
+                for i in range(3)]
+        msg = Message(MessageType.UPDATE_PUSH, src=1, dst=2,
+                      payload={"updates": rows})
+        assert_messages_equal(msg, roundtrip(msg))
+
+    @pytest.mark.parametrize("value, tag", [
+        (2 ** 27 - 1, 3), (2 ** 27, 11), (-2 ** 27, 3), (-2 ** 27 - 1, 11),
+        (2 ** 128, 11), (-2 ** 128, 11), (0, 3),
+    ])
+    def test_ints_beyond_four_varint_bytes_are_wide(self, value, tag):
+        assert _tag_of(value) == tag
+        msg = Message(MessageType.PAGE_FETCH, src=1, dst=2,
+                      payload={"v": value, "pages": [value, -value]})
+        assert roundtrip(msg).payload == msg.payload
 
 
 class TestMalformedInput:
@@ -521,14 +584,32 @@ class TestMalformedInput:
 
 # --- property tests --------------------------------------------------------
 
+#: Where an int changes wire form (tag 3 <-> tag 11) and the widest ones.
+EDGE_INTS = [sign * 2 ** bits + delta for sign in (1, -1)
+             for bits in (27, 128) for delta in (-1, 0, 1)]
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-MAX_ADDRESS - 1, max_value=MAX_ADDRESS),
+    st.sampled_from(EDGE_INTS),
     st.floats(allow_nan=False, allow_infinity=False),
     st.binary(max_size=64),
     st.text(max_size=32),
 )
+
+def _record_lists(children):
+    """Lists of dicts: rows sharing one key order (record lists), and
+    rows over a few keys in mixed orders, empty dicts included."""
+    shared = st.lists(st.text(max_size=6), min_size=1, max_size=3,
+                      unique=True).flatmap(
+        lambda keys: st.lists(
+            st.fixed_dictionaries(dict.fromkeys(keys, children)),
+            min_size=1, max_size=4))
+    mixed = st.lists(st.dictionaries(st.sampled_from("pqr"), children,
+                                     max_size=3), min_size=1, max_size=4)
+    return shared | mixed
+
 
 values = st.recursive(
     scalars,
@@ -536,6 +617,7 @@ values = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=8), children, max_size=4),
+        _record_lists(children),   # nested rows come from recursion
     ),
     max_leaves=12,
 )
@@ -608,14 +690,98 @@ class TestCorruptFrameBodies:
         with pytest.raises(frame.FrameError, match="varint longer than 19"):
             frame.decode_body(header + b"\x01\x01k\x03" + b"\xff" * 400_000)
 
+    @staticmethod
+    def _one_field() -> bytearray:
+        """A legal message header and the key of its one field ``p``."""
+        return bytearray(encode(Message(MessageType.PAGE_DATA, src=1,
+                                        dst=2, payload={}))[:-1] + b"\x01\x01p")
+
+    def _record_header(self, rows: int, keys) -> bytes:
+        """Field ``p`` holding a record list that claims ``rows`` rows
+        over ``keys``."""
+        out = self._one_field()
+        out.append(10)
+        codec._write_varint(out, rows)
+        codec._write_varint(out, len(keys))
+        for key in keys:
+            out += bytes([len(key)]) + key.encode()
+        return bytes(out)
+
+    def test_a_record_count_bomb_allocates_nothing(self):
+        # 2**60 rows claimed, 20 bytes of body behind the header.
+        body = self._record_header(2 ** 60, ["k"]) + b"\x00" * 20
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(frame.FrameError, match="overruns"):
+                frame.decode_body(body)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 64 * 1024
+        # A plain list's count is not trusted either: it runs out of
+        # bytes, one item at a time.
+        plain = self._one_field() + b"\x07\x80\x80\x80\x80\x10"
+        with pytest.raises(frame.FrameError):
+            frame.decode_body(bytes(plain) + b"\x00" * 20)
+
+    def test_a_record_header_without_keys_or_with_a_repeated_key(self):
+        # No keys would make every row zero bytes long.
+        with pytest.raises(frame.FrameError, match="without keys"):
+            frame.decode_body(self._record_header(2 ** 60, []))
+        # A repeated key would collapse into one: refused, not merged.
+        body = self._record_header(1, ["k", "k"]) + b"\x00\x00"
+        with pytest.raises(frame.FrameError, match="repeats a key"):
+            frame.decode_body(body)
+        assert isinstance(frame.decode_body(
+            self._record_header(1, ["k", "j"]) + b"\x00\x00"), Message)
+
+    def test_a_wide_int_longer_than_the_cap_is_refused(self):
+        header = encode(Message(MessageType.PAGE_FETCH, src=1, dst=2,
+                                payload={}))[:-1]
+        field = header + b"\x01\x01k\x0b"
+        cap = MAX_WIDE_BYTES
+        ok = frame.decode_body(field + bytes([cap]) + b"\x7f" * cap)
+        assert ok.payload == {"k": int.from_bytes(b"\x7f" * cap, "little")}
+        started = time.perf_counter()
+        for width in (cap + 1, 255):
+            with pytest.raises(frame.FrameError, match="17-byte cap"):
+                frame.decode_body(field + bytes([width]) + b"\x7f" * 400_000)
+        assert time.perf_counter() - started < 0.05
+        # ...and in a record list's inline path.
+        row = self._record_header(1, ["k"]) + b"\x0b" + bytes([cap + 1])
+        with pytest.raises(frame.FrameError, match="17-byte cap"):
+            frame.decode_body(row + b"\x01" * (cap + 1))
+
     def test_seeded_mutations_of_an_update_push(self):
         body = encode(Message(MessageType.UPDATE_PUSH, src=1, dst=2,
                               payload=EXAMPLE_PAYLOADS[MessageType.UPDATE_PUSH],
                               request_id=9))
-        rng = random.Random(17)
+        self._assert_mutations_decode_or_raise([body], seed=17)
+
+    def test_seeded_mutations_of_record_lists_and_wide_ints(self):
+        bodies = [
+            encode(Message(msg_type, src=1, dst=2, payload=payload,
+                           request_id=9))
+            for msg_type, payload in (
+                (MessageType.PAGE_DATA,
+                 EXAMPLE_PAYLOADS[MessageType.PAGE_DATA]),
+                (MessageType.UPDATE_PUSH, {"rid": -(1 << 127), "updates": [
+                    {"page": (1 << 100) + i * PAGE, "data": b"u" * 40,
+                     "sub": [{"k": 2 ** 27 * i, "v": (i, 1.5)}]}
+                    for i in range(3)]}),
+            )
+        ]
+        self._assert_mutations_decode_or_raise(bodies, seed=23)
+
+    @staticmethod
+    def _assert_mutations_decode_or_raise(bodies, seed):
+        rng = random.Random(seed)
         causes = set()
-        for _ in range(4000):
-            mutated = bytearray(body)
+        for attempt in range(4000):
+            mutated = bytearray(bodies[attempt % len(bodies)])
             for _ in range(rng.randint(1, 3)):
                 mutated[rng.randrange(1, len(mutated))] = rng.randrange(256)
             if rng.random() < 0.5:
@@ -722,6 +888,11 @@ class TestLiveTraffic:
             # Live page data travels as zero-copy memoryviews and
             # decodes as bytes; == compares the underlying buffers.
             assert revived.payload == msg.payload
+            # Every page, update and error item list is one record list.
+            for key in ("pages", "updates", "errors"):
+                items = msg.payload.get(key)
+                if items and isinstance(items[0], dict):
+                    assert _tag_of(items) == 10, (msg, key)
 
 
 # --- the guarantee the single path buys ---------------------------------------
