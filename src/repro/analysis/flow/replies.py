@@ -26,10 +26,10 @@ What counts as discharging the obligation on a path:
   transmissions of the same type (fan-outs) expect no reply;
 * a guard of the form ``if not helper(...): return`` where every
   ``return False`` path inside the helper has already replied
-  (``_primary_only`` / ``check_remote_access``);
-* raising: an unhandled exception is loud, not silent, and in spawned
-  handler context becomes a nak.  (A sync handler that raises is a
-  crash the tests catch — not this rule's concern.)
+  (``primary_only`` / ``check_remote_access``);
+* raising: an unhandled exception is loud, not silent, and becomes a
+  nak — from ``MessageRouter.dispatch`` for a sync handler, from
+  ``spawn_handler`` in a spawned task.
 
 Everything else that lets a ``dedup=True`` handler return is a
 finding: a client hangs until its RPC timeout for every such path.

@@ -42,11 +42,11 @@ MAX_MODULE_LINES = 900
 
 #: Tighter ceiling for the consistency layer: protocol modules hold
 #: policy only (mechanism lives in repro.consistency.engine).
-CONSISTENCY_MODULE_LINES = 400
+CONSISTENCY_MODULE_LINES = 380
 
 #: Committed ceiling on the total size of the package: the sum over
 #: every ``.py`` file of its newline count (what ``wc -l`` reports).
-SRC_LINE_BUDGET = 25084
+SRC_LINE_BUDGET = 25009
 
 #: Packages whose mutual imports must stay acyclic at load time.
 LAYERED_PACKAGES = ("repro.core", "repro.consistency", "repro.net")

@@ -18,7 +18,7 @@ owner or home (Section 3.5's availability goal).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from typing import TYPE_CHECKING
 
@@ -104,15 +104,8 @@ class CrewManager(ConsistencyManager):
         me = self.host.node_id
         if me == desc.primary_home:
             data = yield from self._home_grant(desc, page_addr, mode, me)
-            if data is not None:
-                yield from self.host.store_local_page(
-                    desc, page_addr, data, dirty=mode is not LockMode.READ
-                )
-            self.pages.fire(
-                page_addr,
-                PageEvent.READ_FILL if mode is LockMode.READ
-                else PageEvent.WRITE_GRANT,
-            )
+            yield from self._install_grants(
+                desc, mode, [{"page": page_addr, "data": data}])
             return True
         if mode is LockMode.READ:
             served = yield from self._direct_read(desc, page_addr,
@@ -130,7 +123,8 @@ class CrewManager(ConsistencyManager):
             policy=TRANSACTION_POLICY,
             fail="no home node of region {rid:#x} granted the lock: {error}",
         )
-        yield from self._install_grants(desc, mode, reply)
+        yield from self._install_grants(desc, mode, reply.payload["pages"])
+        self.engine.raise_batch_errors(reply)
 
     def _direct_read(self, desc: RegionDescriptor, page_addr: int,
                      principal: str) -> ProtocolGen:
@@ -152,38 +146,37 @@ class CrewManager(ConsistencyManager):
             )
         except (RpcTimeout, RemoteError):
             return False   # stale hint; fall back to the home node
-        yield from self._install_grants(desc, LockMode.READ, reply)
+        yield from self._install_grants(desc, LockMode.READ,
+                                        reply.payload["pages"])
+        self.engine.raise_batch_errors(reply)
         return True
 
     def _install_grants(self, desc: RegionDescriptor, mode: LockMode,
-                        reply: Message) -> ProtocolGen:
-        """Install a home/owner grant reply locally (read copies or
-        write ownership), then surface its first per-page error."""
+                        items: List[Dict[str, Any]]) -> ProtocolGen:
+        """Install granted items locally: read copies with the owner
+        they name, or write ownership (an upgrade keeps its copy)."""
         write = mode is not LockMode.READ
-        for item in reply.payload["pages"]:
-            page_addr = int(item["page"])
-            data: Optional[bytes] = item.get("data")
-            if data is not None:
-                yield from self.host.store_local_page(
-                    desc, page_addr, data, dirty=write
-                )
-            elif write and not self.host.storage.contains(page_addr):
+        me = self.host.node_id
+
+        def note(entry: Any, item: Dict[str, Any]) -> None:
+            if not write:
+                if item.get("owner") is not None:
+                    entry.owner = item["owner"]
+                return
+            # Only the home may hold a page it never materialised.
+            if (item.get("data") is None and me != desc.primary_home
+                    and not self.host.storage.contains(entry.address)):
                 raise KhazanaError(
-                    f"write grant for page {page_addr:#x} carried no data "
-                    "and no local copy exists"
+                    f"write grant for page {entry.address:#x} carried no "
+                    "data and no local copy exists"
                 )
-            entry = self.host.page_directory.ensure(page_addr, desc.rid,
-                                                    homed=False)
-            if write:
-                entry.owner = self.host.node_id
-            elif item.get("owner") is not None:
-                entry.owner = item["owner"]
-            entry.allocated = True
-            self.pages.fire(
-                page_addr,
-                PageEvent.WRITE_GRANT if write else PageEvent.READ_FILL,
-            )
-        self.engine.raise_batch_errors(reply)
+            entry.owner = me
+
+        yield from self.engine.batch.install(
+            desc, items,
+            PageEvent.WRITE_GRANT if write else PageEvent.READ_FILL,
+            dirty=write, note=note,
+        )
 
     def release_many(
         self,
@@ -200,15 +193,9 @@ class CrewManager(ConsistencyManager):
         effort: unreachable homes are repaired by the replica
         maintenance loop, not by failing the unlock (3.5).
         """
-        updates: List[Dict[str, Any]] = []
-        for page_addr in pages:
-            if page_addr not in ctx.dirty_pages:
-                continue
-            page = self.host.storage.peek(page_addr)
-            if page is None:
-                continue
-            updates.append({"page": page_addr, "data": page.data,
-                            "release_token": False})
+        updates = [{"page": page_addr, "data": page.data,
+                    "release_token": False}
+                   for page_addr, page in self.dirty_copies(pages, ctx)]
         if not updates:
             return
         yield from self.engine.push_homes(
@@ -247,14 +234,6 @@ class CrewManager(ConsistencyManager):
     # Message handlers
     # ------------------------------------------------------------------
 
-    def _primary_only(self, desc: RegionDescriptor, msg: Message) -> bool:
-        if self.host.node_id == desc.primary_home:
-            return True
-        self.engine.nak(msg, "not_responsible",
-                        f"node {self.host.node_id} is not the "
-                        f"primary home of region {desc.rid:#x}")
-        return False
-
     def handle_lock_request(self, desc: RegionDescriptor, msg: Message) -> None:
         mode = LockMode(msg.payload["mode"])
         pages = [int(p) for p in msg.payload["pages"]]
@@ -263,31 +242,23 @@ class CrewManager(ConsistencyManager):
         if msg.payload.get("direct"):
             self.engine.directory.serve_owner_read(desc, msg, pages)
             return
-        if not self._primary_only(desc, msg):
+        if not self.primary_only(desc, msg):
             return
 
-        def transaction() -> ProtocolGen:
-            granted: List[Dict[str, Any]] = []
-            errors: List[Dict[str, Any]] = []
-            for page_addr in pages:
-                # Per-page grants with per-page errors (the client rolls
-                # its side back on any error).
-                try:
-                    data = yield from self._home_grant(
-                        desc, page_addr, mode, msg.src
-                    )
-                except KhazanaError as error:
-                    errors.append(error_item(page_addr, error.code,
-                                             str(error)))
-                    continue
-                entry = self.host.page_directory.get(page_addr)
-                owner = entry.owner if entry is not None else None
-                granted.append({"page": page_addr, "data": data,
-                                "owner": owner})
-            self.engine.batch.reply_pages(msg, MessageType.LOCK_REPLY,
-                                          granted, errors)
+        def grant_one(page_addr: int) -> ProtocolGen:
+            # Per-page grants with per-page errors (the client rolls
+            # its side back on any error).
+            try:
+                data = yield from self._home_grant(desc, page_addr, mode,
+                                                   msg.src)
+            except KhazanaError as error:
+                return error_item(page_addr, error.code, str(error))
+            entry = self.host.page_directory.get(page_addr)
+            return {"page": page_addr, "data": data,
+                    "owner": entry.owner if entry is not None else None}
 
-        self.engine.spawn_handler(msg, transaction(), "grant")
+        self.engine.batch.serve_pages(msg, MessageType.LOCK_REPLY, pages,
+                                      grant_one, "grant")
 
     def handle_page_fetch(self, desc: RegionDescriptor, msg: Message) -> None:
         self.engine.directory.serve_owner_fetch(desc, msg)
@@ -320,6 +291,3 @@ class CrewManager(ConsistencyManager):
             self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
         self.engine.spawn_handler(msg, apply(), "writeback")
-
-    def on_node_failure(self, node_id: int) -> None:
-        self.host.page_directory.forget_node(node_id)

@@ -11,13 +11,15 @@ the primitives exported here —
 - :class:`CopysetLedger` — write-token bookkeeping with the
   probe-before-mutex-release ordering built in (``engine.ledger``);
 - :class:`BatchPlanner` — page-list replies with per-page errors, the
-  home-side fetch service, the unlock push with its per-page retry
-  fallback (``engine.batch``);
+  per-page serve loop and the home-side fetch service, the install of
+  a served list, the unlock push with its per-page retry fallback
+  (``engine.batch``);
 - :class:`DirectoryCoherence` — owner/copyset copy movement
   (``engine.directory``);
 - :func:`install_replica_update` — the defer-while-locked replica
-  install shared by the update-propagating protocols
-  (``engine.replicas``);
+  install shared by the update-propagating protocols, and
+  :func:`absorb_replica_push`, the non-primary side of a home-centred
+  protocol's ``UPDATE_PUSH`` (``engine.replicas``);
 - :class:`ProtocolEngine` — the wire primitives (request, send,
   reply, NAK, home failover, fan-out, pipelining) that KHZ007 makes the
   only road from consistency code to ``host.rpc`` (``engine.wire``).
@@ -28,7 +30,10 @@ from repro.consistency.engine.counters import EngineCounters
 from repro.consistency.engine.directory import DirectoryCoherence
 from repro.consistency.engine.home import HomeTransactions, KeyedMutex
 from repro.consistency.engine.ledger import CopysetLedger
-from repro.consistency.engine.replicas import install_replica_update
+from repro.consistency.engine.replicas import (
+    absorb_replica_push,
+    install_replica_update,
+)
 from repro.consistency.engine.state import (
     LocalPageState,
     PageEvent,
@@ -56,6 +61,7 @@ __all__ = [
     "PageStateMachine",
     "ProtocolEngine",
     "WIRE_OPS",
+    "absorb_replica_push",
     "install_replica_update",
     "transaction_label",
     "typed_denial",

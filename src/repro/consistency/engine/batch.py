@@ -4,15 +4,17 @@ Every page request is a list — ``pages`` for lock and fetch,
 ``updates`` for push — and one page is a list of one.  The planner
 owns the shapes all protocols' list traffic shares: the per-page
 error items of a partial reply, the reply that carries them, the
-home-side fetch service, and the unlock push whose failure becomes one
-background retry per page.
+per-page serve loop behind every page-list handler, the install of a
+served list, and the unlock push whose failure becomes one background
+retry per page.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.consistency.engine.state import PageEvent
 from repro.core.errors import KhazanaError
 from repro.core.region import RegionDescriptor
 from repro.net.message import Message, MessageType
@@ -51,35 +53,66 @@ class BatchPlanner:
             return
         self.engine.reply(msg, msg_type, {"pages": pages, "errors": errors})
 
-    def serve_fetch(self, desc: RegionDescriptor, msg: Message,
-                    meta: PageMeta, *, homed: bool = True) -> None:
-        """Serve a PAGE_FETCH: one ``{page, data, **meta(page)}`` item
-        per stored page, an error item per page without storage."""
-        engine = self.engine
-        host = engine.host
-        pages = [int(p) for p in msg.payload["pages"]]
+    def serve_pages(self, msg: Message, msg_type: MessageType,
+                    pages: List[int], serve_one: Callable[[int], ProtocolGen],
+                    op: str) -> None:
+        """Serve a page-list request in one handler task and one
+        :meth:`reply_pages`: ``serve_one(page)`` resolves to the page's
+        served item or its :func:`error_item`."""
 
         def serve() -> ProtocolGen:
             served: List[Dict[str, Any]] = []
             errors: List[Dict[str, Any]] = []
             for page_addr in pages:
-                data = yield from host.local_page_bytes(desc, page_addr)
-                if data is None:
-                    errors.append(error_item(
-                        page_addr, "not_allocated",
-                        f"page {page_addr:#x} has no storage",
-                    ))
-                    continue
-                if msg.payload.get("register"):
-                    entry = host.page_directory.ensure(
-                        page_addr, desc.rid, homed=homed
-                    )
-                    entry.record_sharer(msg.src)
-                served.append({"page": page_addr, "data": data,
-                               **meta(page_addr)})
-            self.reply_pages(msg, MessageType.PAGE_DATA, served, errors)
+                item = yield from serve_one(page_addr)
+                (errors if "code" in item else served).append(item)
+            self.reply_pages(msg, msg_type, served, errors)
 
-        engine.spawn_handler(msg, serve(), "fetch")
+        self.engine.spawn_handler(msg, serve(), op)
+
+    def serve_fetch(self, desc: RegionDescriptor, msg: Message,
+                    meta: PageMeta, *, homed: bool = True) -> None:
+        """Serve a PAGE_FETCH: one ``{page, data, **meta(page)}`` item
+        per stored page, an error item per page without storage."""
+        host = self.engine.host
+
+        def serve_one(page_addr: int) -> ProtocolGen:
+            data = yield from host.local_page_bytes(desc, page_addr)
+            if data is None:
+                return error_item(page_addr, "not_allocated",
+                                  f"page {page_addr:#x} has no storage")
+            if msg.payload.get("register"):
+                entry = host.page_directory.ensure(page_addr, desc.rid,
+                                                   homed=homed)
+                entry.record_sharer(msg.src)
+            return {"page": page_addr, "data": data, **meta(page_addr)}
+
+        self.serve_pages(msg, MessageType.PAGE_DATA,
+                         [int(p) for p in msg.payload["pages"]], serve_one,
+                         "fetch")
+
+    def install(self, desc: RegionDescriptor, items: List[Dict[str, Any]],
+                event: PageEvent, *, dirty: bool = False,
+                note: Optional[Callable[[Any, Dict[str, Any]], None]] = None,
+                ) -> ProtocolGen:
+        """Install served page items locally: store each item's bytes
+        (an item without ``data`` keeps the local copy — a write
+        upgrade), cache an allocated non-homed directory hint, let
+        ``note(entry, item)`` record the protocol's metadata, fire
+        ``event``."""
+        host = self.engine.host
+        for item in items:
+            page_addr = int(item["page"])
+            data = item.get("data")
+            if data is not None:
+                yield from host.store_local_page(desc, page_addr, data,
+                                                 dirty=dirty)
+            entry = host.page_directory.ensure(page_addr, desc.rid,
+                                               homed=False)
+            entry.allocated = True
+            if note is not None:
+                note(entry, item)
+            self.engine.cm.pages.fire(page_addr, event)
 
     def push_updates(
         self,

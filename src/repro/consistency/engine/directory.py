@@ -148,82 +148,66 @@ class DirectoryCoherence:
         cm = engine.cm
         me = self.host.node_id
 
-        def serve() -> ProtocolGen:
-            granted: List[Any] = []
-            errors: List[Any] = []
-            for page_addr in pages:
-                entry = self.host.page_directory.get(page_addr)
-                if (entry is None or entry.owner != me
-                        or cm.pages.state(page_addr)
-                        is LocalPageState.INVALID):
-                    errors.append(error_item(page_addr, "not_responsible",
-                                             "stale owner hint"))
-                    continue
-                yield from self.wait_local_unlocked(page_addr, LockMode.READ)
-                data = yield from self.host.local_page_bytes(desc, page_addr)
-                if data is None:
-                    errors.append(error_item(page_addr, "not_responsible",
-                                             "owner copy evicted"))
-                    continue
-                # Register the requester in the home's copyset *before*
-                # handing out the copy (steps 7-9 of Figure 2): if the
-                # registration raced a later write's invalidation round,
-                # the requester could keep a stale copy forever.
-                home = desc.primary_home
-                if home != me:
-                    try:
-                        yield engine.request(
-                            home, MessageType.SHARER_REGISTER,
-                            {"rid": desc.rid, "page": page_addr,
-                             "sharer": msg.src},
-                            policy=self.policy,
-                        )
-                    except (RpcTimeout, RemoteError):
-                        errors.append(error_item(
-                            page_addr, "not_responsible",
-                            "could not register the new sharer with the "
-                            "home"))
-                        continue
-                # Demote to shared, then grant.
-                cm.pages.fire(page_addr, PageEvent.DEMOTE)
-                granted.append({"page": page_addr, "data": data,
-                                "owner": me})
-            engine.batch.reply_pages(msg, MessageType.LOCK_REPLY, granted,
-                                     errors)
+        def serve_one(page_addr: int) -> ProtocolGen:
+            entry = self.host.page_directory.get(page_addr)
+            if (entry is None or entry.owner != me
+                    or cm.pages.state(page_addr) is LocalPageState.INVALID):
+                return error_item(page_addr, "not_responsible",
+                                  "stale owner hint")
+            yield from self.wait_local_unlocked(page_addr, LockMode.READ)
+            data = yield from self.host.local_page_bytes(desc, page_addr)
+            if data is None:
+                return error_item(page_addr, "not_responsible",
+                                  "owner copy evicted")
+            # Register the requester in the home's copyset *before*
+            # handing out the copy (steps 7-9 of Figure 2): if the
+            # registration raced a later write's invalidation round,
+            # the requester could keep a stale copy forever.
+            home = desc.primary_home
+            if home != me:
+                try:
+                    yield engine.request(
+                        home, MessageType.SHARER_REGISTER,
+                        {"rid": desc.rid, "page": page_addr,
+                         "sharer": msg.src},
+                        policy=self.policy,
+                    )
+                except (RpcTimeout, RemoteError):
+                    return error_item(
+                        page_addr, "not_responsible",
+                        "could not register the new sharer with the home")
+            # Demote to shared, then grant.
+            cm.pages.fire(page_addr, PageEvent.DEMOTE)
+            return {"page": page_addr, "data": data, "owner": me}
 
-        engine.spawn_handler(msg, serve(), "direct-read")
+        engine.batch.serve_pages(msg, MessageType.LOCK_REPLY, pages,
+                                 serve_one, "direct-read")
 
     def serve_owner_fetch(self, desc: RegionDescriptor, msg: Any) -> None:
         """Owner side of a home's PAGE_FETCH: serve each page's current
         bytes, optionally revoking or demoting the local copy first."""
-        engine = self.engine
-        cm = engine.cm
-        pages = [int(p) for p in msg.payload["pages"]]
+        cm = self.engine.cm
         revoke = bool(msg.payload.get("revoke"))
         demote = bool(msg.payload.get("demote"))
 
-        def serve() -> ProtocolGen:
-            served: List[Any] = []
-            errors: List[Any] = []
-            for page_addr in pages:
-                wait_mode = LockMode.WRITE if revoke else LockMode.READ
-                yield from self.wait_local_unlocked(page_addr, wait_mode)
-                data = yield from self.host.local_page_bytes(desc, page_addr)
-                if data is None:
-                    errors.append(error_item(page_addr, "not_responsible",
-                                             "no local copy"))
-                    continue
-                if revoke:
-                    self.host.drop_local_page(page_addr)
-                    cm.pages.fire(page_addr, PageEvent.INVALIDATE)
-                elif demote:
-                    cm.pages.fire(page_addr, PageEvent.DEMOTE)
-                    self.host.storage.mark_clean(page_addr)
-                served.append({"page": page_addr, "data": data})
-            engine.batch.reply_pages(msg, MessageType.PAGE_DATA, served,
-                                     errors)
+        def serve_one(page_addr: int) -> ProtocolGen:
+            wait_mode = LockMode.WRITE if revoke else LockMode.READ
+            yield from self.wait_local_unlocked(page_addr, wait_mode)
+            data = yield from self.host.local_page_bytes(desc, page_addr)
+            if data is None:
+                return error_item(page_addr, "not_responsible",
+                                  "no local copy")
+            if revoke:
+                self.host.drop_local_page(page_addr)
+                cm.pages.fire(page_addr, PageEvent.INVALIDATE)
+            elif demote:
+                cm.pages.fire(page_addr, PageEvent.DEMOTE)
+                self.host.storage.mark_clean(page_addr)
+            return {"page": page_addr, "data": data}
 
-        engine.spawn_handler(msg, serve(), "fetch")
+        self.engine.batch.serve_pages(
+            msg, MessageType.PAGE_DATA,
+            [int(p) for p in msg.payload["pages"]], serve_one, "fetch")
 
     def serve_invalidate(self, desc: RegionDescriptor, msg: Any) -> None:
         """Destroy the local copy and ack — but only once local

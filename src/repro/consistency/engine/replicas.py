@@ -5,14 +5,17 @@ sites the same way: never under an open local lock context (defer
 until unlocked), re-check recency at apply time, record the new
 version/stamp, then store the bytes in a background task.  Only the
 recency rule and the bookkeeping differ per protocol, so they arrive
-as callbacks.
+as callbacks.  The home-centred protocols (release, eventual) also
+share the whole non-primary side of an ``UPDATE_PUSH``
+(:func:`absorb_replica_push`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.region import RegionDescriptor
+from repro.net.message import Message
 
 ProtocolGen = Any   # Generator[Future, Any, Any]
 
@@ -61,3 +64,42 @@ def install_replica_update(
         cm.defer_until_unlocked(page_addr, apply)
     else:
         apply()
+
+
+def absorb_replica_push(
+    cm: Any,
+    desc: RegionDescriptor,
+    msg: Message,
+    versions: Dict[int, Any],
+    key: Callable[[Dict[str, Any]], Any],
+    floor: Any,
+    refreshed: Optional[Dict[int, float]] = None,
+) -> None:
+    """An ``UPDATE_PUSH`` at a node that is not the region's primary.
+
+    A request is a writer's push that reached this node through home
+    failover: NAK it so the failover moves on.  A one-way push is the
+    home's fan-out: install each update whose ``key(update)`` beats
+    ``versions[page]`` (``floor`` when unknown), recording the version
+    and, with ``refreshed``, the time.
+    """
+    if msg.request_id is not None:
+        cm.engine.nak(msg, "not_responsible",
+                      "update push needs the primary home")
+        return
+
+    def absorb(page_addr: int, data: bytes, version: Any) -> None:
+        def commit() -> None:
+            versions[page_addr] = version
+            if refreshed is not None:
+                refreshed[page_addr] = cm.host.now
+
+        install_replica_update(
+            cm, desc, page_addr, data,
+            fresh=lambda: version > versions.get(page_addr, floor),
+            commit=commit,
+        )
+
+    for update in msg.payload["updates"]:
+        if update.get("data") is not None:
+            absorb(int(update["page"]), update["data"], key(update))

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 from typing import TYPE_CHECKING
 
-from repro.consistency.engine import PageEvent, install_replica_update
+from repro.consistency.engine import PageEvent, absorb_replica_push
 from repro.consistency.manager import (
     ConsistencyManager,
     LocalPageState,
@@ -52,6 +52,11 @@ DEFAULT_STALENESS_BOUND = 2.0
 ANTI_ENTROPY_PERIOD = 0.5
 
 FETCH_POLICY = RetryPolicy(timeout=2.0, retries=1, backoff=2.0)
+
+
+def _lww_key(update: Dict[str, Any]) -> Tuple[int, int]:
+    """An update's last-writer-wins order: (version, writer id)."""
+    return (update.get("version", 0), update.get("writer", 0))
 
 
 @register_protocol
@@ -128,19 +133,12 @@ class EventualManager(ConsistencyManager):
             if not all(self.host.storage.contains(p) for p in pages):
                 raise
             return
-        for item in reply.payload["pages"]:
-            page_addr = int(item["page"])
-            yield from self.host.store_local_page(
-                desc, page_addr, item["data"], dirty=False
-            )
-            self._versions[page_addr] = (item.get("version", 0),
-                                         item.get("writer", 0))
-            self._refreshed_at[page_addr] = self.host.now
-            self.pages.fire(page_addr, PageEvent.READ_FILL)
-            entry = self.host.page_directory.ensure(
-                page_addr, desc.rid, homed=False
-            )
-            entry.allocated = True
+        def note(entry: Any, item: Dict[str, Any]) -> None:
+            self._versions[entry.address] = _lww_key(item)
+            self._refreshed_at[entry.address] = self.host.now
+
+        yield from self.engine.batch.install(desc, reply.payload["pages"],
+                                             PageEvent.READ_FILL, note=note)
         for err in reply.payload["errors"]:
             if not self.host.storage.contains(int(err["page"])):
                 raise LockDenied(
@@ -159,12 +157,7 @@ class EventualManager(ConsistencyManager):
         own writes in place."""
         me = self.host.node_id
         updates: List[Dict[str, Any]] = []
-        for page_addr in pages:
-            if page_addr not in ctx.dirty_pages:
-                continue
-            page = self.host.storage.peek(page_addr)
-            if page is None:
-                continue
+        for page_addr, page in self.dirty_copies(pages, ctx):
             version = self._versions.get(page_addr, (0, 0))[0] + 1
             self._versions[page_addr] = (version, me)
             self._refreshed_at[page_addr] = self.host.now
@@ -172,7 +165,7 @@ class EventualManager(ConsistencyManager):
                 self._record_home_write(desc, page_addr, version)
                 continue
             updates.append({"page": page_addr, "data": page.data,
-                            "version": version, "writer": me})
+                            **self._version_of(page_addr)})
         if updates:
             # The local copies stay dirty until the push lands.
             yield from self.engine.batch.push_updates(
@@ -197,29 +190,21 @@ class EventualManager(ConsistencyManager):
     # Home side
     # ------------------------------------------------------------------
 
+    def _version_of(self, page_addr: int) -> Dict[str, Any]:
+        version, writer = self._versions.get(page_addr, (0, 0))
+        return {"version": version, "writer": writer}
+
     def handle_page_fetch(self, desc: RegionDescriptor, msg: Message) -> None:
         if not self.check_remote_access(desc, msg, LockMode.READ):
             return
-
-        def meta(page_addr: int) -> Dict[str, Any]:
-            version, writer = self._versions.get(page_addr, (0, 0))
-            return {"version": version, "writer": writer}
-
-        self.engine.batch.serve_fetch(desc, msg, meta)
+        self.engine.batch.serve_fetch(desc, msg, self._version_of)
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        updates = msg.payload["updates"]
         if self.host.node_id != desc.primary_home:
-            if msg.request_id is not None:
-                # Same failover hole as the release protocol: a
-                # writer's push that missed the primary must be
-                # refused, not silently absorbed without a reply.
-                self.engine.nak(msg, "not_responsible",
-                                "update push needs the primary home")
-                return
-            for update in updates:
-                self._apply_replica_update(desc, update)
+            absorb_replica_push(self, desc, msg, self._versions, _lww_key,
+                                (0, -1), refreshed=self._refreshed_at)
             return
+        updates = msg.payload["updates"]
 
         def apply() -> ProtocolGen:
             for update in updates:
@@ -231,8 +216,7 @@ class EventualManager(ConsistencyManager):
                 # install_replica_update does), so a push arriving
                 # mid-store compares against it, not against what the
                 # store is replacing.
-                incoming = (update.get("version", 0),
-                            update.get("writer", 0))
+                incoming = _lww_key(update)
                 if incoming <= self._versions.get(page_addr, (0, -1)):
                     continue
                 self._versions[page_addr] = incoming
@@ -248,22 +232,6 @@ class EventualManager(ConsistencyManager):
             self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
         self.engine.spawn_handler(msg, apply(), "apply")
-
-    def _apply_replica_update(self, desc: RegionDescriptor,
-                              update: Dict[str, Any]) -> None:
-        page_addr = int(update["page"])
-        incoming = (update.get("version", 0), update.get("writer", 0))
-
-        def commit() -> None:
-            self._versions[page_addr] = incoming
-            self._refreshed_at[page_addr] = self.host.now
-
-        install_replica_update(
-            self, desc, page_addr, update["data"],
-            fresh=lambda: incoming > self._versions.get(page_addr, (0, -1)),
-            commit=commit,
-            op="replica-store",
-        )
 
     # ------------------------------------------------------------------
     # Anti-entropy
@@ -281,14 +249,10 @@ class EventualManager(ConsistencyManager):
             entry = self.host.page_directory.get(page_addr)
             if page is None or entry is None:
                 continue
-            version, writer = self._versions.get(page_addr, (0, 0))
             per_region.setdefault(entry.rid, []).append((
                 {"page": page_addr, "data": page.data,
-                 "version": version, "writer": writer},
+                 **self._version_of(page_addr)},
                 entry.copyset_excluding(self.host.node_id),
             ))
         for rid, items in per_region.items():
             self.engine.fanout(rid, items)
-
-    def on_node_failure(self, node_id: int) -> None:
-        self.host.page_directory.forget_node(node_id)

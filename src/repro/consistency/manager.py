@@ -22,7 +22,8 @@ Policy modules never touch ``host.rpc`` / ``host.reply_*`` directly
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Mapping, Type
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    Mapping, Tuple, Type)
 
 from repro.consistency.engine import (
     KeyedMutex,
@@ -34,7 +35,7 @@ from repro.consistency.engine import (
 from repro.core.errors import ProtocolUnknown
 from repro.core.locks import LockContext, LockMode
 from repro.core.region import RegionDescriptor
-from repro.net.message import Message
+from repro.net.message import Message, MessageType
 from repro.net.tasks import Future
 
 if TYPE_CHECKING:
@@ -62,8 +63,8 @@ class ConsistencyManager(abc.ABC):
     residency / conflict-wait helpers it names.  Subclasses implement
     the client-side path — :meth:`acquire` (one page, in place),
     :meth:`acquire_remote` (the rest of the range, one request per
-    home), :meth:`release_many`, ``evict`` — and the home/replica-side
-    message handlers, reaching the wire only through ``self.engine``.
+    home), :meth:`release_many` — and the home/replica-side message
+    handlers, reaching the wire only through ``self.engine``.
     """
 
     #: Registry name; subclasses must override.
@@ -191,6 +192,15 @@ class ConsistencyManager(abc.ABC):
         Release-type: never raises — a push that cannot land is retried
         in the background (paper 3.5)."""
 
+    def dirty_copies(self, pages: List[int],
+                     ctx: LockContext) -> List[Tuple[int, Any]]:
+        """``(page, stored copy)`` for each of ``pages`` that ``ctx``
+        wrote and this node still stores: what an unlock pushes."""
+        stored = [(page_addr, self.host.storage.peek(page_addr))
+                  for page_addr in pages if page_addr in ctx.dirty_pages]
+        return [(page_addr, page) for page_addr, page in stored
+                if page is not None]
+
     def release(
         self,
         desc: RegionDescriptor,
@@ -206,15 +216,8 @@ class ConsistencyManager(abc.ABC):
         self, desc: RegionDescriptor, page_addr: int, data: bytes, dirty: bool
     ) -> ProtocolGen:
         """Before the local copy leaves this node entirely: push dirty
-        contents home and unregister from the copyset.  Default: write
-        back to the home node and send a sharer-unregister."""
-        yield from self._default_evict(desc, page_addr, data, dirty)
-
-    def _default_evict(
-        self, desc: RegionDescriptor, page_addr: int, data: bytes, dirty: bool
-    ) -> ProtocolGen:
-        from repro.net.message import MessageType  # local import: no cycle
-
+        contents home (:meth:`evict_update`) and unregister from the
+        copyset."""
         home = desc.primary_home
         if home == self.host.node_id:
             return
@@ -222,9 +225,8 @@ class ConsistencyManager(abc.ABC):
             yield self.engine.request(
                 home,
                 MessageType.UPDATE_PUSH,
-                {"rid": desc.rid, "updates": [
-                    {"page": page_addr, "data": data,
-                     "release_token": False}]},
+                {"rid": desc.rid,
+                 "updates": [self.evict_update(page_addr, data)]},
             )
         self.engine.send(
             home,
@@ -232,6 +234,10 @@ class ConsistencyManager(abc.ABC):
             {"rid": desc.rid, "page": page_addr},
         )
         self.pages.drop(page_addr)
+
+    def evict_update(self, page_addr: int, data: bytes) -> Dict[str, Any]:
+        """The update item an evicting node pushes home."""
+        return {"page": page_addr, "data": data, "release_token": False}
 
     # --- Deferred-conflict machinery ---------------------------------------
 
@@ -254,10 +260,17 @@ class ConsistencyManager(abc.ABC):
         for action in actions:
             action()
 
-    def has_deferred(self, page_addr: int) -> bool:
-        return bool(self._deferred.get(page_addr))
-
     # --- Access control -------------------------------------------------------
+
+    def primary_only(self, desc: RegionDescriptor, msg: Message) -> bool:
+        """True at the region's primary home; elsewhere NAK the request
+        ``not_responsible`` so home failover moves on."""
+        if self.host.node_id == desc.primary_home:
+            return True
+        self.engine.nak(msg, "not_responsible",
+                        f"node {self.host.node_id} is not the "
+                        f"primary home of region {desc.rid:#x}")
+        return False
 
     def check_remote_access(self, desc: RegionDescriptor, msg: Message,
                             mode: LockMode) -> bool:
@@ -307,8 +320,6 @@ class ConsistencyManager(abc.ABC):
         # field, the sender registers itself.
         entry.record_sharer(int(msg.payload.get("sharer", msg.src)))
         if msg.request_id is not None:
-            from repro.net.message import MessageType
-
             self.engine.reply(msg, MessageType.UPDATE_ACK, {})
 
     def handle_sharer_unregister(self, desc: RegionDescriptor, msg: Message) -> None:
@@ -317,7 +328,9 @@ class ConsistencyManager(abc.ABC):
             entry.forget_sharer(msg.src)
 
     def on_node_failure(self, node_id: int) -> None:
-        """A peer was declared dead; drop protocol state involving it."""
+        """A peer was declared dead; drop protocol state involving it:
+        by default, every copyset and owner entry naming it."""
+        self.host.page_directory.forget_node(node_id)
 
     # --- Periodic work --------------------------------------------------------
 

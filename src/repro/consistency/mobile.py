@@ -115,7 +115,7 @@ class MobileManager(ConsistencyManager):
         the rest.  A write with no reachable peer starts from zeroes;
         a read fails only when completely disconnected."""
         remaining = list(pages)
-        for peer in self._candidates(desc, pages):
+        for peer in self._peers(desc, pages):
             if not remaining:
                 break
             try:
@@ -127,12 +127,17 @@ class MobileManager(ConsistencyManager):
                 )
             except (RpcTimeout, RemoteError):
                 continue
-            for item in reply.payload["pages"]:
-                page_addr = int(item["page"])
-                yield from self._install_fetched(
-                    desc, page_addr, item["data"], item["stamp"], peer
-                )
-                remaining.remove(page_addr)
+
+            def note(entry: Any, item: Dict[str, Any]) -> None:
+                stamp = item["stamp"]
+                if stamp:
+                    self._stamps[entry.address] = (int(stamp[0]),
+                                                   int(stamp[1]))
+                entry.record_sharer(peer)
+                remaining.remove(entry.address)
+
+            yield from self.engine.batch.install(
+                desc, reply.payload["pages"], PageEvent.READ_FILL, note=note)
         for page_addr in remaining:
             if not mode.is_write:
                 raise LockDenied(
@@ -151,35 +156,6 @@ class MobileManager(ConsistencyManager):
         )
         self.pages.fire(page_addr, PageEvent.READ_FILL)
 
-    def _candidates(self, desc: RegionDescriptor,
-                    pages: List[int]) -> List[int]:
-        """Home nodes first, then any sharer hinted for the pages."""
-        me = self.host.node_id
-        candidates: List[int] = [n for n in desc.home_nodes if n != me]
-        for page_addr in pages:
-            entry = self.host.page_directory.get(page_addr)
-            if entry is not None:
-                candidates.extend(
-                    n for n in sorted(entry.sharers)
-                    if n not in candidates and n != me
-                )
-        return candidates
-
-    def _install_fetched(self, desc: RegionDescriptor, page_addr: int,
-                         data: bytes, stamp: Optional[List[int]],
-                         peer: int) -> ProtocolGen:
-        yield from self.host.store_local_page(
-            desc, page_addr, data, dirty=False
-        )
-        if stamp:
-            self._stamps[page_addr] = (int(stamp[0]), int(stamp[1]))
-        self.pages.fire(page_addr, PageEvent.READ_FILL)
-        pd = self.host.page_directory.ensure(
-            page_addr, desc.rid, homed=False
-        )
-        pd.record_sharer(peer)
-        pd.allocated = True
-
     def release_many(
         self,
         desc: RegionDescriptor,
@@ -190,17 +166,11 @@ class MobileManager(ConsistencyManager):
         UPDATE_PUSH per peer, carrying the pages that peer replicates.
         Unreachable peers catch up via the anti-entropy tick once
         connectivity returns."""
-        items = []
-        for page_addr in pages:
-            if page_addr not in ctx.dirty_pages:
-                continue
-            page = self.host.storage.peek(page_addr)
-            if page is None:
-                continue
-            items.append(({"page": page_addr, "data": page.data,
-                           "stamp": list(self._stamp_write(page_addr))},
-                          self._peers_for(desc, page_addr)))
-        self.engine.fanout(desc.rid, items)
+        self.engine.fanout(desc.rid, [
+            ({"page": page_addr, "data": page.data,
+              "stamp": list(self._stamp_write(page_addr))},
+             self._peers(desc, [page_addr]))
+            for page_addr, page in self.dirty_copies(pages, ctx)])
         return
         yield  # pragma: no cover - generator form required
 
@@ -210,42 +180,34 @@ class MobileManager(ConsistencyManager):
         self._stamps[page_addr] = stamp
         return stamp
 
+    def _stamp_of(self, page_addr: int) -> Dict[str, Any]:
+        return {"stamp": list(self._stamps.get(page_addr, (0, 0)))}
+
+    def evict_update(self, page_addr: int, data: bytes) -> Dict[str, Any]:
+        # A mobile peer orders pushes by stamp (last-writer-wins): the
+        # evicted replica goes home with the stamp it holds.
+        return {"page": page_addr, "data": data, **self._stamp_of(page_addr)}
+
     def evict(
         self, desc: RegionDescriptor, page_addr: int, data: bytes, dirty: bool
     ) -> ProtocolGen:
-        # The default evict pushes without a stamp, which a mobile peer
-        # cannot order under last-writer-wins; gossip the replica's
-        # stamped bytes one last time instead.
-        if dirty:
-            stamp = self._stamps.get(page_addr, (0, 0))
-            yield self.engine.request(
-                desc.primary_home,
-                MessageType.UPDATE_PUSH,
-                {"rid": desc.rid, "updates": [
-                    {"page": page_addr, "data": data,
-                     "stamp": list(stamp)}]},
-            )
-        self.engine.send(
-            desc.primary_home,
-            MessageType.SHARER_UNREGISTER,
-            {"rid": desc.rid, "page": page_addr},
-        )
+        yield from super().evict(desc, page_addr, data, dirty)
         self._stamps.pop(page_addr, None)
-        self.pages.drop(page_addr)
 
     # ------------------------------------------------------------------
     # Gossip
     # ------------------------------------------------------------------
 
-    def _peers_for(self, desc: RegionDescriptor, page_addr: int) -> List[int]:
+    def _peers(self, desc: RegionDescriptor,
+               pages: List[int]) -> List[int]:
+        """Home nodes first, then any sharer hinted for the pages."""
         me = self.host.node_id
         peers = [n for n in desc.home_nodes if n != me]
-        entry = self.host.page_directory.get(page_addr)
-        if entry is not None:
-            peers.extend(
-                n for n in sorted(entry.sharers)
-                if n != me and n not in peers
-            )
+        for page_addr in pages:
+            entry = self.host.page_directory.get(page_addr)
+            if entry is not None:
+                peers.extend(n for n in sorted(entry.sharers)
+                             if n != me and n not in peers)
         return peers
 
     def _gossip_page(self, desc: RegionDescriptor, page_addr: int,
@@ -254,9 +216,8 @@ class MobileManager(ConsistencyManager):
         stamp = self._stamps.get(page_addr)
         if page is None or stamp is None:
             return
-        peers = targets if targets is not None else self._peers_for(
-            desc, page_addr
-        )
+        peers = targets if targets is not None else self._peers(
+            desc, [page_addr])
         self.engine.fanout(desc.rid, [(
             {"page": page_addr, "data": page.data, "stamp": list(stamp)},
             peers,
@@ -269,7 +230,7 @@ class MobileManager(ConsistencyManager):
             desc = self._descs.get(rid) if rid is not None else None
             if desc is None:
                 continue
-            peers = self._peers_for(desc, page_addr)
+            peers = self._peers(desc, [page_addr])
             if not peers:
                 continue
             self._gossip_cursor += 1
@@ -285,12 +246,8 @@ class MobileManager(ConsistencyManager):
 
     def handle_page_fetch(self, desc: RegionDescriptor, msg: Message) -> None:
         self.engine.batch.serve_fetch(
-            desc, msg,
-            lambda page_addr: {
-                "stamp": list(self._stamps.get(page_addr, (0, 0)))
-            },
-            homed=self.host.node_id in desc.home_nodes,
-        )
+            desc, msg, self._stamp_of,
+            homed=self.host.node_id in desc.home_nodes)
 
     def _apply_gossip(self, desc: RegionDescriptor, page_addr: int,
                       data: bytes, incoming: Stamp, src: int) -> None:

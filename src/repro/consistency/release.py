@@ -26,7 +26,7 @@ import logging
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.consistency.diffs import TwinStore, apply_diff, compute_diff
-from repro.consistency.engine import PageEvent, install_replica_update
+from repro.consistency.engine import PageEvent, absorb_replica_push
 from repro.consistency.manager import (
     ConsistencyManager,
     LocalPageState,
@@ -142,15 +142,12 @@ class ReleaseManager(ConsistencyManager):
                        event: PageEvent) -> ProtocolGen:
         """Store home-served pages locally and record their versions,
         then surface the reply's first per-page error."""
-        for item in reply.payload["pages"]:
-            page_addr = int(item["page"])
-            yield from self.host.store_local_page(desc, page_addr,
-                                                  item["data"], dirty=False)
-            self._versions[page_addr] = item.get("version", 0)
-            self.pages.fire(page_addr, event)
-            entry = self.host.page_directory.ensure(page_addr, desc.rid,
-                                                    homed=False)
-            entry.allocated = True
+
+        def note(entry: Any, item: Dict[str, Any]) -> None:
+            self._versions[entry.address] = item.get("version", 0)
+
+        yield from self.engine.batch.install(desc, reply.payload["pages"],
+                                             event, note=note)
         self.engine.raise_batch_errors(reply)
 
     def _home_request(self, desc: RegionDescriptor, msg_type: MessageType,
@@ -227,7 +224,7 @@ class ReleaseManager(ConsistencyManager):
         return {"version": self._versions.get(page_addr, 0)}
 
     def handle_lock_request(self, desc: RegionDescriptor, msg: Message) -> None:
-        if not self._primary_only(desc, msg):
+        if not self.primary_only(desc, msg):
             return
         if not self.check_remote_access(desc, msg, LockMode.WRITE):
             return
@@ -241,12 +238,6 @@ class ReleaseManager(ConsistencyManager):
         if not self.check_remote_access(desc, msg, LockMode.READ):
             return
         self.engine.batch.serve_fetch(desc, msg, self._version_of)
-
-    def _primary_only(self, desc: RegionDescriptor, msg: Message) -> bool:
-        if self.host.node_id == desc.primary_home:
-            return True
-        self.engine.nak(msg, "not_responsible", "not primary home")
-        return False
 
     def _apply_pushed(self, desc: RegionDescriptor, update: Dict[str, Any],
                       writer: int) -> ProtocolGen:
@@ -275,26 +266,17 @@ class ReleaseManager(ConsistencyManager):
         self.engine.fanout(desc.rid, pushes)
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
-        updates = msg.payload["updates"]
-        if self.host.node_id == desc.primary_home:
-            def apply() -> ProtocolGen:
-                yield from self.apply_pushes(desc, updates, msg.src)
-                self.engine.reply(msg, MessageType.UPDATE_ACK, {})
+        if self.host.node_id != desc.primary_home:
+            absorb_replica_push(self, desc, msg, self._versions,
+                                lambda update: update.get("version", 0), -1)
+            return
 
-            self.engine.spawn_handler(msg, apply(), "apply")
-            return
-        if msg.request_id is not None:
-            # A writer's push landed here through the ordered
-            # request_home failover while this node is not the primary.
-            # Applying it as a replica update would drop the version
-            # and leave the writer hanging for a reply; nak so the
-            # failover moves on (or surfaces the real outage).
-            self.engine.nak(msg, "not_responsible",
-                            "update push needs the primary home")
-            return
-        # Replica side: a propagated (one-way) update from the home.
-        for update in updates:
-            self._apply_replica_update(desc, update)
+        def apply() -> ProtocolGen:
+            yield from self.apply_pushes(desc, msg.payload["updates"],
+                                         msg.src)
+            self.engine.reply(msg, MessageType.UPDATE_ACK, {})
+
+        self.engine.spawn_handler(msg, apply(), "apply")
 
     def _apply_update_at_home(
         self, desc: RegionDescriptor, page_addr: int,
@@ -324,24 +306,3 @@ class ReleaseManager(ConsistencyManager):
         return ({"page": page_addr, "data": data, "version": version},
                 [n for n in entry.copyset_excluding(self.host.node_id)
                  if n != writer])
-
-    def _apply_replica_update(self, desc: RegionDescriptor,
-                              update: Dict[str, Any]) -> None:
-        page_addr = int(update["page"])
-        data = update.get("data")
-        version = update.get("version", 0)
-        if data is None:
-            return
-
-        def commit() -> None:
-            self._versions[page_addr] = version
-
-        install_replica_update(
-            self, desc, page_addr, data,
-            fresh=lambda: version > self._versions.get(page_addr, -1),
-            commit=commit,
-            op="replica-store",
-        )
-
-    def on_node_failure(self, node_id: int) -> None:
-        self.host.page_directory.forget_node(node_id)

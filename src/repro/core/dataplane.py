@@ -128,9 +128,7 @@ class DataPlane:
         except BaseException:
             # Roll back partial acquisition so no page stays pinned.
             if acquired:
-                engine = getattr(cm, "engine", None)
-                if engine is not None:
-                    engine.counters.rollbacks += 1
+                cm.engine.counters.rollbacks += 1
                 kernel.lock_table.release(ctx, acquired)
                 for page_addr in acquired:
                     self._wake_page(page_addr, cm)

@@ -133,6 +133,13 @@ class RegionInUse(KhazanaError):
     code = "region_in_use"
 
 
+class BadRequest(KhazanaError):
+    """A peer's request could not be handled: its payload is malformed
+    or its handler failed on it."""
+
+    code = "bad_request"
+
+
 #: Wire code -> exception class, used when turning an ERROR NAK from a
 #: peer daemon back into a typed exception at the requesting node.
 ERROR_CODES = {
@@ -155,6 +162,7 @@ ERROR_CODES = {
         NodeUnavailable,
         KhazanaTimeout,
         RegionInUse,
+        BadRequest,
     )
 }
 

@@ -145,6 +145,8 @@ class DaemonStats:
     #: Wire message type -> [dispatches, thread CPU ns spent in them]
     #: (:meth:`MessageRouter.dispatch`).
     dispatch_cpu: Dict[str, List[int]] = field(default_factory=dict)
+    #: Requests NAK'd because their synchronous handler raised.
+    requests_rejected: int = 0
 
     def bump(self, op: str) -> None:
         self.ops[op] = self.ops.get(op, 0) + 1

@@ -74,9 +74,6 @@ class MembershipService:
         detector = self.kernel.detector
         return [m for m in sorted(self._members) if detector.is_alive(m)]
 
-    def is_member(self, node_id: int) -> bool:
-        return node_id in self._members
-
     def seed(self, peers: List[int]) -> None:
         """Install the bootstrap member list (initial deployment)."""
         self._members.update(peers)

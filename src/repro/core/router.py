@@ -42,6 +42,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.errors import BadRequest, KhazanaError
 from repro.net.message import Message, MessageType, wire_label
 from repro.core.region import RegionDescriptor
 
@@ -230,6 +231,13 @@ class MessageRouter:
         (``DaemonStats.dispatch_cpu``; a spawned handler task counts up
         to its first wait).
 
+        A handler that raises is logged and its request NAK'd, as
+        :meth:`NodeKernel.spawn_handler` does for a failed task: with
+        the error's code, or ``bad_request`` for anything but a
+        :class:`KhazanaError`; a request it already answered keeps that
+        answer.  The NAK is cached like any reply, so a retransmit gets
+        it again instead of being dropped as in progress.
+
         The chain list is read live so tests (and future middleware)
         can insert stages after construction.
         """
@@ -242,7 +250,18 @@ class MessageRouter:
                 return
             interceptors[index].handle(msg, route, lambda: run(index + 1))
 
-        run(0)
+        try:
+            run(0)
+        except Exception as error:
+            logger.exception("node %d: handler for %s from %d failed",
+                             self.kernel.node_id, msg.msg_type.value, msg.src)
+            if (msg.request_id is not None
+                    and self.reply_cache.get((msg.src, msg.request_id)) is None):
+                self.kernel.stats.requests_rejected += 1
+                if isinstance(error, KhazanaError):
+                    self.reply_error(msg, error.code, str(error))
+                else:
+                    self.reply_error(msg, BadRequest.code, repr(error))
         spent = self.kernel.stats.dispatch_cpu.setdefault(msg.msg_type.value,
                                                           [0, 0])
         spent[0] += 1

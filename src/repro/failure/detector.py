@@ -83,9 +83,6 @@ class FailureDetector:
         if node_id != self.rpc.node_id and node_id not in self._peers:
             self._peers[node_id] = PeerHealth(node_id=node_id)
 
-    def remove_peer(self, node_id: int) -> None:
-        self._peers.pop(node_id, None)
-
     def set_focus(self, peers: Optional[List[int]]) -> None:
         """Restrict active pinging to ``peers`` (ring-successor-style:
         each member watches only its few ring successors, so liveness

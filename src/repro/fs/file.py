@@ -38,10 +38,6 @@ class KFile:
     # --- Introspection -----------------------------------------------------
 
     @property
-    def inode_address(self) -> int:
-        return self._inode.address
-
-    @property
     def size(self) -> int:
         return 0 if self._replace else self._inode.size
 

@@ -63,9 +63,6 @@ class Inode:
     def is_dir(self) -> bool:
         return self.file_type is FileType.DIRECTORY
 
-    def block_index_for(self, offset: int) -> int:
-        return offset // BLOCK_SIZE
-
     def blocks_needed(self, size: int) -> int:
         return -(-size // BLOCK_SIZE)
 

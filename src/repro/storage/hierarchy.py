@@ -77,12 +77,6 @@ class StorageHierarchy:
         )
         self.stats = StorageStats()
 
-    def set_pin_check(self, is_pinned: PinCheck) -> None:
-        self._is_pinned = is_pinned
-
-    def set_evict_callback(self, on_disk_evict: EvictionCallback) -> None:
-        self._on_disk_evict = on_disk_evict
-
     # --- Lookup ------------------------------------------------------------
 
     def load(self, address: int) -> Tuple[Optional[StoredPage], float]:

@@ -101,11 +101,3 @@ class MetadataJournal:
             return None
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-
-    def wipe(self) -> None:
-        """Remove the journal files (used when a region is torn down
-        everywhere and tests want a clean slate)."""
-        for name in (REGIONS_FILE, PAGEDIR_FILE):
-            path = os.path.join(self.directory, name)
-            if os.path.exists(path):
-                os.remove(path)

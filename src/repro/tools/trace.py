@@ -9,7 +9,7 @@ consistency protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.net.message import Message, MessageType, wire_label
 
@@ -83,9 +83,6 @@ class MessageTrace:
     def between(self, src: int, dst: int) -> List[TracedMessage]:
         return [e for e in self.events
                 if e.message.src == src and e.message.dst == dst]
-
-    def filter(self, predicate: Callable[[Message], bool]) -> List[TracedMessage]:
-        return [e for e in self.events if predicate(e.message)]
 
     def by_engine_op(self) -> Dict[str, int]:
         """Counts grouped by the protocol-engine operation each wire

@@ -5,6 +5,7 @@ import pytest
 from repro.api import create_cluster
 from repro.core.attributes import RegionAttributes
 from repro.core.errors import LockDenied
+from repro.net.message import MessageType
 
 
 def make_region(cluster, node=1, payload=b"mobile"):
@@ -112,6 +113,40 @@ class TestDisconnectedOperation:
         cluster.run(6.0)
         page = cluster.daemon(3).storage.peek(desc.rid)
         assert page is not None and page.data[:3] == b"new"
+
+
+class TestEviction:
+    def test_disk_eviction_pushes_the_stamped_replica_home(self, cluster):
+        """A dirty replica leaving node 3's storage goes home once more
+        with its stamp; the home keeps the newer stamp (last writer
+        wins), and node 3 forgets the page's stamp and state."""
+        _kz1, desc = make_region(cluster, payload=b"base")
+        kz3 = cluster.client(node=3)
+        kz3.read_at(desc.rid, 4)
+        cluster.partition({0, 1}, {2, 3})
+        kz3.write_at(desc.rid, b"evicted")   # the gossip cannot land
+        cluster.heal()
+        daemon = cluster.daemon(3)
+        cm3 = daemon.consistency_manager("mobile")
+        home = cluster.daemon(desc.primary_home)
+        home_cm = home.consistency_manager("mobile")
+        stamp = cm3._stamps[desc.rid]
+        assert home_cm._stamps[desc.rid] < stamp
+        page = daemon.storage.peek(desc.rid)
+        assert page is not None and page.dirty
+
+        pushes = []
+        cluster.network.tap(
+            lambda m: m.msg_type is MessageType.UPDATE_PUSH and m.src == 3
+            and m.request_id is not None and pushes.append(m))
+        assert daemon.data.on_disk_evict(page)
+        cluster.run(1.0)
+        assert [[u["stamp"] for u in m.payload["updates"]]
+                for m in pushes] == [[list(stamp)]]
+        assert home_cm._stamps[desc.rid] == stamp
+        assert home.storage.peek(desc.rid).data[:7] == b"evicted"
+        assert desc.rid not in cm3._stamps
+        assert desc.rid not in cm3.page_state
 
 
 class TestConvergenceProperty:

@@ -6,8 +6,12 @@ inherits, tested directly against hand-crafted messages rather than
 through full client operations.
 """
 
+import asyncio
+import time
+
 import pytest
 
+from repro.api import create_cluster
 from repro.core.router import (
     Interceptor,
     REPLY_CACHE_BYTES,
@@ -16,6 +20,8 @@ from repro.core.router import (
 )
 from repro.net.message import Message, MessageType
 from repro.net.rpc import RemoteError
+from repro.tools.cluster import node_config
+from tests.test_session_driver import tcp_sessions  # noqa: F401  (fixture)
 
 
 class Recorder(Interceptor):
@@ -281,3 +287,62 @@ class TestErrorReplyClassification:
         with pytest.raises(RemoteError) as info:
             cluster.driver.wait(future)
         assert info.value.code == "khazana_error"
+
+
+#: A request id far above any a node's own RPC endpoint reaches.
+BAD_LOOKUP = 1 << 40
+
+
+def _lookups(sessions, settle):
+    """Node 0 sends node 1 a ``region_lookup`` with no address, the
+    same request again (a retransmit), then a valid lookup of a region
+    node 1 homes; returns node 1's answers and its kernel."""
+    home = sessions[1].daemon
+    desc = sessions[1].reserve(4096)
+    answers = []
+    home.network.tap(lambda m: m.src == 1 and m.dst == 0
+                     and m.reply_to in (BAD_LOOKUP, BAD_LOOKUP + 1)
+                     and answers.append(m))
+    sends = ((BAD_LOOKUP, {}), (BAD_LOOKUP, {}),
+             (BAD_LOOKUP + 1, {"address": desc.rid}))
+    for count, (request_id, payload) in enumerate(sends, start=1):
+        sessions[0].daemon.network.send(Message(
+            MessageType.REGION_LOOKUP, src=0, dst=1,
+            request_id=request_id, payload=payload))
+        settle(lambda: len(answers) >= count)
+    return answers, home, desc
+
+
+class TestHandlerFailure:
+    """A synchronous handler that raises NAKs its request on both
+    runtimes: the NAK is cached for retransmits, and the node goes on
+    serving."""
+
+    def _check(self, answers, home, desc):
+        assert [m.msg_type for m in answers] == [
+            MessageType.ERROR, MessageType.ERROR,
+            MessageType.REGION_LOOKUP_REPLY]
+        assert answers[0].payload["code"] == "bad_request"
+        assert answers[1].payload == answers[0].payload
+        assert answers[2].payload["descriptor"]["start"] == desc.rid
+        assert home.router.reply_cache[(0, BAD_LOOKUP)] is not None
+        assert home.stats.requests_rejected == 1
+
+    def test_sim(self):
+        cluster = create_cluster(num_nodes=2, config=node_config())
+        try:
+            sessions = [cluster.client(node=0), cluster.client(node=1)]
+            self._check(*_lookups(sessions, lambda _done: cluster.run(0.1)))
+        finally:
+            cluster.shutdown()
+
+    def test_asyncio(self, tcp_sessions):  # noqa: F811
+        sessions, _entered = tcp_sessions
+        loop = sessions[0].driver.runtime.loop
+
+        def settle(done):
+            deadline = time.monotonic() + 5.0
+            while not done() and time.monotonic() < deadline:
+                loop.run_until_complete(asyncio.sleep(0.01))
+
+        self._check(*_lookups(sessions, settle))
