@@ -250,8 +250,11 @@ class MobileManager(ConsistencyManager):
             homed=self.host.node_id in desc.home_nodes)
 
     def _apply_gossip(self, desc: RegionDescriptor, page_addr: int,
-                      data: bytes, incoming: Stamp, src: int) -> None:
-        """LWW-apply one gossiped page version."""
+                      data: bytes, incoming: Stamp, src: int,
+                      teach: bool) -> None:
+        """LWW-apply one pushed page version; ``teach`` answers an
+        older one with ours (one-way gossip only: a request-type push
+        is an eviction, and its sender is dropping the page)."""
         self._rids[page_addr] = desc.rid
         self._descs[desc.rid] = desc
         entry = self.host.page_directory.ensure(
@@ -263,7 +266,7 @@ class MobileManager(ConsistencyManager):
         local = self._stamps.get(page_addr, (0, -1))
 
         if incoming <= local:
-            if incoming < local:
+            if teach and incoming < local:
                 # Anti-entropy runs both ways: teach the sender.
                 self._gossip_page(desc, page_addr, targets=[src])
             return
@@ -291,7 +294,8 @@ class MobileManager(ConsistencyManager):
         for update in msg.payload["updates"]:
             incoming: Stamp = tuple(int(x) for x in update["stamp"])
             self._apply_gossip(
-                desc, int(update["page"]), update["data"], incoming, msg.src
+                desc, int(update["page"]), update["data"], incoming, msg.src,
+                teach=msg.request_id is None,
             )
         if msg.request_id is not None:
             self.engine.reply(msg, MessageType.UPDATE_ACK, {})

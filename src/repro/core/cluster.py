@@ -183,7 +183,7 @@ class ClusterManagerRole:
         existing = self._region_hints.get(descriptor.rid)
         if existing is not None:
             known, nodes = existing
-            if descriptor.version >= known.version:
+            if descriptor.supersedes(known):
                 known = descriptor
             nodes.add(node_id)
         else:

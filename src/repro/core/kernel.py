@@ -529,7 +529,7 @@ class NodeKernel:
         self.region_directory.insert(desc)
         if self.node_id in desc.home_nodes:
             known = self.homed_regions.get(desc.rid)
-            if known is None or desc.version >= known.version:
+            if known is None or desc.supersedes(known):
                 self.homed_regions[desc.rid] = desc
         else:
             was_home = self.homed_regions.pop(desc.rid, None) is not None

@@ -92,13 +92,14 @@ class MigrationAdvisor:
         self._traffic.pop(rid, None)
 
     def propose_rehome(self, desc: Any, target: int) -> bool:
-        """Start a placement-driven migration of ``desc`` to ``target``.
+        """Start a migration of ``desc`` to ``target``.
 
         Ring placement calls this on membership change for regions
-        whose director moved; the same guards as the load-aware policy
-        apply (one migration per region at a time, never to self or a
-        dead node, only from the current primary).  Returns True when
-        a migration task was actually started.
+        whose director moved, and :meth:`tick` for a region with a
+        dominant remote user.  Guards: one migration per region at a
+        time, never to self or a dead node, only from the current
+        primary.  Returns True when a migration task was actually
+        started.
         """
         rid = desc.rid
         if rid in self._migrating or target == self.daemon.node_id:
@@ -130,24 +131,6 @@ class MigrationAdvisor:
             if desc is None or desc.primary_home != self.daemon.node_id:
                 self._traffic.pop(rid, None)
                 continue
-            if rid in self._migrating:
-                continue
             target = traffic.dominant()
-            if target is None or target == self.daemon.node_id:
-                continue
-            if not self.daemon.detector.is_alive(target):
-                continue
-            self._migrating.add(rid)
-            self.migrations_started += 1
-            outcome = self.daemon.spawn(
-                self.daemon.space.migrate_region_local(desc, target),
-                label=f"auto-migrate:{rid:#x}",
-            )
-
-            def done(future: Future, rid=rid) -> None:
-                self._migrating.discard(rid)
-                self._traffic.pop(rid, None)
-                if future.exception() is None:
-                    self.migrations_completed += 1
-
-            outcome.add_callback(done)
+            if target is not None:
+                self.propose_rehome(desc, target)

@@ -330,7 +330,7 @@ class HashRingPlacement(PlacementStrategy):
             if table is None:
                 table = self._directed[bucket] = {}
             known = table.get(desc.rid)
-            if known is None or desc.version >= known.version:
+            if known is None or desc.supersedes(known):
                 table[desc.rid] = desc
 
     # ------------------------------------------------------------------

@@ -111,6 +111,12 @@ class RegionDescriptor:
             self, range=new_range, version=next(_version_counter)
         )
 
+    def supersedes(self, other: "RegionDescriptor") -> bool:
+        """Whether this descriptor replaces ``other``, an earlier-held
+        descriptor of the same region: it is at least as new.  Every
+        descriptor cache orders copies by this one rule."""
+        return self.version >= other.version
+
     # --- Wire form -----------------------------------------------------------
 
     def to_wire(self) -> Dict[str, object]:

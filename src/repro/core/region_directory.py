@@ -83,11 +83,11 @@ class RegionDirectory:
         """Cache a descriptor, keeping only the newest version seen."""
         rid = descriptor.rid
         if rid in self._pinned:
-            if descriptor.version >= self._pinned[rid].version:
+            if descriptor.supersedes(self._pinned[rid]):
                 self._pinned[rid] = descriptor
             return
         existing = self._cache.get(rid)
-        if existing is not None and existing.version > descriptor.version:
+        if existing is not None and not descriptor.supersedes(existing):
             self._cache.move_to_end(rid)
             return
         for stale in self._ranges.add(rid, descriptor.range.end):

@@ -10,9 +10,8 @@ free, unreserve, migration, and replica creation.
 
 from __future__ import annotations
 
-import logging
-
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator,
+                    Iterable, List, Optional)
 
 from repro.core.addressing import AddressRange
 from repro.core.allocator import DEFAULT_CHUNK_SIZE
@@ -31,14 +30,12 @@ from repro.core.region import RegionDescriptor
 from repro.core.security import Right, SYSTEM_PRINCIPAL
 from repro.net.message import Message, MessageType
 from repro.net.rpc import RemoteError, RetryPolicy, RpcTimeout
-from repro.net.tasks import Future
+from repro.net.tasks import Future, gather_settled
 
 if TYPE_CHECKING:
     from repro.core.kernel import NodeKernel
 
 ProtocolGen = Generator[Future, Any, Any]
-
-logger = logging.getLogger(__name__)
 
 
 class SpaceService:
@@ -79,18 +76,7 @@ class SpaceService:
             range=carved, attrs=attrs, home_nodes=homes, allocated=False
         )
         yield from kernel.address_map.reserve(carved, homes)
-        kernel.adopt_descriptor(desc)
-        for home in homes:
-            if home == kernel.node_id:
-                continue
-            kernel.rpc.send(
-                Message(
-                    msg_type=MessageType.DESCRIPTOR_UPDATE,
-                    src=kernel.node_id,
-                    dst=home,
-                    payload={"descriptor": desc.to_wire()},
-                )
-            )
+        self.publish(desc, homes)
         kernel.placement.advertise_caching(desc)
         return desc
 
@@ -128,11 +114,7 @@ class SpaceService:
         """Release a region and reclaim its storage (release-type)."""
         kernel = self.kernel
         kernel.stats.bump("unreserve")
-        desc = yield from kernel.placement.locate_region(rid)
-        if desc.rid != rid:
-            raise InvalidRange(
-                f"{rid:#x} is inside region {desc.rid:#x}, not its start"
-            )
+        desc = yield from self._locate_start(rid)
         live_ctx = kernel.data.region_in_use(rid)
         if live_ctx is not None:
             raise RegionInUse(
@@ -144,20 +126,40 @@ class SpaceService:
             lambda: kernel.address_map.release(desc.range),
             label=f"unreserve-map:{rid:#x}",
         )
-        for home in desc.home_nodes:
-            if home == kernel.node_id:
-                continue
-            payload = {"rid": rid}
-            kernel.retry_queue.enqueue(
-                lambda home=home, payload=payload: self._request_once(
-                    home, MessageType.REGION_UNRESERVE, payload
-                ),
-                label=f"unreserve:{rid:#x}@{home}",
-            )
+        self._request_at_homes(desc, MessageType.REGION_UNRESERVE,
+                               {"rid": rid}, "unreserve")
         # Home or not, this node forgets what it knew of the region.
         self.teardown_region(rid)
         kernel.placement.note_unreserved(desc)
         return None
+
+    def _locate_start(self, rid: int) -> ProtocolGen:
+        """The region that starts at ``rid``; an address inside a
+        region but not at its start is an :class:`InvalidRange`."""
+        desc = yield from self.kernel.placement.locate_region(rid)
+        if desc.rid != rid:
+            raise InvalidRange(
+                f"{rid:#x} is inside region {desc.rid:#x}, not its start"
+            )
+        return desc
+
+    def _request_at_homes(self, desc: RegionDescriptor,
+                          msg_type: MessageType, payload: Dict[str, Any],
+                          label: str,
+                          local: Optional[Callable[[], None]] = None) -> None:
+        """Send a release-type request to every home of ``desc`` (run
+        ``local`` in this node's turn instead).  Failures retry in the
+        background and never surface (3.5)."""
+        kernel = self.kernel
+        for home in desc.home_nodes:
+            if home != kernel.node_id:
+                kernel.retry_queue.enqueue(
+                    lambda home=home: self._request_once(home, msg_type,
+                                                         payload),
+                    label=f"{label}:{desc.rid:#x}@{home}",
+                )
+            elif local is not None:
+                local()
 
     def _request_once(self, dst: int, msg_type: MessageType,
                       payload: Dict[str, Any]) -> ProtocolGen:
@@ -197,18 +199,7 @@ class SpaceService:
                 raise error_from_code(error.code, error.detail) from error
         if not desc.allocated:
             new_desc = desc.with_allocated(True)
-            kernel.adopt_descriptor(new_desc)
-            for home in desc.home_nodes:
-                if home == kernel.node_id:
-                    continue
-                kernel.rpc.send(
-                    Message(
-                        msg_type=MessageType.DESCRIPTOR_UPDATE,
-                        src=kernel.node_id,
-                        dst=home,
-                        payload={"descriptor": new_desc.to_wire()},
-                    )
-                )
+            self.publish(new_desc, desc.home_nodes)
             # Refresh the cluster manager's hint so later lookups from
             # other nodes see the allocated descriptor.
             kernel.placement.readvertise(new_desc)
@@ -233,18 +224,10 @@ class SpaceService:
         desc = yield from kernel.placement.locate_region(rid)
         if not desc.range.contains_range(subrange):
             raise InvalidRange(f"{subrange} not inside region {desc.range}")
-        payload = {"rid": rid, "start": subrange.start,
-                   "length": subrange.length}
-        for home in desc.home_nodes:
-            if home == kernel.node_id:
-                self._free_local(desc, subrange)
-                continue
-            kernel.retry_queue.enqueue(
-                lambda home=home: self._request_once(
-                    home, MessageType.FREE_REQUEST, payload
-                ),
-                label=f"free:{rid:#x}@{home}",
-            )
+        self._request_at_homes(
+            desc, MessageType.FREE_REQUEST,
+            {"rid": rid, "start": subrange.start, "length": subrange.length},
+            "free", local=lambda: self._free_local(desc, subrange))
         return None
 
     def _free_local(self, desc: RegionDescriptor,
@@ -268,11 +251,7 @@ class SpaceService:
         """
         kernel = self.kernel
         kernel.stats.bump("resize")
-        desc = yield from kernel.placement.locate_region(rid)
-        if desc.rid != rid:
-            raise InvalidRange(
-                f"{rid:#x} is inside region {desc.rid:#x}, not its start"
-            )
+        desc = yield from self._locate_start(rid)
         page_size = desc.attrs.page_size
         if new_size <= 0:
             raise InvalidRange(f"size must be positive, got {new_size}")
@@ -288,52 +267,27 @@ class SpaceService:
         old_range = desc.range
         new_range = AddressRange(old_range.start, new_size)
         if new_size > old_range.length:
+            grown = AddressRange.from_bounds(old_range.end, new_range.end)
             yield from kernel.address_map.extend(
                 old_range, new_size, requester=kernel.node_id
             )
             # The growth may have consumed part of this node's own
             # delegated pool; stop offering those addresses.
-            kernel.space_pool.remove_overlap(
-                AddressRange.from_bounds(old_range.end, new_range.end)
-            )
-        else:
-            tail = AddressRange.from_bounds(new_range.end, old_range.end)
-            yield from kernel.address_map.release(tail)
-
-        new_desc = desc.with_range(new_range)
-        kernel.adopt_descriptor(new_desc)
-
-        if new_size > old_range.length:
-            grown = AddressRange.from_bounds(old_range.end, new_range.end)
+            kernel.space_pool.remove_overlap(grown)
+            new_desc = desc.with_range(new_range)
+            kernel.adopt_descriptor(new_desc)   # op_allocate locates it
             yield from self.op_allocate(rid, grown)
         else:
             tail = AddressRange.from_bounds(new_range.end, old_range.end)
-            for home in desc.home_nodes:
-                if home == kernel.node_id:
-                    self._free_local(desc, tail)
-                    continue
-                payload = {"rid": rid, "start": tail.start,
-                           "length": tail.length}
-                kernel.retry_queue.enqueue(
-                    lambda home=home, payload=payload: self._request_once(
-                        home, MessageType.FREE_REQUEST, payload
-                    ),
-                    label=f"shrink:{rid:#x}@{home}",
-                )
-        for home in new_desc.home_nodes:
-            if home == kernel.node_id:
-                continue
-            kernel.rpc.send(
-                Message(
-                    msg_type=MessageType.DESCRIPTOR_UPDATE,
-                    src=kernel.node_id,
-                    dst=home,
-                    payload={"descriptor": new_desc.to_wire()},
-                )
-            )
+            yield from kernel.address_map.release(tail)
+            new_desc = desc.with_range(new_range)
+            self._request_at_homes(
+                desc, MessageType.FREE_REQUEST,
+                {"rid": rid, "start": tail.start, "length": tail.length},
+                "shrink", local=lambda: self._free_local(desc, tail))
+        self.publish(new_desc, new_desc.home_nodes)
         kernel.placement.readvertise(new_desc)
-        final = kernel.homed_regions.get(rid, new_desc)
-        return final
+        return kernel.homed_regions.get(rid, new_desc)
 
     def op_migrate_region(self, rid: int, new_primary: int) -> ProtocolGen:
         """Move a region's primary home to ``new_primary``.
@@ -344,11 +298,7 @@ class SpaceService:
         """
         kernel = self.kernel
         kernel.stats.bump("migrate")
-        desc = yield from kernel.placement.locate_region(rid)
-        if desc.rid != rid:
-            raise InvalidRange(
-                f"{rid:#x} is inside region {desc.rid:#x}, not its start"
-            )
+        desc = yield from self._locate_start(rid)
         if desc.primary_home == new_primary:
             return desc
         if desc.primary_home == kernel.node_id:
@@ -380,25 +330,13 @@ class SpaceService:
         # Keep the home count stable: with min_replicas satisfied, the
         # old primary drops off the end; otherwise it stays as a
         # secondary replica.
-        keep = max(desc.attrs.min_replicas, 1)
-        new_homes = new_homes[:max(keep, 1)]
+        new_homes = new_homes[:desc.attrs.min_replicas]
         new_desc = desc.with_homes(new_homes)
         if new_primary not in desc.home_nodes:
             # The pushes carry the *new* descriptor, so the receiver
             # has adopted its home role by the time they are acked.
             yield from self.push_region_to(new_desc, new_primary)
-        kernel.adopt_descriptor(new_desc)
-        for node in set(new_homes) | set(desc.home_nodes):
-            if node == kernel.node_id:
-                continue
-            kernel.rpc.send(
-                Message(
-                    msg_type=MessageType.DESCRIPTOR_UPDATE,
-                    src=kernel.node_id,
-                    dst=node,
-                    payload={"descriptor": new_desc.to_wire()},
-                )
-            )
+        self.publish(new_desc, set(new_homes) | set(desc.home_nodes))
         kernel.placement.note_migrated(new_desc)
         kernel.retry_queue.enqueue(
             lambda: kernel.address_map.update_homes(new_desc.range,
@@ -408,11 +346,32 @@ class SpaceService:
         kernel.migration_advisor.forget_region(desc.rid)
         return new_desc
 
+    def publish(self, desc: RegionDescriptor,
+                recipients: Iterable[int]) -> None:
+        """Adopt ``desc`` here and send it to each recipient, in order,
+        that is not this node (``DESCRIPTOR_UPDATE``, one-way: peers'
+        descriptors are hints, so a lost copy only delays a refresh)."""
+        kernel = self.kernel
+        kernel.adopt_descriptor(desc)
+        for node in recipients:
+            if node == kernel.node_id:
+                continue
+            kernel.rpc.send(
+                Message(
+                    msg_type=MessageType.DESCRIPTOR_UPDATE,
+                    src=kernel.node_id,
+                    dst=node,
+                    payload={"descriptor": desc.to_wire()},
+                )
+            )
+
     def push_region_to(self, desc: RegionDescriptor,
                        target: int) -> ProtocolGen:
-        """Copy every allocated page of a homed region to ``target``."""
-        from repro.net.tasks import gather_settled
-
+        """Copy every allocated page of a homed region to ``target``,
+        with each page's owner and copyset (``REPLICA_CREATE``, which
+        carries ``desc``).  Raises :class:`NodeUnavailable` unless
+        every page landed, so a caller makes ``target`` a home only
+        once it holds the whole region."""
         kernel = self.kernel
         pushes = []
         for entry in kernel.page_directory.entries_for_region(desc.rid):
@@ -439,7 +398,7 @@ class SpaceService:
                 )
             )
         if pushes:
-            outcomes = yield gather_settled(pushes, label="migrate-push")
+            outcomes = yield gather_settled(pushes, label="region-push")
             failures = [exc for ok, exc in outcomes if not ok]
             if failures:
                 raise NodeUnavailable(
@@ -472,18 +431,7 @@ class SpaceService:
                 "page size is fixed at reserve time and cannot change"
             )
         new_desc = desc.with_attrs(attrs)
-        kernel.adopt_descriptor(new_desc)
-        for home in new_desc.home_nodes:
-            if home == kernel.node_id:
-                continue
-            kernel.rpc.send(
-                Message(
-                    msg_type=MessageType.DESCRIPTOR_UPDATE,
-                    src=kernel.node_id,
-                    dst=home,
-                    payload={"descriptor": new_desc.to_wire()},
-                )
-            )
+        self.publish(new_desc, new_desc.home_nodes)
         return new_desc
 
     # ------------------------------------------------------------------

@@ -14,8 +14,10 @@ This module repairs the invariant after failures:
   publishes a descriptor that lists itself first.
 - **Recruitment** — when fewer than N homes are alive, the acting
   primary recruits replacement nodes, pushes every allocated page to
-  them (REPLICA_CREATE), and publishes an updated descriptor and
-  address-map entry.
+  them (``SpaceService.push_region_to``, as migration does), and
+  publishes an updated descriptor and address-map entry naming only
+  the recruits that acknowledged every page; the rest are tried again
+  on a later tick.
 
 Stale cached descriptors elsewhere still name the dead primary first;
 requesters simply fail over down the home list (every protocol's
@@ -27,13 +29,10 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Set
 
-from repro.net.message import Message, MessageType
-from repro.net.rpc import RetryPolicy
-from repro.net.tasks import Future, gather_settled
+from repro.core.errors import NodeUnavailable
+from repro.net.tasks import Future
 
 ProtocolGen = Generator[Future, Any, Any]
-
-PUSH_POLICY = RetryPolicy(timeout=2.0, retries=1, backoff=2.0)
 
 #: How often each daemon checks its homed regions, in virtual seconds.
 DEFAULT_PERIOD = 2.0
@@ -98,82 +97,38 @@ class ReplicaMaintainer:
         )
 
     def _repair(self, desc: Any, alive_homes: List[int], short: int) -> ProtocolGen:
-        me = self.daemon.node_id
         recruits: List[int] = []
         if short > 0:
             candidates = [
                 node for node in self.daemon.detector.alive_peers()
                 if node not in alive_homes
             ]
-            recruits = candidates[:short]
-            for recruit in recruits:
-                yield from self._push_region_to(desc, recruit)
+            for candidate in candidates[:short]:
+                try:
+                    yield from self.daemon.space.push_region_to(desc,
+                                                                candidate)
+                except NodeUnavailable:
+                    continue   # not a home without every page; next tick
+                recruits.append(candidate)
 
-        new_homes = tuple(
-            [me]
-            + [h for h in alive_homes if h != me]
-            + recruits
-        )
-        if new_homes == desc.home_nodes and not recruits:
+        new_homes = tuple(alive_homes + recruits)   # led by this node
+        if new_homes == desc.home_nodes:
             return
-        if desc.primary_home != me:
+        if desc.primary_home != self.daemon.node_id:
             self.promotions += 1
         new_desc = desc.with_homes(new_homes)
-        self.daemon.adopt_descriptor(new_desc)
         self.repairs_completed += 1
 
-        # Publish: peers' directories and the address map learn the new
-        # home list.  Both are hint layers — failure here only delays
-        # rediscovery — so errors are swallowed by the retry queue.
-        for node in new_homes:
-            if node == me:
-                continue
-            self.daemon.rpc.send(
-                Message(
-                    msg_type=MessageType.DESCRIPTOR_UPDATE,
-                    src=me,
-                    dst=node,
-                    payload={"descriptor": new_desc.to_wire()},
-                )
-            )
+        # Publish: peers' directories, the cluster manager's hints and
+        # the address map learn the new home list.  All are hint
+        # layers — failure here only delays rediscovery — so errors
+        # are swallowed by the retry queue.
         manager = self.daemon.cluster_manager_node
-        if manager is not None and manager != me:
-            self.daemon.rpc.send(
-                Message(
-                    msg_type=MessageType.DESCRIPTOR_UPDATE,
-                    src=me,
-                    dst=manager,
-                    payload={"descriptor": new_desc.to_wire()},
-                )
-            )
+        self.daemon.space.publish(
+            new_desc, new_homes + ((manager,) if manager is not None else ()))
         self.daemon.retry_queue.enqueue(
             lambda: self.daemon.address_map.update_homes(
                 new_desc.range, new_homes
             ),
             label=f"map-homes:{desc.rid:#x}",
         )
-
-    def _push_region_to(self, desc: Any, recruit: int) -> ProtocolGen:
-        """Copy every allocated page of ``desc`` to ``recruit``."""
-        pushes = []
-        for entry in self.daemon.page_directory.entries_for_region(desc.rid):
-            if not entry.allocated:
-                continue
-            data = yield from self.daemon.local_page_bytes(desc, entry.address)
-            if data is None:
-                continue
-            pushes.append(
-                self.daemon.rpc.request(
-                    recruit,
-                    MessageType.REPLICA_CREATE,
-                    {
-                        "rid": desc.rid,
-                        "page": entry.address,
-                        "data": data,
-                        "descriptor": desc.to_wire(),
-                    },
-                    policy=PUSH_POLICY,
-                )
-            )
-        if pushes:
-            yield gather_settled(pushes, label="replica-push")

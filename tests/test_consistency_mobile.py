@@ -149,6 +149,36 @@ class TestEviction:
         assert desc.rid not in cm3.page_state
 
 
+    def test_eviction_behind_the_home_stays_evicted(self, cluster):
+        """A dirty replica evicted with a stamp older than the home's
+        is not sent back: the home keeps its newer version and node 3,
+        unregistered from the copyset, holds nothing for the page."""
+        kz1, desc = make_region(cluster, payload=b"base")
+        kz3 = cluster.client(node=3)
+        kz3.read_at(desc.rid, 4)
+        cluster.partition({0, 1}, {2, 3})
+        kz3.write_at(desc.rid, b"behind")
+        kz1.write_at(desc.rid, b"home-1")
+        kz1.write_at(desc.rid, b"home-2")
+        cluster.heal()
+        daemon = cluster.daemon(3)
+        cm3 = daemon.consistency_manager("mobile")
+        home = cluster.daemon(desc.primary_home)
+        home_stamp = home.consistency_manager("mobile")._stamps[desc.rid]
+        assert cm3._stamps[desc.rid] < home_stamp
+        assert daemon.data.on_disk_evict(daemon.storage.peek(desc.rid))
+        daemon.storage.drop(desc.rid)   # the disk's part of an eviction
+        cluster.run(0.3)
+        assert not daemon.storage.contains(desc.rid)
+        assert desc.rid not in cm3._stamps
+        assert desc.rid not in cm3.page_state
+        assert daemon.page_directory.get(desc.rid) is None
+        assert 3 not in home.page_directory.get(desc.rid).sharers
+        assert home.consistency_manager("mobile")._stamps[desc.rid] == \
+            home_stamp
+        assert home.storage.peek(desc.rid).data[:6] == b"home-2"
+
+
 class TestConvergenceProperty:
     def test_many_writers_converge_everywhere(self, cluster):
         kz1, desc = make_region(cluster)

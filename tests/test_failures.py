@@ -8,6 +8,7 @@ from repro.core.attributes import RegionAttributes
 from repro.core.errors import KhazanaError
 from repro.failure.detector import FailureDetector
 from repro.failure.retry import RetryQueue
+from repro.net.message import MessageType
 from repro.net.clock import EventScheduler
 from repro.net.sim import SimNetwork
 from repro.net.rpc import RpcEndpoint
@@ -163,6 +164,42 @@ class TestCrashRecovery:
         assert promoted.primary_home == secondary
         # Replica count restored with a recruit.
         assert len(promoted.home_nodes) >= 2
+
+    def test_repair_publishes_only_recruits_holding_every_page(
+            self, monkeypatch):
+        cluster = create_cluster(num_nodes=6)
+        kz1 = cluster.client(node=1)
+        desc = kz1.reserve(2 * 4096, RegionAttributes(min_replicas=2))
+        kz1.allocate(desc.rid)
+        kz1.write_at(desc.rid, b"x")
+        primary, secondary = desc.home_nodes
+        cluster.run(2.0)
+        # The survivor recruits the first live node that is not a home.
+        recruit = min(n for n in cluster.node_ids()
+                      if n not in desc.home_nodes)
+        send = cluster.network.send
+        dropped = []
+
+        def drop_pushes_to_recruit(msg):
+            if (msg.msg_type is MessageType.REPLICA_CREATE
+                    and msg.dst == recruit):
+                dropped.append(cluster.now)
+                return
+            send(msg)
+
+        monkeypatch.setattr(cluster.network, "send", drop_pushes_to_recruit)
+        cluster.crash(primary)
+        cluster.run(20.0)
+        promoted = cluster.daemon(secondary).homed_regions[desc.rid]
+        assert promoted.home_nodes == (secondary,)
+        assert desc.rid not in cluster.daemon(recruit).homed_regions
+        # Each repair tick tried the recruit again.
+        assert len(set(dropped)) >= 2
+        monkeypatch.setattr(cluster.network, "send", send)
+        cluster.run(10.0)
+        repaired = cluster.daemon(secondary).homed_regions[desc.rid]
+        assert repaired.home_nodes == (secondary, recruit)
+        assert desc.rid in cluster.daemon(recruit).homed_regions
 
     def test_unreplicated_region_lost_with_home(self):
         cluster = create_cluster(num_nodes=4)
