@@ -11,7 +11,8 @@ list *is* the schedule, and feeding it back through a
 Faults are applied at decision points only, from a bounded budget:
 
 - ``loss``      — the chosen delivery is cancelled (message dropped),
-- ``crash``     — the destination node of the chosen delivery crashes,
+- ``crash``     — the destination node of the chosen delivery crashes
+  (:meth:`~repro.api.Cluster.crash`: its kernel stops),
 - ``partition`` — the chosen delivery's link is cut both ways.
 
 Windows with fewer than two deliveries (pure timers, a single
@@ -94,20 +95,18 @@ class ScheduleController:
 
     def __init__(
         self,
-        scheduler: Any,
-        network: Any,
+        cluster: Any,
         strategy: Strategy,
         horizon: float = DEFAULT_HORIZON,
         faults: FaultBudget = FaultBudget(),
     ) -> None:
-        self.scheduler = scheduler
-        self.network = network
+        self.cluster = cluster
+        self.scheduler = cluster.scheduler
         self.strategy = strategy
         self.decisions: List[Decision] = []
-        self.crashed: List[int] = []
         self._allowance = faults.allowance()
-        scheduler.chooser = self._choose
-        scheduler.choice_horizon = horizon
+        self.scheduler.chooser = self._choose
+        self.scheduler.choice_horizon = horizon
 
     def uninstall(self) -> None:
         self.scheduler.chooser = None
@@ -155,11 +154,10 @@ class ScheduleController:
             applied = {"kind": "loss"}
         elif kind == "crash":
             node = int(fault.get("node", dst))
-            self.network.crash(node)
-            self.crashed.append(node)
+            self.cluster.crash(node)
             applied = {"kind": "crash", "node": node}
         elif kind == "partition":
-            self.network.partition({src}, {dst})
+            self.cluster.partition({src}, {dst})
             applied = {"kind": "partition", "src": src, "dst": dst}
         else:
             return None

@@ -127,7 +127,7 @@ class Explorer:
             **self.scenario.cluster_kwargs,
         )
         controller = ScheduleController(
-            cluster.scheduler, cluster.network, strategy,
+            cluster, strategy,
             horizon=config.horizon, faults=config.faults,
         )
         detector = cluster.race_detector
@@ -140,8 +140,8 @@ class Explorer:
             if len(detector.violations) > seen:
                 raise ScheduleViolation(detector.violations[seen])
             alive = [
-                daemon for node, daemon in cluster.daemons.items()
-                if not cluster.network.is_crashed(node)
+                daemon for daemon in cluster.daemons.values()
+                if daemon.alive
             ]
             problems = check_token_ledgers(alive)
             if problems:

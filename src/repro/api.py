@@ -174,15 +174,9 @@ class Cluster:
     # --- Fault injection ---------------------------------------------------------
 
     def crash(self, node: int) -> None:
-        """Crash a node: it stops communicating and loses its RAM."""
-        daemon = self.daemons[node]
-        self.network.crash(node)
-        for address in daemon.storage.memory.addresses():
-            daemon.storage.memory.remove(address)
-
-    def recover(self, node: int) -> None:
-        """Reconnect a previously crashed node (disk state intact)."""
-        self.network.recover(node)
+        """Crash a node: its kernel stops, as a killed process would;
+        a durable node's disk stays for :meth:`restart_node`."""
+        self.daemons[node].stop()
 
     def add_node(self, node: Optional[int] = None) -> NodeKernel:
         """Bring a brand-new node into the running system.
@@ -244,9 +238,7 @@ class Cluster:
         surviving a daemon crash.  Without one, the node comes back
         empty, like a wiped machine rejoining the system.
         """
-        old = self.daemons[node]
-        old.stop()
-        self.network.recover(node)
+        self.daemons[node].stop()
         fresh = NodeKernel(
             node, self.runtime,
             config=self._config_for(node),

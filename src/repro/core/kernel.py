@@ -405,8 +405,12 @@ class NodeKernel:
         self.journal.save_page_entries(self.page_directory)
 
     def stop(self) -> None:
-        """Shut the daemon down (simulating a crash or clean exit)."""
+        """Shut the daemon down (a crash or a clean exit): nothing of
+        this incarnation runs or sends afterwards."""
+        if not self._alive:
+            return
         self._alive = False
+        self.retry_queue.clear()
         self.detector.stop()
         self.replica_maintainer.stop()
         self.rpc.shutdown()

@@ -78,6 +78,10 @@ class RetryQueue:
     def cancel(self, item_id: int) -> bool:
         return self._items.pop(item_id, None) is not None
 
+    def clear(self) -> None:
+        """Drop every item; attempts in flight are not rescheduled."""
+        self._items.clear()
+
     def _attempt(self, item_id: int) -> None:
         item = self._items.get(item_id)
         if item is None:

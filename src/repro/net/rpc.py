@@ -129,7 +129,8 @@ class RpcEndpoint:
 
         The future resolves with the response :class:`Message`; it
         fails with :class:`RemoteError` on a NAK or :class:`RpcTimeout`
-        when retransmissions are exhausted.
+        when retransmissions are exhausted (at once after
+        :meth:`shutdown`).
         """
         message = Message(
             msg_type=msg_type,
@@ -139,6 +140,9 @@ class RpcEndpoint:
             request_id=next(self._request_ids),
         )
         future = Future(label=f"rpc:{msg_type.value}->{dst}")
+        if not self._alive:
+            future.set_exception(RpcTimeout(message, 0))
+            return future
         pending = _Pending(future, message, policy or self.policy)
         self._pending[message.request_id] = pending
         self._transmit(pending)

@@ -7,7 +7,8 @@ simulator models:
   jitter drawn from a seeded RNG, so runs stay reproducible),
 - message loss probability per link,
 - network partitions (bidirectional blackholes between node groups),
-- node crashes (messages to/from a crashed node are dropped).
+- detached nodes (messages to/from a node with no handler are
+  dropped, so a stopped daemon's in-flight traffic dies with it).
 
 Topology presets correspond to the environments the paper targets:
 ``lan`` (the single-cluster prototype), ``wan`` (the slow/intermittent
@@ -215,7 +216,6 @@ class SimNetwork(Transport):
         self._link_rngs: Dict[Tuple[int, int], random.Random] = {}
         self._send_counts: Dict[Tuple[str, int, int], int] = {}
         self._handlers: Dict[int, MessageHandler] = {}
-        self._crashed: Set[int] = set()
         self._partitions: List[Tuple[Set[int], Set[int]]] = []
         self._taps: List[MessageHandler] = []
         self._delivery_taps: List[MessageHandler] = []
@@ -224,7 +224,6 @@ class SimNetwork(Transport):
 
     def attach(self, node_id: int, handler: MessageHandler) -> None:
         self._handlers[node_id] = handler
-        self._crashed.discard(node_id)
 
     def detach(self, node_id: int) -> None:
         self._handlers.pop(node_id, None)
@@ -284,17 +283,6 @@ class SimNetwork(Transport):
 
     # --- Fault injection ------------------------------------------------------
 
-    def crash(self, node_id: int) -> None:
-        """Crash a node: in-flight and future messages to/from it drop."""
-        self._crashed.add(node_id)
-
-    def recover(self, node_id: int) -> None:
-        """Let a previously crashed node communicate again."""
-        self._crashed.discard(node_id)
-
-    def is_crashed(self, node_id: int) -> bool:
-        return node_id in self._crashed
-
     def partition(self, group_a: Set[int], group_b: Set[int]) -> None:
         """Blackhole all traffic between the two node groups."""
         self._partitions.append((set(group_a), set(group_b)))
@@ -307,7 +295,7 @@ class SimNetwork(Transport):
         self._taps.append(handler)
 
     def tap_delivery(self, handler: MessageHandler) -> None:
-        """Observe every *delivered* message, after loss/crash/partition
+        """Observe every *delivered* message, after loss/detach/partition
         filtering — the receive-side counterpart of :meth:`tap`, used
         by the race detector to order events (happens-before)."""
         self._delivery_taps.append(handler)
@@ -315,7 +303,7 @@ class SimNetwork(Transport):
     # --- Internals -------------------------------------------------------------
 
     def _deliverable(self, src: int, dst: int) -> bool:
-        if src in self._crashed or dst in self._crashed:
+        if src not in self._handlers or dst not in self._handlers:
             return False
         for group_a, group_b in self._partitions:
             if (src in group_a and dst in group_b) or (
@@ -325,16 +313,12 @@ class SimNetwork(Transport):
         return True
 
     def _deliver(self, message: Message) -> None:
-        # Re-check at delivery time: a crash or partition that happened
-        # while the message was in flight still destroys it.
+        # Re-check at delivery time: a detach or partition that
+        # happened while the message was in flight still destroys it.
         if not self._deliverable(message.src, message.dst):
-            self.stats.messages_dropped += 1
-            return
-        handler = self._handlers.get(message.dst)
-        if handler is None:
             self.stats.messages_dropped += 1
             return
         self.stats.messages_delivered += 1
         for tap in self._delivery_taps:
             tap(message)
-        handler(message)
+        self._handlers[message.dst](message)

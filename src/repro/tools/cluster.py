@@ -156,7 +156,7 @@ def build_node(
 # ---------------------------------------------------------------------------
 #
 # fsck inspects a quiesced cluster through a narrow duck type —
-# daemon(n) / node_ids() / network.is_crashed(n) plus each daemon's
+# daemon(n) / node_ids() plus each daemon's alive flag,
 # homed_regions, page_directory.homed_entries() and storage levels.
 # Each daemon process serialises exactly that surface into a plain
 # dict; the launcher reassembles the dicts into a SnapshotCluster and
@@ -248,6 +248,9 @@ class _SnapshotDirectory:
 
 
 class _SnapshotDaemon:
+    #: A snapshot is only taken from a daemon that answered.
+    alive = True
+
     def __init__(self, raw: Dict[str, Any]) -> None:
         self.node_id = raw["node"]
         self.homed_regions = {
@@ -261,12 +264,6 @@ class _SnapshotDaemon:
         self.storage = _SnapshotStorage(raw["storage"])
 
 
-class _NoFailures:
-    @staticmethod
-    def is_crashed(node_id: int) -> bool:
-        return False
-
-
 class SnapshotCluster:
     """The cluster duck type fsck expects, over per-node snapshots."""
 
@@ -274,7 +271,6 @@ class SnapshotCluster:
         self._daemons = {
             raw["node"]: _SnapshotDaemon(raw) for raw in snapshots
         }
-        self.network = _NoFailures()
 
     def node_ids(self) -> List[int]:
         return sorted(self._daemons)

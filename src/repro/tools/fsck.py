@@ -107,7 +107,7 @@ def check_cluster(cluster, strict: bool = False) -> FsckReport:
 def _check_strict_invariants(cluster, report: FsckReport) -> None:
     live = [
         cluster.daemon(node) for node in cluster.node_ids()
-        if not cluster.network.is_crashed(node)
+        if cluster.daemon(node).alive
     ]
     for problem in invariants.check_pin_balance(live):
         report.error(f"strict: {problem}")
@@ -184,7 +184,7 @@ def _check_reservations(cluster, entries: List[Any],
         report.checked_regions += 1
         homes_alive = [
             n for n in entry.home_nodes
-            if n in cluster.node_ids() and not cluster.network.is_crashed(n)
+            if n in cluster.node_ids() and cluster.daemon(n).alive
         ]
         actual = homed_anywhere.get(rid, set())
         if not actual:
@@ -247,9 +247,9 @@ def _check_copysets(cluster, report: FsckReport) -> None:
                         f"node {sharer}"
                     )
                     continue
-                if cluster.network.is_crashed(sharer):
-                    continue   # detector will scrub it; not an error
                 peer = cluster.daemon(sharer)
+                if not peer.alive:
+                    continue   # detector will scrub it; not an error
                 if not peer.storage.contains(entry.address):
                     report.error(
                         f"page {entry.address:#x}: home {node} lists node "

@@ -63,21 +63,43 @@ class TestSimulationControl:
         desc = kz.reserve(4096)
         assert cluster.now >= 0.01   # settle ran
 
-    def test_crash_wipes_ram_not_disk(self):
-        cluster = create_cluster(num_nodes=2)
+    def test_crash_stops_the_kernel_not_disk(self, tmp_path):
+        """A crash is a process kill: the kernel stops, sends nothing
+        and writes no checkpoint, and its page log stays for a restart."""
+        import os
+
+        from repro.storage.persistence import REGIONS_FILE
+
+        cluster = create_cluster(num_nodes=2, config=DaemonConfig(
+            spill_dir=str(tmp_path / "spill")))
         kz = cluster.client(node=1)
         desc = kz.reserve(4096)
         kz.allocate(desc.rid)
-        kz.write_at(desc.rid, b"x")
+        kz.write_at(desc.rid, b"on-disk")
         daemon = cluster.daemon(1)
-        # Force the page onto disk as well.
-        from repro.storage.store import StoredPage
+        assert desc.home_nodes == (1,)
+        assert cluster.now < 1.0   # before the first checkpoint tick
+        regions = os.path.join(daemon.journal.directory, REGIONS_FILE)
 
-        page = daemon.storage.peek(desc.rid)
-        daemon.storage.disk.put(StoredPage(desc.rid, page.data))
+        def journal():
+            if not os.path.exists(regions):
+                return None
+            with open(regions, encoding="utf-8") as fh:
+                return fh.read()
+
+        at_crash = journal()
+        sent = []
+        cluster.network.tap(
+            lambda m: sent.append(m) if m.src == 1 else None)
         cluster.crash(1)
-        assert daemon.storage.memory.used_bytes() == 0
-        assert daemon.storage.disk.contains(desc.rid)
+        assert not daemon.alive
+        cluster.run(3.0)
+        assert sent == []
+        assert journal() == at_crash
+
+        fresh = cluster.restart_node(1)
+        assert fresh.storage.peek(desc.rid).data[:7] == b"on-disk"
+        cluster.shutdown()
 
     def test_partition_and_heal_surface(self):
         cluster = create_cluster(num_nodes=4)

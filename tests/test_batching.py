@@ -63,7 +63,7 @@ class TestCrashedHomeFallback:
         writer = cluster.client(node=2)
         ctx = writer.lock(desc.rid, 4 * PAGE, LockMode.WRITE)
         writer.write(ctx, desc.rid, b"d" * (4 * PAGE))
-        cluster.crash(1)
+        cluster.partition({1}, set(cluster.node_ids()) - {1})
         writer.unlock(ctx)   # batch push fails; never raises
 
         queue = cluster.daemon(2).retry_queue
@@ -71,7 +71,7 @@ class TestCrashedHomeFallback:
         assert any(label.startswith("release-token:")
                    for label in queue.labels())
 
-        cluster.recover(1)
+        cluster.heal()
         cluster.run(120.0)   # background retries drain per page
         assert queue.pending == 0
         assert cluster.client(node=3).read_at(desc.rid, 4) == b"dddd"
@@ -86,7 +86,7 @@ class TestCrashedHomeFallback:
         writer = cluster.client(node=2)
         ctx = writer.lock(desc.rid, 4 * PAGE, LockMode.WRITE)
         writer.write(ctx, desc.rid, b"e" * (4 * PAGE))
-        cluster.crash(1)
+        cluster.partition({1}, set(cluster.node_ids()) - {1})
         writer.unlock(ctx)
 
         queue = cluster.daemon(2).retry_queue
@@ -94,7 +94,7 @@ class TestCrashedHomeFallback:
         assert any(label.startswith("eventual-push:")
                    for label in queue.labels())
 
-        cluster.recover(1)
+        cluster.heal()
         cluster.run(120.0)
         assert queue.pending == 0
         cluster.run(5.0)   # node 3's refresh window expires

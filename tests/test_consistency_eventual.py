@@ -107,11 +107,11 @@ class TestAvailability:
         kz1.write_at(desc.rid, b"before")
         kz3 = cluster.client(node=3)
         kz3.read_at(desc.rid, 6)
-        cluster.crash(1)
+        cluster.partition({1}, set(cluster.node_ids()) - {1})
         cluster.run(0.5)
         kz3.write_at(desc.rid, b"during")   # push will fail, queue
         assert kz3.read_at(desc.rid, 6) == b"during"   # local view
-        cluster.recover(1)
+        cluster.heal()
         cluster.run(40.0)   # background retry drains
         page = cluster.daemon(1).storage.peek(desc.rid)
         assert page is not None and page.data[:6] == b"during"

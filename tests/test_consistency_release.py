@@ -205,12 +205,13 @@ class TestBackgroundRetry:
         writer = cluster.client(node=2)
         ctx = writer.lock(desc.rid, 4096, LockMode.WRITE)
         writer.write(ctx, desc.rid, b"w" * 4096)
-        cluster.crash(desc.primary_home)
+        home = desc.primary_home
+        cluster.partition({home}, set(cluster.node_ids()) - {home})
         writer.unlock(ctx)   # the push fails; never raises
 
         daemon = cluster.daemon(2)
         assert daemon.retry_queue.pending >= 1
-        cluster.recover(desc.primary_home)
+        cluster.heal()
         cluster.run(120.0)   # the background retry lands
         assert daemon.retry_queue.pending == 0
         page = daemon.storage.peek(desc.rid)

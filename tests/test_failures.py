@@ -4,8 +4,10 @@ failure detection, replica maintenance, home failover."""
 import pytest
 
 from repro.api import create_cluster
-from repro.core.attributes import RegionAttributes
+from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.errors import KhazanaError
+from repro.core.kernel import DaemonConfig
+from repro.core.locks import LockMode
 from repro.failure.detector import FailureDetector
 from repro.failure.retry import RetryQueue
 from repro.net.message import MessageType
@@ -110,11 +112,11 @@ class TestDetector:
         det.on_recovery(recoveries.append)
         det.start()
         sched.run_until(2.0)
-        net.crash(2)
+        net.partition({1}, {2})
         sched.run_until(10.0)
         assert deaths == [2]
         assert det.dead_peers() == [2]
-        net.recover(2)
+        net.heal_partitions()
         sched.run_until(20.0)
         assert recoveries == [2]
         assert det.alive_peers() == [2]
@@ -220,9 +222,38 @@ class TestCrashRecovery:
         kz2.allocate(desc.rid)
         # Unreserve succeeds at the client even while the map home is
         # briefly unreachable; the map update retries in background.
-        cluster.crash(0)
+        cluster.partition({0}, {1, 2, 3})
         kz2.unreserve(desc.rid)   # must not raise (release-type)
         assert cluster.daemon(2).retry_queue.pending >= 1
-        cluster.recover(0)
+        cluster.heal()
         cluster.run(120.0)
         assert cluster.daemon(2).retry_queue.pending == 0
+
+    def test_a_replaced_incarnation_sends_nothing(self):
+        """A crash ends the old kernel's background retries: after a
+        restart, only the fresh incarnation speaks for the node."""
+        cluster = create_cluster(
+            num_nodes=4, config=DaemonConfig(enable_failure_handling=False))
+        owner = cluster.client(node=1)
+        desc = owner.reserve(4096, RegionAttributes(
+            consistency_level=ConsistencyLevel.RELEASE))
+        owner.allocate(desc.rid)
+        writer = cluster.client(node=2)
+        ctx = writer.lock(desc.rid, 4096, LockMode.WRITE)
+        writer.write(ctx, desc.rid, b"w" * 4096)
+        cluster.partition({1}, {0, 2, 3})
+        writer.unlock(ctx)   # the push to the home is retry-queued
+        old = cluster.daemon(2)
+        assert old.retry_queue.pending == 1
+
+        cluster.crash(2)
+        cluster.restart_node(2)
+        pushes = []
+        cluster.network.tap(
+            lambda m: pushes.append(m)
+            if m.src == 2 and m.msg_type is MessageType.UPDATE_PUSH
+            else None)
+        cluster.heal()
+        cluster.run(200.0)
+        assert old.retry_queue.pending == 0
+        assert pushes == []   # the fresh node has nothing to push

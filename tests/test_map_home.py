@@ -114,9 +114,9 @@ class TestResidentTree:
                                                               cluster):
         kz1 = cluster.client(node=1)
         old = kz1.reserve(PAGE)
-        cluster.crash(0)
+        cluster.partition({0}, set(cluster.node_ids()) - {0})
         cluster.run(1.0)
-        cluster.recover(0)
+        cluster.heal()
         assert_resident_matches_store(cluster.daemon(0))
         new = kz1.reserve(PAGE)
         assert not new.range.overlaps(old.range)

@@ -26,10 +26,10 @@ MESSAGES_SENT = {
     ("tiered", "conflicting_writers", "release"): 820,
     ("tiered", "conflicting_writers", "eventual"): 819,
     ("tiered", "conflicting_writers", "mobile"): 884,
-    ("tiered", "failure_mid_acquire", "crew"): 5571,
-    ("tiered", "failure_mid_acquire", "release"): 5569,
-    ("tiered", "failure_mid_acquire", "eventual"): 920,
-    ("tiered", "failure_mid_acquire", "mobile"): 599,
+    ("tiered", "failure_mid_acquire", "crew"): 4862,
+    ("tiered", "failure_mid_acquire", "release"): 4860,
+    ("tiered", "failure_mid_acquire", "eventual"): 835,
+    ("tiered", "failure_mid_acquire", "mobile"): 561,
     ("tiered", "multi_page_batch", "crew"): 121,
     ("tiered", "multi_page_batch", "release"): 119,
     ("tiered", "multi_page_batch", "eventual"): 120,
@@ -46,10 +46,10 @@ MESSAGES_SENT = {
     ("ring", "conflicting_writers", "release"): 710,
     ("ring", "conflicting_writers", "eventual"): 709,
     ("ring", "conflicting_writers", "mobile"): 777,
-    ("ring", "failure_mid_acquire", "crew"): 2454,
-    ("ring", "failure_mid_acquire", "release"): 2452,
-    ("ring", "failure_mid_acquire", "eventual"): 513,
-    ("ring", "failure_mid_acquire", "mobile"): 434,
+    ("ring", "failure_mid_acquire", "crew"): 1812,
+    ("ring", "failure_mid_acquire", "release"): 1810,
+    ("ring", "failure_mid_acquire", "eventual"): 457,
+    ("ring", "failure_mid_acquire", "mobile"): 399,
     ("ring", "multi_page_batch", "crew"): 127,
     ("ring", "multi_page_batch", "release"): 125,
     ("ring", "multi_page_batch", "eventual"): 126,
@@ -166,13 +166,13 @@ CONTROL_PLANE_MESSAGES_SENT = {
     ("tiered", "resize_grow"): 68,
     ("tiered", "resize_shrink"): 68,
     ("tiered", "set_attributes"): 63,
-    ("tiered", "replica_repair"): 1352,
+    ("tiered", "replica_repair"): 1134,
     ("tiered", "auto_migration"): 254,
     ("ring", "migrate"): 56,
     ("ring", "resize_grow"): 49,
     ("ring", "resize_shrink"): 49,
     ("ring", "set_attributes"): 45,
-    ("ring", "replica_repair"): 624,
+    ("ring", "replica_repair"): 473,
     ("ring", "auto_migration"): 181,
 }
 

@@ -54,7 +54,7 @@ class TestRequestReply:
 class TestTimeoutsAndRetries:
     def test_timeout_after_retries(self):
         sched, net, a, _b = make_pair()
-        net.crash(2)
+        net.detach(2)
         policy = RetryPolicy(timeout=0.1, retries=2, backoff=2.0)
         future = a.request(2, MessageType.PING, policy=policy)
         sched.run_until_idle()
@@ -97,10 +97,18 @@ class TestTimeoutsAndRetries:
 class TestShutdown:
     def test_shutdown_fails_pending(self):
         sched, net, a, _b = make_pair()
-        net.crash(2)
+        net.detach(2)
         future = a.request(2, MessageType.PING)
         a.shutdown()
         assert isinstance(future.exception(), RpcTimeout)
+
+    def test_request_after_shutdown_fails_at_once(self):
+        sched, net, a, _b = make_pair()
+        a.shutdown()
+        future = a.request(2, MessageType.PING)
+        assert isinstance(future.exception(), RpcTimeout)
+        sched.run_until_idle()
+        assert net.stats.messages_sent == 0
 
     def test_shutdown_detaches(self):
         sched, net, a, b = make_pair()

@@ -72,24 +72,35 @@ class TestDelivery:
 
 
 class TestFaults:
-    def test_crash_drops_inflight(self):
+    def test_detach_drops_inflight(self):
         sched, net = make_net()
         got = []
         net.attach(2, lambda m: got.append(m))
         net.attach(1, lambda m: None)
         net.send(msg(1, 2))
-        net.crash(2)
+        net.detach(2)
         sched.run_until_idle()
         assert got == []
         assert net.stats.messages_dropped == 1
 
-    def test_recover_restores_delivery(self):
+    def test_sender_detach_drops_inflight(self):
         sched, net = make_net()
         got = []
         net.attach(2, lambda m: got.append(m))
         net.attach(1, lambda m: None)
-        net.crash(2)
-        net.recover(2)
+        net.send(msg(1, 2))
+        net.detach(1)
+        sched.run_until_idle()
+        assert got == []
+        assert net.stats.messages_dropped == 1
+
+    def test_reattach_restores_delivery(self):
+        sched, net = make_net()
+        got = []
+        net.attach(2, lambda m: got.append(m))
+        net.attach(1, lambda m: None)
+        net.detach(2)
+        net.attach(2, lambda m: got.append(m))
         net.send(msg(1, 2))
         sched.run_until_idle()
         assert len(got) == 1
