@@ -193,17 +193,19 @@ class RandomStrategy(Strategy):
     with probability ``change_prob`` the winner's priority is redrawn
     after the choice (a priority change point).  Run 0 is the pure
     default schedule, so the unperturbed path is always in the set.
-    Faults (message loss) fire with ``loss_prob`` while the budget
-    allows.
+    At each decision, every fault kind the budget still allows (loss,
+    then crash, then partition) fires with ``fault_prob``; a kind the
+    budget does not allow draws nothing, so a fault-free run makes
+    exactly the choices it would without faults.
     """
 
     name = "random"
 
     def __init__(self, seed: int, change_prob: float = 0.1,
-                 loss_prob: float = 0.0) -> None:
+                 fault_prob: float = 0.15) -> None:
         self.seed = seed
         self.change_prob = change_prob
-        self.loss_prob = loss_prob
+        self.fault_prob = fault_prob
         self._rng = random.Random(seed)
         self._priorities: Dict[int, float] = {}
         self._run = 0
@@ -234,11 +236,10 @@ class RandomStrategy(Strategy):
             dst = delivery_dst(labels[best_index])
             if dst is not None:
                 self._priorities[dst] = self._rng.random()
-        fault = None
-        if (self.loss_prob > 0 and budget.allows("loss")
-                and self._rng.random() < self.loss_prob):
-            fault = {"kind": "loss"}
-        return Choice(best_index, fault)
+        for kind in ("loss", "crash", "partition"):
+            if budget.allows(kind) and self._rng.random() < self.fault_prob:
+                return Choice(best_index, {"kind": kind})
+        return Choice(best_index)
 
 
 class DelayBoundingStrategy(Strategy):

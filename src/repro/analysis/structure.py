@@ -46,7 +46,7 @@ CONSISTENCY_MODULE_LINES = 380
 
 #: Committed ceiling on the total size of the package: the sum over
 #: every ``.py`` file of its newline count (what ``wc -l`` reports).
-SRC_LINE_BUDGET = 24887
+SRC_LINE_BUDGET = 24885
 
 #: Packages whose mutual imports must stay acyclic at load time.
 LAYERED_PACKAGES = ("repro.core", "repro.consistency", "repro.net")

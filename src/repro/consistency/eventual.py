@@ -24,9 +24,7 @@ Semantics:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
 
 from repro.consistency.engine import PageEvent, absorb_replica_push
 from repro.consistency.manager import (
@@ -76,10 +74,7 @@ class EventualManager(ConsistencyManager):
                  staleness_bound: float = DEFAULT_STALENESS_BOUND) -> None:
         super().__init__(host)
         self.staleness_bound = staleness_bound
-        self._versions: Dict[int, Tuple[int, int]] = {}  # page -> (ver, writer)
-        self._refreshed_at: Dict[int, float] = {}        # page -> virtual time
         self._dirty_fanout: Set[int] = set()             # home: pages to push
-        self._rids: Dict[int, int] = {}                  # page -> region id
 
     # ------------------------------------------------------------------
     # Client side
@@ -94,17 +89,15 @@ class EventualManager(ConsistencyManager):
     ) -> ProtocolGen:
         """In place: the home's own copy, or a replica within the
         staleness bound (fast response — the whole point)."""
-        self._rids[page_addr] = desc.rid
         if self.host.node_id == desc.primary_home:
             data = yield from self.host.local_page_bytes(desc, page_addr)
             if data is None:
                 raise KhazanaError(f"home lost page {page_addr:#x}")
             return True
-        age = self.host.now - self._refreshed_at.get(
-            page_addr, float("-inf")
-        )
-        return (self.host.storage.contains(page_addr)
-                and age <= self.staleness_bound)
+        entry = self.host.page_directory.get(page_addr)
+        return (entry is not None and self.host.storage.contains(page_addr)
+                and self.host.now - entry.refreshed_at
+                <= self.staleness_bound)
 
     def acquire_remote(
         self,
@@ -134,8 +127,8 @@ class EventualManager(ConsistencyManager):
                 raise
             return
         def note(entry: Any, item: Dict[str, Any]) -> None:
-            self._versions[entry.address] = _lww_key(item)
-            self._refreshed_at[entry.address] = self.host.now
+            entry.version = _lww_key(item)
+            entry.refreshed_at = self.host.now
 
         yield from self.engine.batch.install(desc, reply.payload["pages"],
                                              PageEvent.READ_FILL, note=note)
@@ -158,14 +151,12 @@ class EventualManager(ConsistencyManager):
         me = self.host.node_id
         updates: List[Dict[str, Any]] = []
         for page_addr, page in self.dirty_copies(pages, ctx):
-            version = self._versions.get(page_addr, (0, 0))[0] + 1
-            self._versions[page_addr] = (version, me)
-            self._refreshed_at[page_addr] = self.host.now
-            if me == desc.primary_home:
-                self._record_home_write(desc, page_addr, version)
-                continue
-            updates.append({"page": page_addr, "data": page.data,
-                            **self._version_of(page_addr)})
+            counter = self._version_of(page_addr)["version"]
+            entry = self._record(desc, page_addr, (counter + 1, me))
+            entry.refreshed_at = self.host.now
+            if me != desc.primary_home:
+                updates.append({"page": page_addr, "data": page.data,
+                                **self._version_of(page_addr)})
         if updates:
             # The local copies stay dirty until the push lands.
             yield from self.engine.batch.push_updates(
@@ -179,19 +170,26 @@ class EventualManager(ConsistencyManager):
             {"rid": desc.rid, "updates": updates}, policy=FETCH_POLICY,
         )
 
-    def _record_home_write(self, desc: RegionDescriptor, page_addr: int,
-                           version: int) -> None:
-        entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=True)
-        entry.allocated = True
+    def _record(self, desc: RegionDescriptor, page_addr: int,
+                version: Tuple[int, int]) -> Any:
+        """Record a write's version on the page's entry; at the primary
+        home also mark the page for the next tick's fan-out."""
+        me = self.host.node_id
+        entry = self.host.page_directory.ensure(
+            page_addr, desc.rid, homed=me in desc.home_nodes)
         entry.version = version
-        self._dirty_fanout.add(page_addr)
+        if me == desc.primary_home:
+            entry.allocated = True
+            self._dirty_fanout.add(page_addr)
+        return entry
 
     # ------------------------------------------------------------------
     # Home side
     # ------------------------------------------------------------------
 
     def _version_of(self, page_addr: int) -> Dict[str, Any]:
-        version, writer = self._versions.get(page_addr, (0, 0))
+        version, writer = self.host.page_directory.version_of(page_addr,
+                                                              (0, 0))
         return {"version": version, "writer": writer}
 
     def handle_page_fetch(self, desc: RegionDescriptor, msg: Message) -> None:
@@ -201,15 +199,13 @@ class EventualManager(ConsistencyManager):
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
         if self.host.node_id != desc.primary_home:
-            absorb_replica_push(self, desc, msg, self._versions, _lww_key,
-                                (0, -1), refreshed=self._refreshed_at)
+            absorb_replica_push(self, desc, msg, _lww_key, (0, -1))
             return
         updates = msg.payload["updates"]
 
         def apply() -> ProtocolGen:
             for update in updates:
                 page_addr = int(update["page"])
-                self._rids[page_addr] = desc.rid
                 # Last-writer-wins by (version, writer id): concurrent
                 # writers converge on a single winner everywhere.  The
                 # winner is committed before the store yields (as
@@ -217,10 +213,10 @@ class EventualManager(ConsistencyManager):
                 # mid-store compares against it, not against what the
                 # store is replacing.
                 incoming = _lww_key(update)
-                if incoming <= self._versions.get(page_addr, (0, -1)):
+                if incoming <= self.host.page_directory.version_of(
+                        page_addr, (0, -1)):
                     continue
-                self._versions[page_addr] = incoming
-                self._record_home_write(desc, page_addr, incoming[0])
+                self._record(desc, page_addr, incoming)
                 if self.host.probe.enabled:
                     self.host.probe.remote_update(
                         self.host.node_id, page_addr, msg.src,

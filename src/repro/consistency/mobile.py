@@ -32,9 +32,7 @@ gossip peer carrying every dirty page that peer replicates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.consistency.engine import PageEvent, install_replica_update
 from repro.consistency.manager import (
@@ -75,8 +73,6 @@ class MobileManager(ConsistencyManager):
 
     def __init__(self, host: "CMHost") -> None:
         super().__init__(host)
-        self._stamps: Dict[int, Stamp] = {}      # page -> newest stamp held
-        self._rids: Dict[int, int] = {}          # page -> region id
         self._descs: Dict[int, RegionDescriptor] = {}
         self._gossip_cursor = 0
 
@@ -93,7 +89,6 @@ class MobileManager(ConsistencyManager):
     ) -> ProtocolGen:
         """In place: the local replica, disconnected or not, or a home
         node's own copy."""
-        self._rids[page_addr] = desc.rid
         self._descs[desc.rid] = desc
         if self.host.storage.contains(page_addr):
             return True
@@ -131,8 +126,7 @@ class MobileManager(ConsistencyManager):
             def note(entry: Any, item: Dict[str, Any]) -> None:
                 stamp = item["stamp"]
                 if stamp:
-                    self._stamps[entry.address] = (int(stamp[0]),
-                                                   int(stamp[1]))
+                    entry.version = (int(stamp[0]), int(stamp[1]))
                 entry.record_sharer(peer)
                 remaining.remove(entry.address)
 
@@ -168,31 +162,31 @@ class MobileManager(ConsistencyManager):
         connectivity returns."""
         self.engine.fanout(desc.rid, [
             ({"page": page_addr, "data": page.data,
-              "stamp": list(self._stamp_write(page_addr))},
+              "stamp": list(self._stamp_write(desc, page_addr))},
              self._peers(desc, [page_addr]))
             for page_addr, page in self.dirty_copies(pages, ctx)])
         return
         yield  # pragma: no cover - generator form required
 
-    def _stamp_write(self, page_addr: int) -> Stamp:
-        counter, _node = self._stamps.get(page_addr, (0, 0))
-        stamp = (counter + 1, self.host.node_id)
-        self._stamps[page_addr] = stamp
-        return stamp
+    def _entry(self, desc: RegionDescriptor, page_addr: int) -> Any:
+        return self.host.page_directory.ensure(
+            page_addr, desc.rid, homed=self.host.node_id in desc.home_nodes)
+
+    def _stamp_write(self, desc: RegionDescriptor, page_addr: int) -> Stamp:
+        entry = self._entry(desc, page_addr)
+        entry.version = ((entry.version or (0, 0))[0] + 1, self.host.node_id)
+        return entry.version
 
     def _stamp_of(self, page_addr: int) -> Dict[str, Any]:
-        return {"stamp": list(self._stamps.get(page_addr, (0, 0)))}
+        stamp = self.host.page_directory.version_of(page_addr, (0, 0))
+        return {"stamp": list(stamp)}
 
     def evict_update(self, page_addr: int, data: bytes) -> Dict[str, Any]:
         # A mobile peer orders pushes by stamp (last-writer-wins): the
-        # evicted replica goes home with the stamp it holds.
+        # evicted replica goes home with the stamp it holds.  The
+        # eviction's first step runs inside on_disk_evict's spawn, so
+        # this reads the stamp before the page's entry is dropped.
         return {"page": page_addr, "data": data, **self._stamp_of(page_addr)}
-
-    def evict(
-        self, desc: RegionDescriptor, page_addr: int, data: bytes, dirty: bool
-    ) -> ProtocolGen:
-        yield from super().evict(desc, page_addr, data, dirty)
-        self._stamps.pop(page_addr, None)
 
     # ------------------------------------------------------------------
     # Gossip
@@ -211,34 +205,34 @@ class MobileManager(ConsistencyManager):
         return peers
 
     def _gossip_page(self, desc: RegionDescriptor, page_addr: int,
-                     targets: Optional[List[int]] = None) -> None:
+                     targets: List[int]) -> None:
         page = self.host.storage.peek(page_addr)
-        stamp = self._stamps.get(page_addr)
-        if page is None or stamp is None:
+        entry = self.host.page_directory.get(page_addr)
+        if page is None or entry is None or entry.version is None:
             return
-        peers = targets if targets is not None else self._peers(
-            desc, [page_addr])
         self.engine.fanout(desc.rid, [(
-            {"page": page_addr, "data": page.data, "stamp": list(stamp)},
-            peers,
+            {"page": page_addr, "data": page.data,
+             "stamp": list(entry.version)},
+            targets,
         )])
 
     def tick(self) -> None:
-        """One anti-entropy round: rotate gossip across known pages."""
-        for page_addr, stamp in list(self._stamps.items()):
-            rid = self._rids.get(page_addr)
-            desc = self._descs.get(rid) if rid is not None else None
-            if desc is None:
-                continue
-            peers = self._peers(desc, [page_addr])
-            if not peers:
-                continue
-            self._gossip_cursor += 1
-            chosen = [
-                peers[(self._gossip_cursor + i) % len(peers)]
-                for i in range(min(GOSSIP_FANOUT, len(peers)))
-            ]
-            self._gossip_page(desc, page_addr, targets=sorted(set(chosen)))
+        """One anti-entropy round: rotate gossip across the stamped
+        pages of known regions, in address order (a region id is its
+        first address); forget a region once no page of it is here."""
+        for rid in sorted(self._descs):
+            desc = self._descs[rid]
+            entries = self.host.page_directory.entries_for_region(rid)
+            if not entries:
+                del self._descs[rid]
+            for entry in entries:
+                peers = self._peers(desc, [entry.address])
+                if entry.version is None or not peers:
+                    continue
+                self._gossip_cursor += 1
+                chosen = {peers[(self._gossip_cursor + i) % len(peers)]
+                          for i in range(min(GOSSIP_FANOUT, len(peers)))}
+                self._gossip_page(desc, entry.address, sorted(chosen))
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -255,34 +249,20 @@ class MobileManager(ConsistencyManager):
         """LWW-apply one pushed page version; ``teach`` answers an
         older one with ours (one-way gossip only: a request-type push
         is an eviction, and its sender is dropping the page)."""
-        self._rids[page_addr] = desc.rid
         self._descs[desc.rid] = desc
-        entry = self.host.page_directory.ensure(
-            page_addr, desc.rid,
-            homed=self.host.node_id in desc.home_nodes,
-        )
+        entry = self._entry(desc, page_addr)
         entry.record_sharer(src)
         entry.allocated = True
-        local = self._stamps.get(page_addr, (0, -1))
+        local = entry.version or (0, -1)
 
         if incoming <= local:
             if teach and incoming < local:
                 # Anti-entropy runs both ways: teach the sender.
-                self._gossip_page(desc, page_addr, targets=[src])
+                self._gossip_page(desc, page_addr, [src])
             return
 
-        def commit() -> None:
-            self._stamps[page_addr] = incoming
-            if self.host.probe.enabled:
-                self.host.probe.remote_update(
-                    self.host.node_id, page_addr, src,
-                    desc.attrs.protocol,
-                )
-
         install_replica_update(
-            self, desc, page_addr, data,
-            fresh=lambda: incoming > self._stamps.get(page_addr, (0, -1)),
-            commit=commit,
+            self, desc, page_addr, data, incoming, (0, -1), src=src,
             require_resident=False,   # gossip may seed a new replica
             op="apply",
             on_stored=lambda: self.pages.fire(

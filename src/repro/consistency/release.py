@@ -49,6 +49,12 @@ logger = logging.getLogger(__name__)
 __all__ = ["ReleaseManager", "TOKEN_POLICY", "apply_diff", "compute_diff"]
 
 
+def _version_key(item: Dict[str, Any]) -> Tuple[int, int]:
+    """A served or pushed item's version as a page version pair: one
+    primary issues every counter, so the writer slot stays 0."""
+    return (item.get("version", 0), 0)
+
+
 @register_protocol
 class ReleaseManager(ConsistencyManager):
     """Consistency manager implementing release consistency."""
@@ -64,7 +70,6 @@ class ReleaseManager(ConsistencyManager):
 
     def __init__(self, host: "CMHost") -> None:
         super().__init__(host)
-        self._versions: Dict[int, int] = {}   # page -> version (home: authoritative)
         self._twins = TwinStore()
 
     # ------------------------------------------------------------------
@@ -144,7 +149,7 @@ class ReleaseManager(ConsistencyManager):
         then surface the reply's first per-page error."""
 
         def note(entry: Any, item: Dict[str, Any]) -> None:
-            self._versions[entry.address] = item.get("version", 0)
+            entry.version = _version_key(item)
 
         yield from self.engine.batch.install(desc, reply.payload["pages"],
                                              event, note=note)
@@ -221,7 +226,9 @@ class ReleaseManager(ConsistencyManager):
     # ------------------------------------------------------------------
 
     def _version_of(self, page_addr: int) -> Dict[str, Any]:
-        return {"version": self._versions.get(page_addr, 0)}
+        counter, _writer = self.host.page_directory.version_of(page_addr,
+                                                               (0, 0))
+        return {"version": counter}
 
     def handle_lock_request(self, desc: RegionDescriptor, msg: Message) -> None:
         if not self.primary_only(desc, msg):
@@ -267,8 +274,7 @@ class ReleaseManager(ConsistencyManager):
 
     def handle_update(self, desc: RegionDescriptor, msg: Message) -> None:
         if self.host.node_id != desc.primary_home:
-            absorb_replica_push(self, desc, msg, self._versions,
-                                lambda update: update.get("version", 0), -1)
+            absorb_replica_push(self, desc, msg, _version_key, (-1, 0))
             return
 
         def apply() -> ProtocolGen:
@@ -297,11 +303,10 @@ class ReleaseManager(ConsistencyManager):
         else:
             yield from self.host.store_local_page(desc, page_addr, data,
                                                   dirty=False)
-        version = self._versions.get(page_addr, 0) + 1
-        self._versions[page_addr] = version
+        version = self._version_of(page_addr)["version"] + 1
         entry = self.host.page_directory.ensure(page_addr, desc.rid, homed=True)
         entry.allocated = True
-        entry.version = version
+        entry.version = (version, 0)
         # Every replica site but the writer gets the new bytes.
         return ({"page": page_addr, "data": data, "version": version},
                 [n for n in entry.copyset_excluding(self.host.node_id)

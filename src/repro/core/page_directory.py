@@ -12,12 +12,20 @@ about pages with remote homes."
 For pages *homed* at this node the entry is authoritative: it records
 the current owner (for ownership-based protocols like CREW) and the
 full copyset.  For remote pages the entry is a hint cache.
+
+An entry's ``(counter, writer)`` version pair is the page's one
+version: release, eventual and mobile keep it here and nowhere else.
+The metadata journal saves it for homed pages, so a restarted durable
+home keeps counting, and it goes with the entry (eviction, unreserve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+#: A page version: ``(counter, writer node id)``.
+Version = Tuple[int, int]
 
 
 @dataclass
@@ -29,8 +37,12 @@ class PageEntry:
     homed: bool               # True when this node is the page's home
     owner: Optional[int] = None     # node holding the master copy
     sharers: Set[int] = field(default_factory=set)
-    version: int = 0          # update-protocol version counter
     allocated: bool = False   # physical storage exists somewhere
+    #: The page's one version; None until a protocol records one (a
+    #: home serves ``(0, 0)`` for it).  Release's int is the counter.
+    version: Optional[Version] = None
+    #: When this node last took the version from a writer or its home.
+    refreshed_at: float = float("-inf")
 
     def record_sharer(self, node_id: int) -> None:
         self.sharers.add(node_id)
@@ -74,6 +86,14 @@ class PageDirectory:
         elif homed and not entry.homed:
             entry.homed = True
         return entry
+
+    def version_of(self, address: int, default: Version) -> Version:
+        """The page's recorded version, or ``default`` when it has
+        none (no entry, or an entry no protocol versioned)."""
+        entry = self._entries.get(address)
+        if entry is None or entry.version is None:
+            return default
+        return entry.version
 
     def drop(self, address: int) -> Optional[PageEntry]:
         entry = self._entries.pop(address, None)

@@ -8,7 +8,9 @@ its file-backed page store:
 
 - the descriptors of regions it homes (``regions.json``), and
 - the authoritative page-directory entries for pages homed locally
-  (``pagedir.json``).
+  (``pagedir.json``), each with its ``(counter, writer)`` version pair
+  — the page's one version, so a restarted home keeps counting where
+  it stopped instead of reissuing versions its replicas already hold.
 
 After a crash, a restarted daemon reloads both and serves its homed
 regions again.  Recovery is deliberately conservative about coherence
@@ -89,7 +91,7 @@ class MetadataJournal:
                 homed=True,
                 owner=node_id,
                 allocated=bool(raw["allocated"]),
-                version=int(raw.get("version", 0)),
+                version=raw["version"] and tuple(raw["version"]),
             )
             entry.record_sharer(node_id)
             entries.append(entry)

@@ -168,5 +168,36 @@ class TestHomeInstallOrder:
         acks = [m for m in replies if m.reply_to in (7001, 7002)]
         assert [m.msg_type for m in acks] == [MessageType.UPDATE_ACK] * 2
         assert home.storage.peek(desc.rid).data[:1] == b"N"
-        assert home.page_directory.get(desc.rid).version == 2
+        assert home.page_directory.get(desc.rid).version == (2, 2)
         cluster.shutdown()
+
+
+class TestDurableVersions:
+    def test_restarted_home_keeps_counting(self, tmp_path):
+        """The page version lives on the journaled directory entry, so
+        a durable home restarted after three writes serves version 4
+        for its fourth, not 1 again."""
+        cluster = create_cluster(num_nodes=3, config=DaemonConfig(
+            spill_dir=str(tmp_path / "spill")))
+        try:
+            kz0, desc = make_region(cluster, node=0)
+            assert desc.primary_home == 0
+            served = []
+            cluster.network.tap(
+                lambda m: m.msg_type is MessageType.PAGE_DATA
+                and served.extend(item["version"]
+                                  for item in m.payload["pages"]
+                                  if item["page"] == desc.rid))
+            for fill in (b"a", b"b", b"c"):
+                kz0.write_at(desc.rid, fill * 4)
+            cluster.run(2.6)
+            assert cluster.client(node=1).read_at(desc.rid, 4) == b"cccc"
+            cluster.crash(0)
+            cluster.restart_node(0)
+            cluster.client(node=0).write_at(desc.rid, b"dddd")
+            assert cluster.client(node=2).read_at(desc.rid, 4) == b"dddd"
+            assert served == [3, 4]
+            assert cluster.daemon(0).page_directory.get(
+                desc.rid).version == (4, 0)
+        finally:
+            cluster.shutdown()

@@ -5,6 +5,7 @@ import pytest
 from repro.api import create_cluster
 from repro.core.attributes import RegionAttributes
 from repro.core.errors import LockDenied
+from repro.core.kernel import DaemonConfig
 from repro.net.message import MessageType
 
 
@@ -129,9 +130,8 @@ class TestEviction:
         daemon = cluster.daemon(3)
         cm3 = daemon.consistency_manager("mobile")
         home = cluster.daemon(desc.primary_home)
-        home_cm = home.consistency_manager("mobile")
-        stamp = cm3._stamps[desc.rid]
-        assert home_cm._stamps[desc.rid] < stamp
+        stamp = daemon.page_directory.get(desc.rid).version
+        assert home.page_directory.get(desc.rid).version < stamp
         page = daemon.storage.peek(desc.rid)
         assert page is not None and page.dirty
 
@@ -143,9 +143,9 @@ class TestEviction:
         cluster.run(1.0)
         assert [[u["stamp"] for u in m.payload["updates"]]
                 for m in pushes] == [[list(stamp)]]
-        assert home_cm._stamps[desc.rid] == stamp
+        assert home.page_directory.get(desc.rid).version == stamp
         assert home.storage.peek(desc.rid).data[:7] == b"evicted"
-        assert desc.rid not in cm3._stamps
+        assert daemon.page_directory.get(desc.rid) is None
         assert desc.rid not in cm3.page_state
 
 
@@ -164,18 +164,16 @@ class TestEviction:
         daemon = cluster.daemon(3)
         cm3 = daemon.consistency_manager("mobile")
         home = cluster.daemon(desc.primary_home)
-        home_stamp = home.consistency_manager("mobile")._stamps[desc.rid]
-        assert cm3._stamps[desc.rid] < home_stamp
+        home_stamp = home.page_directory.get(desc.rid).version
+        assert daemon.page_directory.get(desc.rid).version < home_stamp
         assert daemon.data.on_disk_evict(daemon.storage.peek(desc.rid))
         daemon.storage.drop(desc.rid)   # the disk's part of an eviction
         cluster.run(0.3)
         assert not daemon.storage.contains(desc.rid)
-        assert desc.rid not in cm3._stamps
         assert desc.rid not in cm3.page_state
         assert daemon.page_directory.get(desc.rid) is None
         assert 3 not in home.page_directory.get(desc.rid).sharers
-        assert home.consistency_manager("mobile")._stamps[desc.rid] == \
-            home_stamp
+        assert home.page_directory.get(desc.rid).version == home_stamp
         assert home.storage.peek(desc.rid).data[:6] == b"home-2"
 
 
@@ -193,3 +191,32 @@ class TestConvergenceProperty:
             for n in range(4)
         }
         assert len(finals) == 1
+
+
+class TestDurableStamps:
+    def test_restarted_home_write_wins(self, tmp_path):
+        """A durable home journals the newest stamp it holds: restarted
+        after node 1's three writes it stamps its own write (4, 0), which
+        beats node 1's (3, 1) everywhere.  Restarted at (0, 0) it would
+        stamp (1, 0) and lose an acknowledged write."""
+        cluster = create_cluster(num_nodes=3, config=DaemonConfig(
+            spill_dir=str(tmp_path / "spill")))
+        try:
+            kz0 = cluster.client(node=0)
+            desc = kz0.reserve(
+                4096, RegionAttributes(consistency_protocol="mobile"))
+            kz0.allocate(desc.rid)
+            assert desc.primary_home == 0
+            kz1 = cluster.client(node=1)
+            for n in range(3):
+                kz1.write_at(desc.rid, b"old%d" % n)
+                cluster.run(0.5)
+            cluster.run(3.0)
+            cluster.crash(0)
+            cluster.restart_node(0)
+            cluster.client(node=0).write_at(desc.rid, b"NEW!")
+            cluster.run(10.0)
+            assert [cluster.client(node=n).read_at(desc.rid, 4)
+                    for n in range(3)] == [b"NEW!"] * 3
+        finally:
+            cluster.shutdown()

@@ -222,3 +222,68 @@ class TestBackgroundRetry:
         cluster.run(5.0)
         delta = cluster.stats.delta_since(before)
         assert delta.count(MessageType.UPDATE_PUSH) == 0
+
+
+class TestDurableVersions:
+    def test_restarted_home_keeps_counting(self, tmp_path):
+        """The page version lives on the journaled directory entry, so
+        a durable home restarted after three writes serves version 4
+        for its fourth, not 1 again."""
+        cluster = create_cluster(num_nodes=3, config=DaemonConfig(
+            spill_dir=str(tmp_path / "spill")))
+        try:
+            kz0, desc = make_region(cluster, node=0)
+            assert desc.primary_home == 0
+            served = []
+            cluster.network.tap(
+                lambda m: m.msg_type is MessageType.PAGE_DATA
+                and served.extend(item["version"]
+                                  for item in m.payload["pages"]
+                                  if item["page"] == desc.rid))
+            for fill in (b"a", b"b", b"c"):
+                kz0.write_at(desc.rid, fill * 4)
+            cluster.run(2.6)
+            assert cluster.client(node=1).read_at(desc.rid, 4) == b"cccc"
+            cluster.crash(0)
+            cluster.restart_node(0)
+            cluster.client(node=0).write_at(desc.rid, b"dddd")
+            assert cluster.client(node=2).read_at(desc.rid, 4) == b"dddd"
+            assert served == [3, 4]
+            assert cluster.daemon(0).page_directory.get(
+                desc.rid).version == (4, 0)
+        finally:
+            cluster.shutdown()
+
+
+def cm_dict_sizes(daemon):
+    """``{(protocol, attribute): len}`` for every dict a CM holds."""
+    return {(name, attr): len(value)
+            for name, cm in daemon.consistency_managers().items()
+            for attr, value in vars(cm).items() if isinstance(value, dict)}
+
+
+class TestUnreserveChurn:
+    def test_unreserve_leaves_no_cm_state(self):
+        """Reserve, write, read and unreserve a release, an eventual
+        and a mobile region sixteen times: at the home and at the
+        unreserving node no CM keeps a per-page entry past its region."""
+        cluster = create_cluster(num_nodes=3)
+        home, writer = cluster.client(node=0), cluster.client(node=1)
+        sizes = []
+        for _cycle in range(16):
+            for attrs in (
+                RegionAttributes(consistency_level=ConsistencyLevel.RELEASE),
+                RegionAttributes(consistency_level=ConsistencyLevel.EVENTUAL),
+                RegionAttributes(consistency_protocol="mobile"),
+            ):
+                desc = home.reserve(4096, attrs)
+                home.allocate(desc.rid)
+                assert desc.primary_home == 0
+                writer.write_at(desc.rid, b"churn")
+                assert writer.read_at(desc.rid, 5) == b"churn"
+                cluster.run(1.0)
+                writer.unreserve(desc.rid)
+                cluster.run(1.0)
+            sizes.append((cm_dict_sizes(cluster.daemon(0)),
+                          cm_dict_sizes(cluster.daemon(1))))
+        assert sizes[-1] == sizes[0]

@@ -201,13 +201,40 @@ class TestRandomizedStrategies:
         assert trace(5) == trace(5)
 
     def test_loss_fault_respects_budget(self):
-        strategy = RandomStrategy(1, loss_prob=1.0)
+        strategy = RandomStrategy(1, fault_prob=1.0)
         strategy.begin_run(1)
         window = _window((1, 0), (2, 1))
         empty = FaultAllowance()          # no budget: never a fault
         assert strategy.choose(0, window, empty).fault is None
         funded = FaultAllowance(loss=1)
         assert strategy.choose(1, window, funded).fault == {"kind": "loss"}
+
+    def test_random_proposes_each_budgeted_kind(self):
+        strategy = RandomStrategy(1, fault_prob=1.0)
+        strategy.begin_run(1)
+        window = _window((1, 0), (2, 1))
+        for kind in ("crash", "partition"):
+            funded = FaultAllowance(**{kind: 1})
+            assert strategy.choose(0, window, funded).fault == {"kind": kind}
+
+    def test_cli_crash_budget_crashes_a_node(self, monkeypatch, capsys):
+        """``--crash 1`` spends its budget: the CLI's random strategy
+        proposes crashes, so some run stops a kernel."""
+        from repro.analysis.explore.__main__ import main
+        from repro.api import Cluster
+
+        crashes = []
+        real_crash = Cluster.crash
+
+        def counting_crash(self, node):
+            crashes.append(node)
+            real_crash(self, node)
+
+        monkeypatch.setattr(Cluster, "crash", counting_crash)
+        assert main(["--protocol", "crew", "--scenario", "single_page",
+                     "--nodes", "3", "--budget", "25", "--seed", "0",
+                     "--crash", "1"]) == 0
+        assert crashes
 
     def test_delay_bound_caps_deviations(self):
         strategy = DelayBoundingStrategy(2, bound=1, delay_prob=1.0)
@@ -334,29 +361,9 @@ class TestFaultInjection:
                           num_nodes=2, faults=FaultBudget(loss=1))
         )
         result = explorer.explore(
-            RandomStrategy(0, loss_prob=0.5), budget=3
+            RandomStrategy(0, fault_prob=0.5), budget=3
         )
         assert result.clean
-
-
-class CrashyStrategy(RandomStrategy):
-    """RandomStrategy plus budgeted crash/partition faults — the
-    shapes the ring's membership machinery exists to absorb."""
-
-    def __init__(self, seed: int, fault_prob: float = 0.15) -> None:
-        super().__init__(seed)
-        self.fault_prob = fault_prob
-
-    def choose(self, step, labels, budget):
-        choice = super().choose(step, labels, budget)
-        if self._run > 0 and choice.fault is None:
-            if budget.allows("crash") \
-                    and self._rng.random() < self.fault_prob:
-                return Choice(choice.index, {"kind": "crash"})
-            if budget.allows("partition") \
-                    and self._rng.random() < self.fault_prob:
-                return Choice(choice.index, {"kind": "partition"})
-        return choice
 
 
 class TestRingExploration:
@@ -378,7 +385,7 @@ class TestRingExploration:
                           num_nodes=3, placement="ring",
                           faults=FaultBudget(crash=1, partition=1))
         )
-        result = explorer.explore(CrashyStrategy(0), budget=4)
+        result = explorer.explore(RandomStrategy(0), budget=4)
         assert result.clean
 
     def test_schedule_dict_records_placement(self):
